@@ -1,0 +1,383 @@
+"""Filters, ideals, and two-valued maps on finite subspace lattices.
+
+Two regimes are implemented side by side, and every verdict is tagged
+with the convention that produced it:
+
+* the "paper" convention takes the deleted-element construction
+  literally: the filter attached to a nontrivial atom w is the whole
+  lattice minus {w}, primality is quantified only against the removed
+  element, and the associated two-valued map sends w to 1 and everything
+  else, including the top, to 0;
+* the "standard" convention uses the order-theoretic notions: filters are
+  nonempty, proper, upward closed, and meet closed; primality quantifies
+  over all pairs; value 1 marks filter membership.
+
+The deleted-element filter is not upward closed, so is_upward_closed
+returns a counterexample pair instead of a bare False, and
+is_prime_standard answers NOT_APPLICABLE on sets that are not standard
+filters rather than forcing a boolean.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from typing import Iterable, Optional
+
+from .exactlin import ExactMatrix
+from .lattice import FiniteLattice, atoms, orthocomplement_indices
+from .subspace import StateVector, Subspace, contains_vector, image
+
+__all__ = [
+    "CONVENTION_PAPER",
+    "CONVENTION_STANDARD",
+    "MEET_HOM",
+    "JOIN_HOM",
+    "COMPLEMENT_LAW",
+    "TOP_TO_ONE",
+    "BOTTOM_TO_ZERO",
+    "KNOWN_LAWS",
+    "FULL_HOMOMORPHISM_LAWS",
+    "INDETERMINATE",
+    "NOT_APPLICABLE",
+    "LatticeSubset",
+    "Bivaluation",
+    "coatom_complement_filter",
+    "principal_up_set",
+    "ideal_complement",
+    "is_downward_directed",
+    "is_upward_closed",
+    "is_standard_filter",
+    "is_prime_paper",
+    "is_prime_standard",
+    "indicator_bivaluation",
+    "homomorphism_from_filter",
+    "is_lattice_homomorphism",
+    "satisfies_laws",
+    "state_valuation",
+    "search_bivaluations",
+    "SEARCH_SIZE_CAP",
+]
+
+CONVENTION_PAPER = "paper"
+CONVENTION_STANDARD = "standard"
+_CONVENTIONS = (CONVENTION_PAPER, CONVENTION_STANDARD)
+
+MEET_HOM = "meet-hom"
+JOIN_HOM = "join-hom"
+COMPLEMENT_LAW = "complement-law"
+TOP_TO_ONE = "top-to-one"
+BOTTOM_TO_ZERO = "bottom-to-zero"
+KNOWN_LAWS = frozenset({MEET_HOM, JOIN_HOM, COMPLEMENT_LAW, TOP_TO_ONE, BOTTOM_TO_ZERO})
+FULL_HOMOMORPHISM_LAWS = frozenset({MEET_HOM, JOIN_HOM, TOP_TO_ONE, BOTTOM_TO_ZERO})
+
+SEARCH_SIZE_CAP = 24
+
+
+class _Sentinel:
+    def __init__(self, name: str):
+        self._name = name
+
+    def __repr__(self) -> str:
+        return self._name
+
+
+INDETERMINATE = _Sentinel("indeterminate")
+NOT_APPLICABLE = _Sentinel("not-applicable")
+
+
+@dataclass(frozen=True)
+class LatticeSubset:
+    """A subset of one lattice's elements, held as indices."""
+
+    host: FiniteLattice
+    members: frozenset[int]
+
+    def __post_init__(self) -> None:
+        for i in self.members:
+            if not (0 <= i < len(self.host)):
+                raise ValueError(f"member index {i} out of range")
+        object.__setattr__(self, "members", frozenset(self.members))
+
+    def sorted_members(self) -> tuple[int, ...]:
+        return tuple(sorted(self.members))
+
+    def complement_members(self) -> frozenset[int]:
+        return frozenset(range(len(self.host))) - self.members
+
+    def __contains__(self, index: int) -> bool:
+        return index in self.members
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+
+@dataclass(frozen=True)
+class Bivaluation:
+    """A total {0,1} assignment on one lattice, tagged with its convention."""
+
+    host: FiniteLattice
+    assignment: tuple[int, ...]
+    convention: str
+
+    def __post_init__(self) -> None:
+        if len(self.assignment) != len(self.host):
+            raise ValueError("assignment length must match the lattice size")
+        if any(v not in (0, 1) for v in self.assignment):
+            raise ValueError("assignment values must be 0 or 1")
+        if self.convention not in _CONVENTIONS:
+            raise ValueError(f"unknown convention {self.convention!r}")
+
+    def value(self, index: int) -> int:
+        return self.assignment[index]
+
+    def ones(self) -> tuple[int, ...]:
+        return tuple(i for i, v in enumerate(self.assignment) if v == 1)
+
+
+def coatom_complement_filter(host: FiniteLattice, w: int) -> LatticeSubset:
+    """The whole lattice minus {w}; w must be a nontrivial atom."""
+    if w == host.bottom or w == host.top:
+        raise ValueError("cannot remove the bottom or the top")
+    if w not in atoms(host):
+        raise ValueError(
+            f"{host.elements[w].span_str()} is not an atom of the lattice"
+        )
+    return LatticeSubset(host, frozenset(range(len(host))) - {w})
+
+
+def principal_up_set(host: FiniteLattice, x: int) -> LatticeSubset:
+    """The standard principal filter {y : x <= y}."""
+    return LatticeSubset(
+        host, frozenset(y for y in range(len(host)) if host.leq(x, y))
+    )
+
+
+def ideal_complement(host: FiniteLattice, subset: LatticeSubset) -> LatticeSubset:
+    """Set complement; the ideal mate of a deleted-element filter."""
+    if subset.host is not host and subset.host != host:
+        raise ValueError("subset belongs to a different lattice")
+    return LatticeSubset(host, subset.complement_members())
+
+
+def is_downward_directed(subset: LatticeSubset) -> bool:
+    """Every pair of members has its meet inside the set."""
+    lat = subset.host
+    idx = subset.sorted_members()
+    return all(lat.meet(x, y) in subset for x, y in itertools.product(idx, repeat=2))
+
+
+def is_upward_closed(subset: LatticeSubset) -> tuple[bool, Optional[tuple[int, int]]]:
+    """(True, None), or (False, (x, y)) with x a member, x <= y, y outside."""
+    lat = subset.host
+    for x in subset.sorted_members():
+        for y in range(len(lat)):
+            if lat.leq(x, y) and y not in subset:
+                return (False, (x, y))
+    return (True, None)
+
+
+def is_standard_filter(subset: LatticeSubset) -> bool:
+    """Nonempty, proper, upward closed, and closed under meets."""
+    if not subset.members or not subset.complement_members():
+        return False
+    closed, _ = is_upward_closed(subset)
+    return closed and is_downward_directed(subset)
+
+
+def is_prime_paper(subset: LatticeSubset) -> bool:
+    """Literal primality: quantify joins against removed elements only.
+
+    For every lattice element x and every w outside the set,
+    x v w inside the set forces x inside the set.
+    """
+    lat = subset.host
+    outside = sorted(subset.complement_members())
+    for w in outside:
+        for x in range(len(lat)):
+            if lat.join(x, w) in subset and x not in subset:
+                return False
+    return True
+
+
+def is_prime_standard(subset: LatticeSubset):
+    """All-pairs primality, or NOT_APPLICABLE off standard filters.
+
+    On a standard filter: for every pair (x, y), x v y inside the set
+    forces x or y inside. Returns NOT_APPLICABLE when the subset is not a
+    standard filter, so the caller can report which convention answered.
+    """
+    if not is_standard_filter(subset):
+        return NOT_APPLICABLE
+    lat = subset.host
+    size = len(lat)
+    for x, y in itertools.product(range(size), repeat=2):
+        if lat.join(x, y) in subset and x not in subset and y not in subset:
+            return False
+    return True
+
+
+def indicator_bivaluation(
+    host: FiniteLattice, subset: LatticeSubset, convention: str = CONVENTION_STANDARD
+) -> Bivaluation:
+    """The map sending subset members to 1 and everything else to 0."""
+    assignment = tuple(1 if i in subset else 0 for i in range(len(host)))
+    return Bivaluation(host, assignment, convention)
+
+
+def homomorphism_from_filter(
+    host: FiniteLattice, filt: LatticeSubset, convention: str = CONVENTION_PAPER
+) -> Bivaluation:
+    """The two-valued map attached to a deleted-element filter.
+
+    With convention "paper" the removed element w gets 1 and every
+    other element, including the top, gets 0. Convention "standard"
+    flips the values. The filter must be the complement of a single
+    nontrivial atom.
+    """
+    if convention not in _CONVENTIONS:
+        raise ValueError(f"unknown convention {convention!r}")
+    outside = filt.complement_members()
+    if len(outside) != 1:
+        raise ValueError("filter is not the complement of a single element")
+    (w,) = outside
+    if w in (filt.host.bottom, filt.host.top) or w not in atoms(filt.host):
+        raise ValueError("filter does not come from removing a nontrivial atom")
+    if filt.host is not host and filt.host != host:
+        raise ValueError("filter belongs to a different lattice")
+    if convention == CONVENTION_PAPER:
+        assignment = tuple(1 if i == w else 0 for i in range(len(host)))
+    else:
+        assignment = tuple(0 if i == w else 1 for i in range(len(host)))
+    return Bivaluation(host, assignment, convention)
+
+
+def is_lattice_homomorphism(valuation: Bivaluation) -> bool:
+    """Table scan: meets map to min and joins to max, over all pairs."""
+    lat = valuation.host
+    v = valuation.assignment
+    size = len(lat)
+    for x, y in itertools.product(range(size), repeat=2):
+        if v[lat.meet(x, y)] != min(v[x], v[y]):
+            return False
+        if v[lat.join(x, y)] != max(v[x], v[y]):
+            return False
+    return True
+
+
+def _check_law_tokens(laws: Iterable[str]) -> frozenset[str]:
+    chosen = frozenset(laws)
+    unknown = chosen - KNOWN_LAWS
+    if unknown:
+        raise ValueError(f"unknown law tokens: {', '.join(sorted(unknown))}")
+    return chosen
+
+
+def satisfies_laws(
+    host: FiniteLattice, assignment: tuple[int, ...], laws: Iterable[str]
+) -> bool:
+    """Full check of a {0,1} assignment against the chosen law set."""
+    chosen = _check_law_tokens(laws)
+    v = assignment
+    if BOTTOM_TO_ZERO in chosen and v[host.bottom] != 0:
+        return False
+    if TOP_TO_ONE in chosen and v[host.top] != 1:
+        return False
+    if COMPLEMENT_LAW in chosen:
+        comp = orthocomplement_indices(host)
+        if any(v[i] + v[comp[i]] != 1 for i in range(len(host))):
+            return False
+    size = len(host)
+    for x, y in itertools.product(range(size), repeat=2):
+        if MEET_HOM in chosen and v[host.meet(x, y)] != min(v[x], v[y]):
+            return False
+        if JOIN_HOM in chosen and v[host.join(x, y)] != max(v[x], v[y]):
+            return False
+    return True
+
+
+def search_bivaluations(
+    host: FiniteLattice, laws: Iterable[str]
+) -> tuple[Bivaluation, ...]:
+    """All {0,1} assignments satisfying the law set, sorted by bits.
+
+    Backtracks over [bottom, top, atoms, rest] with incremental pruning,
+    then re-checks each completed assignment in full. Lattices above
+    SEARCH_SIZE_CAP elements are refused.
+    """
+    chosen = _check_law_tokens(laws)
+    size = len(host)
+    if size > SEARCH_SIZE_CAP:
+        raise ValueError(
+            f"lattice has {size} elements; the search cap is {SEARCH_SIZE_CAP}"
+        )
+    comp = orthocomplement_indices(host) if COMPLEMENT_LAW in chosen else None
+
+    seen: list[int] = []
+    ordering = [host.bottom, host.top]
+    ordering += [a for a in atoms(host) if a not in ordering]
+    ordering += [i for i in range(size) if i not in ordering]
+
+    values: list[int] = [-1] * size
+    results: list[tuple[int, ...]] = []
+
+    def locally_consistent(e: int) -> bool:
+        v = values
+        if BOTTOM_TO_ZERO in chosen and e == host.bottom and v[e] != 0:
+            return False
+        if TOP_TO_ONE in chosen and e == host.top and v[e] != 1:
+            return False
+        if comp is not None and v[comp[e]] >= 0 and v[e] + v[comp[e]] != 1:
+            return False
+        for a in seen:
+            if MEET_HOM in chosen:
+                m = host.meet(a, e)
+                if v[m] >= 0 and v[m] != min(v[a], v[e]):
+                    return False
+            if JOIN_HOM in chosen:
+                j = host.join(a, e)
+                if v[j] >= 0 and v[j] != max(v[a], v[e]):
+                    return False
+        return True
+
+    def extend(step: int) -> None:
+        if step == size:
+            candidate = tuple(values)
+            if satisfies_laws(host, candidate, chosen):
+                results.append(candidate)
+            return
+        e = ordering[step]
+        for bit in (0, 1):
+            values[e] = bit
+            if locally_consistent(e):
+                seen.append(e)
+                extend(step + 1)
+                seen.pop()
+            values[e] = -1
+
+    extend(0)
+    results.sort()
+    return tuple(
+        Bivaluation(host, r, CONVENTION_STANDARD) for r in results
+    )
+
+
+def state_valuation(p: ExactMatrix, psi: StateVector):
+    """Three-valued truth of a projector on a state: 1, 0, or INDETERMINATE.
+
+    1 when psi lies in ran(p), 0 when psi lies in ran(1 - p), and
+    INDETERMINATE otherwise. Raises ValueError if p is not a projector or
+    the dimensions do not match.
+    """
+    if not p.is_projector():
+        raise ValueError("state valuation requires a Hermitian idempotent matrix")
+    if p.rows != psi.ambient_dim:
+        raise ValueError(
+            f"ambient dimensions differ: {p.rows} vs {psi.ambient_dim}"
+        )
+    if contains_vector(image(p), psi):
+        return 1
+    negated = ExactMatrix.identity(p.rows) - p
+    if contains_vector(image(negated), psi):
+        return 0
+    return INDETERMINATE
