@@ -15,6 +15,7 @@ from .exactlin import (
     parse_scalar,
 )
 from .filters import (
+    FULL_HOMOMORPHISM_LAWS,
     Bivaluation,
     INDETERMINATE,
     LatticeSubset,
@@ -32,7 +33,7 @@ from .invariant import (
     is_irreducible,
     meet_defined,
 )
-from .lattice import FiniteLattice, close_and_build
+from .lattice import FiniteLattice, check_distributive, close_and_build
 from .qubit import ContextSet, ProjectorId, context, full_sigma, projector
 from .subspace import StateVector, Subspace, image, span, vector
 
@@ -43,6 +44,7 @@ __all__ = [
     "Bivaluation",
     "ContextSet",
     "ExactMatrix",
+    "FULL_HOMOMORPHISM_LAWS",
     "FiniteLattice",
     "GaussianRational",
     "INDETERMINATE",
@@ -55,6 +57,7 @@ __all__ = [
     "Subspace",
     "__version__",
     "algebra_span",
+    "check_distributive",
     "close_and_build",
     "common_invariant_sublattice",
     "context",

@@ -38,11 +38,15 @@ __all__ = [
     "InputSyntaxError",
     "InputValidationError",
     "InputDocument",
+    "MAX_AMBIENT_DIM",
     "parse_input",
     "main",
 ]
 
 DEFAULT_SEED = 20250815
+
+# Largest accepted `dim`: the full space alone holds dim^2 exact scalars.
+MAX_AMBIENT_DIM = 64
 
 
 class InputError(ValueError):
@@ -182,6 +186,10 @@ def parse_input(text: str) -> InputDocument:
             if dim is not None:
                 raise InputValidationError("dim", "declared more than once")
             dim = int(m.group(2))
+            if dim > MAX_AMBIENT_DIM:
+                raise InputValidationError(
+                    "dim", f"dim {dim} exceeds the limit of {MAX_AMBIENT_DIM}"
+                )
             continue
 
         if keyword in ("ray", "proj", "context") and dim is None:
@@ -955,7 +963,7 @@ def _build_parser() -> _ArgumentParser:
     _add_format(p)
     p.set_defaults(handler=_cmd_filters)
 
-    p = commands.add_parser("valuations", help="exhaustive two-valued map search")
+    p = commands.add_parser("valuations", help="two-valued maps satisfying the laws")
     p.add_argument("file")
     p.add_argument(
         "--laws",

@@ -254,15 +254,7 @@ def homomorphism_from_filter(
 
 def is_lattice_homomorphism(valuation: Bivaluation) -> bool:
     """Table scan: meets map to min and joins to max, over all pairs."""
-    lat = valuation.host
-    v = valuation.assignment
-    size = len(lat)
-    for x, y in itertools.product(range(size), repeat=2):
-        if v[lat.meet(x, y)] != min(v[x], v[y]):
-            return False
-        if v[lat.join(x, y)] != max(v[x], v[y]):
-            return False
-    return True
+    return _satisfies(valuation.host, valuation.assignment, {MEET_HOM, JOIN_HOM}, None)
 
 
 def _check_law_tokens(laws: Iterable[str]) -> frozenset[str]:
@@ -273,27 +265,32 @@ def _check_law_tokens(laws: Iterable[str]) -> frozenset[str]:
     return chosen
 
 
+def _satisfies(host: FiniteLattice, v: tuple[int, ...], chosen, comp) -> bool:
+    if BOTTOM_TO_ZERO in chosen and v[host.bottom] != 0:
+        return False
+    if TOP_TO_ONE in chosen and v[host.top] != 1:
+        return False
+    if comp is not None and any(v[i] + v[comp[i]] != 1 for i in range(len(host))):
+        return False
+    meet_hom, join_hom = MEET_HOM in chosen, JOIN_HOM in chosen
+    if not (meet_hom or join_hom):
+        return True
+    size = len(host)
+    for x, y in itertools.product(range(size), repeat=2):
+        if meet_hom and v[host.meet(x, y)] != min(v[x], v[y]):
+            return False
+        if join_hom and v[host.join(x, y)] != max(v[x], v[y]):
+            return False
+    return True
+
+
 def satisfies_laws(
     host: FiniteLattice, assignment: tuple[int, ...], laws: Iterable[str]
 ) -> bool:
     """Full check of a {0,1} assignment against the chosen law set."""
     chosen = _check_law_tokens(laws)
-    v = assignment
-    if BOTTOM_TO_ZERO in chosen and v[host.bottom] != 0:
-        return False
-    if TOP_TO_ONE in chosen and v[host.top] != 1:
-        return False
-    if COMPLEMENT_LAW in chosen:
-        comp = orthocomplement_indices(host)
-        if any(v[i] + v[comp[i]] != 1 for i in range(len(host))):
-            return False
-    size = len(host)
-    for x, y in itertools.product(range(size), repeat=2):
-        if MEET_HOM in chosen and v[host.meet(x, y)] != min(v[x], v[y]):
-            return False
-        if JOIN_HOM in chosen and v[host.join(x, y)] != max(v[x], v[y]):
-            return False
-    return True
+    comp = orthocomplement_indices(host) if COMPLEMENT_LAW in chosen else None
+    return _satisfies(host, assignment, chosen, comp)
 
 
 def search_bivaluations(
@@ -301,65 +298,41 @@ def search_bivaluations(
 ) -> tuple[Bivaluation, ...]:
     """All {0,1} assignments satisfying the law set, sorted by bits.
 
-    Backtracks over [bottom, top, atoms, rest] with incremental pruning,
-    then re-checks each completed assignment in full. Lattices above
-    SEARCH_SIZE_CAP elements are refused.
+    The candidates come from the order table. Under meet-hom the 1-set of
+    a map is empty or a principal filter up(a); under join-hom the 0-set
+    is empty or a principal ideal down(b). So there are n+1 candidates,
+    each checked against the whole law set. Without either law the answer
+    is a product over free bits and can hold 2^n maps, so lattices above
+    SEARCH_SIZE_CAP elements are refused there.
     """
     chosen = _check_law_tokens(laws)
     size = len(host)
-    if size > SEARCH_SIZE_CAP:
+    if MEET_HOM not in chosen and JOIN_HOM not in chosen and size > SEARCH_SIZE_CAP:
         raise ValueError(
-            f"lattice has {size} elements; the search cap is {SEARCH_SIZE_CAP}"
+            f"lattice has {size} elements; the search cap is {SEARCH_SIZE_CAP} "
+            "elements for law sets without meet-hom or join-hom, whose "
+            f"valuations are listed one by one (up to 2^{size} of them)"
         )
     comp = orthocomplement_indices(host) if COMPLEMENT_LAW in chosen else None
-
-    seen: list[int] = []
-    ordering = [host.bottom, host.top]
-    ordering += [a for a in atoms(host) if a not in ordering]
-    ordering += [i for i in range(size) if i not in ordering]
-
-    values: list[int] = [-1] * size
-    results: list[tuple[int, ...]] = []
-
-    def locally_consistent(e: int) -> bool:
-        v = values
-        if BOTTOM_TO_ZERO in chosen and e == host.bottom and v[e] != 0:
-            return False
-        if TOP_TO_ONE in chosen and e == host.top and v[e] != 1:
-            return False
-        if comp is not None and v[comp[e]] >= 0 and v[e] + v[comp[e]] != 1:
-            return False
-        for a in seen:
-            if MEET_HOM in chosen:
-                m = host.meet(a, e)
-                if v[m] >= 0 and v[m] != min(v[a], v[e]):
-                    return False
-            if JOIN_HOM in chosen:
-                j = host.join(a, e)
-                if v[j] >= 0 and v[j] != max(v[a], v[e]):
-                    return False
-        return True
-
-    def extend(step: int) -> None:
-        if step == size:
-            candidate = tuple(values)
-            if satisfies_laws(host, candidate, chosen):
-                results.append(candidate)
-            return
-        e = ordering[step]
-        for bit in (0, 1):
-            values[e] = bit
-            if locally_consistent(e):
-                seen.append(e)
-                extend(step + 1)
-                seen.pop()
-            values[e] = -1
-
-    extend(0)
-    results.sort()
-    return tuple(
-        Bivaluation(host, r, CONVENTION_STANDARD) for r in results
-    )
+    if MEET_HOM in chosen:
+        candidates = [(0,) * size] + [tuple(map(int, row)) for row in host.order]
+    elif JOIN_HOM in chosen:
+        candidates = [(1,) * size] + [
+            tuple(int(not host.leq(y, b)) for y in range(size)) for b in range(size)
+        ]
+    else:
+        # one free bit per element, or per orthocomplement pair; bottom and
+        # top are left to the law check
+        free = [i for i in range(size) if comp is None or i <= comp[i]]
+        bit_maps = (
+            dict(zip(free, bits)) for bits in itertools.product((0, 1), repeat=len(free))
+        )
+        candidates = (
+            tuple(b[i] if i in b else 1 - b[comp[i]] for i in range(size))
+            for b in bit_maps
+        )
+    found = sorted(v for v in candidates if _satisfies(host, v, chosen, comp))
+    return tuple(Bivaluation(host, v, CONVENTION_STANDARD) for v in found)
 
 
 def state_valuation(p: ExactMatrix, psi: StateVector):

@@ -3,10 +3,11 @@ contextual valuation reports over registries of lattices.
 
 The invariant sublattice of an operator collects the universe elements it
 maps into themselves; families of operators share the intersection of
-their invariant sublattices. Irreducibility is decided by the dimension
-of the generated unital algebra (full matrix algebra iff dimension n^2)
-and, whenever that answer is positive, cross-checked by scanning the
-common invariant subspaces of the generated universe.
+their invariant sublattices. Invariant subspaces are closed under
+intersection and sum, so both are restrictions of the universe's tables.
+Irreducibility is decided by the dimension of the generated unital
+algebra: by Burnside's theorem it is the full matrix algebra, of
+dimension n^2, exactly when no nontrivial subspace is invariant.
 
 A LatticeRegistry holds named lattices over one ambient space whose
 pairwise overlaps are trivial; meets between elements of different
@@ -112,13 +113,7 @@ def algebra_span(generators: Iterable[ExactMatrix]) -> AlgebraBasis:
 
 def invariant_sublattice(operator: ExactMatrix, universe: FiniteLattice) -> FiniteLattice:
     """The universe elements the operator maps into themselves."""
-    if not operator.is_square() or operator.rows != universe.ambient_dim:
-        raise ValueError(
-            f"operator must be {universe.ambient_dim}x{universe.ambient_dim}, "
-            f"got {operator.rows}x{operator.cols}"
-        )
-    kept = [s for s in universe.elements if sub.maps_into(operator, s)]
-    return close_and_build(kept, ambient_dim=universe.ambient_dim)
+    return common_invariant_sublattice([operator], universe)
 
 
 def common_invariant_sublattice(
@@ -126,44 +121,25 @@ def common_invariant_sublattice(
 ) -> FiniteLattice:
     """Intersection of the per-operator invariant sublattices.
 
-    An empty operator family constrains nothing and returns the whole
-    universe.
+    An empty operator family constrains nothing and returns the universe
+    itself.
     """
     ops = list(operators)
-    if not ops:
-        return close_and_build(universe.elements, ambient_dim=universe.ambient_dim)
-    member_sets = [
-        set(invariant_sublattice(op, universe).elements) for op in ops
+    kept = [
+        i for i, s in enumerate(universe.elements)
+        if all(sub.maps_into(op, s) for op in ops)
     ]
-    shared = set.intersection(*member_sets)
-    return close_and_build(sorted(shared, key=Subspace.sort_key),
-                           ambient_dim=universe.ambient_dim)
+    return lt.sublattice(universe, kept)
 
 
 def is_irreducible(generators: Iterable[ExactMatrix]) -> bool:
-    """Full-matrix-algebra test: the generated algebra has dimension n^2.
+    """Burnside's test: the generated algebra has dimension n^2.
 
-    A positive verdict is cross-checked by closing the generators' images
-    into a lattice and confirming that the only common invariant
-    subspaces are the bottom and the top; disagreement between the two
-    routes raises rather than returning either answer.
+    Over C, that is the full matrix algebra, which leaves no subspace
+    other than {0} and C^n invariant.
     """
-    gens = list(generators)
-    if not gens:
-        raise ValueError("at least one generator is required")
-    n = gens[0].rows
-    full = algebra_span(gens).dim == n * n
-    if full:
-        universe = close_and_build(
-            [sub.image(g) for g in gens], ambient_dim=n
-        )
-        common = common_invariant_sublattice(gens, universe)
-        if len(common) != 2:
-            raise RuntimeError(
-                "irreducibility cross-check failed: full algebra dimension but "
-                "a nontrivial common invariant subspace exists"
-            )
-    return full
+    span = algebra_span(generators)
+    return span.dim == span.side * span.side
 
 
 class LatticeRegistry:

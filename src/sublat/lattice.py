@@ -4,7 +4,9 @@ A FiniteLattice is a closed family of subspaces of one ambient space with
 precomputed order, meet, and join tables over element indices. Elements
 are sorted by (dimension, basis entries), so index 0 is the zero subspace
 and the last index is the full space, and rebuilding from the same family
-reproduces the same object.
+reproduces the same object. Only the order table is computed with exact
+algebra; the meet and join tables are read off it, and sublattices of a
+built lattice are taken by restricting its tables.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ __all__ = [
     "LawViolation",
     "ClosureCapError",
     "close_and_build",
+    "sublattice",
     "atoms",
     "covers",
     "orthocomplement_indices",
@@ -126,31 +129,61 @@ def close_and_build(
             break
 
     elements = tuple(sorted(members, key=Subspace.sort_key))
-    index = {s: i for i, s in enumerate(elements)}
     size = len(elements)
     order = tuple(
         tuple(sub.leq(elements[i], elements[j]) for j in range(size))
         for i in range(size)
     )
+    # Sorting by dimension puts every strict lower bound at a smaller
+    # index, so a meet is the largest common lower bound index and a join
+    # the smallest common upper bound index.
     meet_table = tuple(
-        tuple(index[sub.meet(elements[i], elements[j])] for j in range(size))
+        tuple(next(k for k in range(min(i, j), -1, -1) if order[k][i] and order[k][j])
+              for j in range(size))
         for i in range(size)
     )
     join_table = tuple(
-        tuple(index[sub.join(elements[i], elements[j])] for j in range(size))
+        tuple(next(k for k in range(max(i, j), size) if order[i][k] and order[j][k])
+              for j in range(size))
         for i in range(size)
     )
-    bottom = index[Subspace.zero(n)]
-    top = index[Subspace.full(n)]
     return FiniteLattice(
         ambient_dim=n,
         elements=elements,
         order=order,
         meet_table=meet_table,
         join_table=join_table,
-        bottom=bottom,
-        top=top,
+        bottom=0,
+        top=size - 1,
     )
+
+
+def sublattice(lat: FiniteLattice, indices: Iterable[int]) -> FiniteLattice:
+    """The lattice on an index subset that holds the bottom and the top and
+    is closed under meet and join, read off lat's tables with no subspace
+    algebra; the full index set returns lat itself."""
+    kept = sorted(set(indices))
+    if kept == list(range(len(lat))):
+        return lat
+    new = {old: k for k, old in enumerate(kept)}
+
+    def restrict(table):
+        return tuple(tuple(table[i][j] for j in kept) for i in kept)
+
+    def renumber(table):
+        return tuple(tuple(new[k] for k in row) for row in restrict(table))
+
+    try:
+        return FiniteLattice(
+            lat.ambient_dim, tuple(lat.elements[i] for i in kept), restrict(lat.order),
+            renumber(lat.meet_table), renumber(lat.join_table),
+            new[lat.bottom], new[lat.top],
+        )
+    except KeyError:
+        raise ValueError(
+            "index subset is not closed under meet and join "
+            "or misses the bottom or the top"
+        ) from None
 
 
 def atoms(lat: FiniteLattice) -> tuple[int, ...]:

@@ -4,8 +4,7 @@ A subspace is stored as its reduced-column-echelon basis, which is unique,
 so subspace equality is entry-wise equality of the stored matrices and
 instances hash consistently. Meets are computed exactly by solving the
 joint membership system, orthocomplements as kernels of the conjugate
-transpose, and joins through the orthocomplement identity
-(S v T) = (S' ^ T')' cross-checked against the direct span of both bases.
+transpose, and joins as the span of both bases.
 """
 
 from __future__ import annotations
@@ -179,19 +178,9 @@ def orthocomplement(s: Subspace) -> Subspace:
 
 
 def join(s: Subspace, t: Subspace) -> Subspace:
-    """Closed join, computed as (s' ^ t')' and checked against the span.
-
-    The two routes agree for closed subspaces of C^n; a mismatch would be
-    an internal error, so it raises rather than returning either answer.
-    """
+    """Closed join: the span of both bases (every subspace of C^n is closed)."""
     _require_same_ambient(s, t)
-    via_complements = orthocomplement(meet(orthocomplement(s), orthocomplement(t)))
-    direct = image(hstack(s.basis, t.basis))
-    if via_complements != direct:
-        raise RuntimeError(
-            "join mismatch between the orthocomplement identity and the direct span"
-        )
-    return direct
+    return image(hstack(s.basis, t.basis))
 
 
 def projector_of(s: Subspace) -> ExactMatrix:

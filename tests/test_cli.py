@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from sublat.cli import (
+    MAX_AMBIENT_DIM,
     InputSyntaxError,
     InputValidationError,
     main,
@@ -254,3 +255,15 @@ def test_usage_errors_exit_one():
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == 1
+
+
+def test_dim_above_limit_exits_one(tmp_path, capsys):
+    path = tmp_path / "huge.sublat"
+    path.write_text("dim 100000\n")
+    assert main(["lattice", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"limit of {MAX_AMBIENT_DIM}" in captured.err
+    with pytest.raises(InputValidationError, match=f"exceeds the limit of {MAX_AMBIENT_DIM}"):
+        parse_input(f"dim {MAX_AMBIENT_DIM + 1}")
+    assert parse_input(f"dim {MAX_AMBIENT_DIM}").ambient_dim == MAX_AMBIENT_DIM

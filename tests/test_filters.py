@@ -47,6 +47,16 @@ def diamond():
     return close_and_build([span([[1, 1]]), span([[1, -1]])])
 
 
+@pytest.fixture(scope="module")
+def boolean_frame():
+    return close_and_build([span([[1, 0, 0]]), span([[0, 1, 0]]), span([[0, 0, 1]])])
+
+
+@pytest.fixture(scope="module")
+def mo5():
+    return close_and_build([span([[1, k]]) for k in range(4)] + [span([[0, 1]])])
+
+
 def naive_search(lat, laws):
     """Independent oracle: brute-force enumeration over the tables."""
     size = len(lat)
@@ -214,8 +224,14 @@ def test_search_diamond_two(diamond):
         FULL_HOMOMORPHISM_LAWS | {COMPLEMENT_LAW},
     ],
 )
-def test_search_matches_naive_oracle(full_lattice, diamond, laws):
-    for lat in (full_lattice, diamond):
+def test_search_matches_naive_oracle(full_lattice, diamond, boolean_frame, mo5, laws):
+    assert (len(boolean_frame), len(mo5)) == (8, 7)
+    for lat in (full_lattice, diamond, boolean_frame, mo5):
+        if COMPLEMENT_LAW in laws and lat is mo5:
+            # the line [1,1] has no orthocomplement in MO_5
+            with pytest.raises(ValueError, match="not a lattice element"):
+                search_bivaluations(lat, laws)
+            continue
         optimized = [b.assignment for b in search_bivaluations(lat, laws)]
         assert optimized == naive_search(lat, laws)
 
@@ -229,8 +245,12 @@ def test_search_size_guard():
     lines = [span([[1, k]]) for k in range(23)] + [span([[0, 1]])]
     lat = close_and_build(lines)
     assert len(lat) == 26
-    with pytest.raises(ValueError, match="cap"):
-        search_bivaluations(lat, FULL_HOMOMORPHISM_LAWS)
+    # with a homomorphism law the candidates are the n+1 principal filters,
+    # so no cap applies; MO_24 has no two-valued homomorphism
+    assert search_bivaluations(lat, FULL_HOMOMORPHISM_LAWS) == ()
+    assert len(search_bivaluations(lat, {MEET_HOM, BOTTOM_TO_ZERO})) == 26
+    with pytest.raises(ValueError, match="search cap is 24 .* without meet-hom or join-hom"):
+        search_bivaluations(lat, {TOP_TO_ONE})
 
 
 def test_satisfies_laws(full_lattice):

@@ -15,7 +15,7 @@ from sublat.invariant import (
 )
 from sublat.lattice import atoms, close_and_build
 from sublat.qubit import ProjectorId, context, nontrivial_projectors, projector
-from sublat.subspace import Subspace, image, span
+from sublat.subspace import Subspace, image, maps_into, projector_of, span
 
 M = ExactMatrix.from_rows
 
@@ -68,6 +68,7 @@ def test_common_invariant_sublattice(universe):
     assert full.spans() == ("{0}", "C^2")
     empty = common_invariant_sublattice([], universe)
     assert empty == close_and_build(universe.elements)
+    assert empty is universe
 
 
 def test_algebra_span_dimensions():
@@ -215,3 +216,68 @@ def test_irreducibility_cross_check_runs(universe):
     assert algebra_span(sigma).dim == 4
     common = common_invariant_sublattice(sigma, universe)
     assert common.spans() == ("{0}", "C^2")
+
+
+def _unit_ray(rng, n):
+    return [1] + [rng.choice([1, -1, "i", "-i"]) for _ in range(n - 1)]
+
+
+def _ray_projector(vector):
+    return projector_of(span([vector]))
+
+
+def _full_family(rng):
+    """Projectors onto e1, e2 and a ray with unit entries generate M_3."""
+    return [_ray_projector([1, 0, 0]), _ray_projector([0, 1, 0]),
+            _ray_projector(_unit_ray(rng, 3))]
+
+
+def _block_family(rng, m):
+    """M_m (+) M_(3-m): in each block its first basis ray and a ray with
+    unit entries, plus the projector onto the first block."""
+    gens = []
+    for lo, hi in ((0, m), (m, 3)):
+        for ray in ([1] + [0] * (hi - lo - 1), _unit_ray(rng, hi - lo)):
+            gens.append(_ray_projector([0] * lo + ray + [0] * (3 - hi)))
+    block = projector_of(span([[int(k == i) for k in range(3)] for i in range(m)]))
+    return gens + [block], block
+
+
+def _generated_universe(gens):
+    return close_and_build([image(g) for g in gens], ambient_dim=gens[0].rows)
+
+
+def _reference_sublattice(ops, universe):
+    """The former route: re-close the kept elements with exact algebra."""
+    kept = [s for s in universe.elements if all(maps_into(op, s) for op in ops)]
+    return close_and_build(kept, ambient_dim=universe.ambient_dim)
+
+
+def test_invariant_sublattice_matches_closure_reference(universe, rng):
+    qubit_ops = list(nontrivial_projectors()) + [ExactMatrix.zeros(2, 2)]
+    cases = [(op, universe) for op in qubit_ops]
+    for gens, _ in (_block_family(rng, 1), _block_family(rng, 2)):
+        cases += [(g, _generated_universe(gens)) for g in gens]
+    for op, lat in cases:
+        assert invariant_sublattice(op, lat) == _reference_sublattice([op], lat)
+
+
+def test_full_and_block_families(rng):
+    gens = _full_family(rng)
+    assert is_irreducible(gens)
+    common = common_invariant_sublattice(gens, _generated_universe(gens))
+    assert common.spans() == ("{0}", "C^3")
+    for m in (1, 2, 1, 2):
+        gens, block = _block_family(rng, m)
+        assert not is_irreducible(gens)
+        lat = _generated_universe(gens)
+        common = common_invariant_sublattice(gens, lat)
+        assert image(block) in common
+        assert common == _reference_sublattice(gens, lat)
+
+
+def test_is_irreducible_generic_rank_one_projectors():
+    # closing these four images exceeds the closure cap, so irreducibility
+    # must come from the algebra dimension alone
+    gens = [_ray_projector(v) for v in ([1, 0, 0], [0, 1, 0], [1, 2, "i"], [1, -1, 3])]
+    assert is_irreducible(gens)

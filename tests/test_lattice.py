@@ -12,6 +12,7 @@ from sublat.lattice import (
     close_and_build,
     covers,
     orthocomplement_indices,
+    sublattice,
     to_dot,
 )
 from sublat.qubit import nontrivial_projectors
@@ -89,13 +90,23 @@ def test_index_and_membership(full_lattice):
 
 
 def test_tables_match_subspace_operations(full_lattice):
+    # the meet and join tables are read off the order table; they must
+    # agree with exact intersections and spans
     from sublat import subspace as sub
 
-    for i, j in itertools.product(range(8), repeat=2):
-        s, t = full_lattice.elements[i], full_lattice.elements[j]
-        assert full_lattice.leq(i, j) == sub.leq(s, t)
-        assert full_lattice.elements[full_lattice.meet(i, j)] == sub.meet(s, t)
-        assert full_lattice.elements[full_lattice.join(i, j)] == sub.join(s, t)
+    mo_6 = close_and_build([span([[1, k]]) for k in range(5)] + [span([[0, 1]])])
+    boolean = close_and_build([span([[1, 1, 0]]), span([[1, -1, 0]]), span([[0, 0, 1]])])
+    mixed = close_and_build(
+        [span([[1, 0, 0]]), span([[1, 1, 0]]), span([[0, 1, 0], [0, 0, 1]]),
+         span([[0, 1, "i"]])]
+    )
+    assert [len(lat) for lat in (mo_6, boolean, mixed)] == [8, 8, 10]
+    for lat in (full_lattice, mo_6, boolean, mixed):
+        for i, j in itertools.product(range(len(lat)), repeat=2):
+            s, t = lat.elements[i], lat.elements[j]
+            assert lat.leq(i, j) == sub.leq(s, t)
+            assert lat.elements[lat.meet(i, j)] == sub.meet(s, t)
+            assert lat.elements[lat.join(i, j)] == sub.join(s, t)
 
 
 def test_lattice_axioms_all_pairs_and_triples(full_lattice):
@@ -246,3 +257,16 @@ def test_covers(full_lattice):
     assert all(full_lattice.leq(i, j) and i != j for i, j in pairs)
     from_bottom = [j for i, j in pairs if i == full_lattice.bottom]
     assert tuple(from_bottom) == atoms(full_lattice)
+
+
+def test_sublattice_restricts_tables(full_lattice):
+    k = full_lattice.index_of(span([[1, 1]]))
+    m = full_lattice.index_of(span([[1, -1]]))
+    context = sublattice(full_lattice, [full_lattice.top, m, k, full_lattice.bottom])
+    assert context == close_and_build([span([[1, 1]]), span([[1, -1]])])
+    assert sublattice(full_lattice, range(len(full_lattice))) is full_lattice
+    # two atoms without the top miss their join; the top alone misses the bottom
+    with pytest.raises(ValueError, match="not closed"):
+        sublattice(full_lattice, [full_lattice.bottom, k, m])
+    with pytest.raises(ValueError, match="bottom or the top"):
+        sublattice(full_lattice, [full_lattice.top])

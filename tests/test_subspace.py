@@ -1,8 +1,9 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
-from sublat.exactlin import ExactMatrix
+from sublat.exactlin import ExactMatrix, GaussianRational
 from sublat.subspace import (
     StateVector,
     Subspace,
@@ -180,3 +181,21 @@ def test_sort_key_orders_catalogue():
         "span{[1,1]}",
         "C^2",
     ]
+
+
+def _random_subspace(rng, n):
+    vectors = [
+        [GaussianRational(Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2)))
+         for _ in range(n)]
+        for _ in range(rng.randint(0, n))
+    ]
+    return span(vectors, ambient_dim=n)
+
+
+@pytest.mark.parametrize("n, pairs", [(3, 40), (4, 25)])
+def test_join_matches_orthocomplement_identity(rng, n, pairs):
+    # join is the direct span; (s v t) = (s' ^ t')' must agree with it
+    for _ in range(pairs):
+        s, t = _random_subspace(rng, n), _random_subspace(rng, n)
+        expected = orthocomplement(meet(orthocomplement(s), orthocomplement(t)))
+        assert join(s, t) == expected
