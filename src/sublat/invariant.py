@@ -5,8 +5,10 @@ The invariant sublattice of an operator collects the universe elements it
 maps into themselves; families of operators share the intersection of
 their invariant sublattices. Invariant subspaces are closed under
 intersection and sum, so both are restrictions of the universe's tables.
-Irreducibility is decided by the dimension of the generated unital
-algebra: by Burnside's theorem it is the full matrix algebra, of
+The generated unital algebra is spanned by closing {identity, generators}
+under left multiplication by the generators, one reduced product at a
+time, and stopping at n^2 members. Irreducibility is decided by its
+dimension: by Burnside's theorem it is the full matrix algebra, of
 dimension n^2, exactly when no nontrivial subspace is invariant.
 
 A LatticeRegistry holds named lattices over one ambient space whose
@@ -24,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 from . import filters as flt
 from . import lattice as lt
 from . import subspace as sub
-from .exactlin import ExactMatrix, rank
+from .exactlin import ONE, ExactMatrix, GaussianRational, rank
 from .lattice import FiniteLattice, close_and_build
 from .subspace import Subspace
 
@@ -73,9 +75,15 @@ def _vectorized(mats: Sequence[ExactMatrix]) -> ExactMatrix:
 def algebra_span(generators: Iterable[ExactMatrix]) -> AlgebraBasis:
     """Basis of the unital algebra generated by the given operators.
 
-    Starts from the identity and the generators, then closes under
-    products, keeping only matrices that grow the rank of the vectorized
-    stack. Stabilizes within n^2 rounds for side n.
+    The algebra is the span of all words in the generators: the smallest
+    subspace of M_n that holds the identity and is closed under left
+    multiplication by each generator. The basis starts as the identity
+    and the generators, and is then walked as a queue: for each member b
+    and each generator g, the product g @ b joins the basis when it is
+    independent of the members so far. Independence is decided by
+    reducing the product's entries against an echelon form of the members,
+    one row per member, scaled to 1 at its pivot. The walk ends when the
+    queue is exhausted or the basis has n^2 members, which is all of M_n.
     """
     gens = list(generators)
     if not gens:
@@ -85,29 +93,36 @@ def algebra_span(generators: Iterable[ExactMatrix]) -> AlgebraBasis:
         if g.rows != n or g.cols != n:
             raise ValueError("generators must be square matrices of one side")
 
+    full = n * n
     basis: list[ExactMatrix] = []
+    echelon: list[tuple[int, list[GaussianRational]]] = []
 
-    def try_add(m: ExactMatrix) -> bool:
-        candidate = basis + [m]
-        if rank(_vectorized(candidate)) == len(candidate):
-            basis.append(m)
-            return True
-        return False
+    def try_add(m: ExactMatrix) -> None:
+        # Each kept row is 0 at every earlier pivot, so one pass in
+        # insertion order clears all of them.
+        row = list(m.entries)
+        for pivot, kept in echelon:
+            factor = row[pivot]
+            if factor:
+                row = [a - factor * b if b else a for a, b in zip(row, kept)]
+        pivot = next((c for c, e in enumerate(row) if e), None)
+        if pivot is None:
+            return
+        inv = ONE / row[pivot]
+        echelon.append((pivot, [e * inv for e in row]))
+        basis.append(m)
 
     try_add(ExactMatrix.identity(n))
     for g in gens:
         try_add(g)
-    for _ in range(n * n):
-        snapshot = list(basis)
-        added = False
-        for a in snapshot:
-            for b in snapshot:
-                if try_add(a @ b):
-                    added = True
-        if not added:
-            break
-    else:
-        raise RuntimeError("product closure failed to stabilize")
+    queued = 0
+    while queued < len(basis) < full:
+        b = basis[queued]
+        queued += 1
+        for g in gens:
+            try_add(g @ b)
+            if len(basis) == full:
+                break
     return AlgebraBasis(n, tuple(basis))
 
 

@@ -2,10 +2,11 @@ import itertools
 
 import pytest
 
-from sublat.exactlin import ExactMatrix
+from sublat.exactlin import ExactMatrix, rank
 from sublat.invariant import (
     AlgebraBasis,
     LatticeRegistry,
+    _vectorized,
     algebra_span,
     common_invariant_sublattice,
     contextual_valuation_report,
@@ -280,4 +281,72 @@ def test_is_irreducible_generic_rank_one_projectors():
     # closing these four images exceeds the closure cap, so irreducibility
     # must come from the algebra dimension alone
     gens = [_ray_projector(v) for v in ([1, 0, 0], [0, 1, 0], [1, 2, "i"], [1, -1, 3])]
+    assert is_irreducible(gens)
+
+
+def _reference_span(gens):
+    """The former route: starting from the identity and the generators,
+    add every product a @ b of two members that grows the rank of the
+    stack, round after round, until a round adds nothing."""
+    basis = []
+
+    def try_add(m):
+        if rank(_vectorized(basis + [m])) == len(basis) + 1:
+            basis.append(m)
+            return True
+        return False
+
+    try_add(ExactMatrix.identity(gens[0].rows))
+    for g in gens:
+        try_add(g)
+    added = True
+    while added:
+        snapshot = list(basis)
+        added = False
+        for a in snapshot:
+            for b in snapshot:
+                added = try_add(a @ b) or added
+    return basis
+
+
+def _random_integer_matrix(rng, n):
+    return M([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+
+
+def test_algebra_span_matches_product_closure_reference(rng):
+    sigma = list(nontrivial_projectors())
+    cases = [rng.sample(sigma, rng.randint(1, len(sigma))) for _ in range(6)]
+    cases.append(_full_family(rng))
+    cases += [_block_family(rng, m)[0] for m in (1, 2)]
+    for n, count in ((2, 1), (2, 2), (3, 1), (3, 2)):
+        cases.append([_random_integer_matrix(rng, n) for _ in range(count)])
+    for gens in cases:
+        got = algebra_span(gens).basis
+        expected = _reference_span(gens)
+        assert len(got) == len(expected)
+        assert rank(_vectorized(list(got) + expected)) == len(got)
+        products = [a @ b for a in got for b in got]
+        assert rank(_vectorized(list(got) + products)) == len(got)
+
+
+def _unit(n, i, j):
+    return M([[int((r, c) == (i, j)) for c in range(n)] for r in range(n)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_algebra_span_nilpotent_jordan_block(n):
+    jordan = M([[int(c == r + 1) for c in range(n)] for r in range(n)])
+    assert algebra_span([jordan]).dim == n
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_algebra_span_upper_triangular(n):
+    gens = [_unit(n, i, i) for i in range(n)]
+    gens += [_unit(n, i, i + 1) for i in range(n - 1)]
+    assert algebra_span(gens).dim == n * (n + 1) // 2
+
+
+def test_is_irreducible_c4_coordinate_rays_and_all_ones():
+    gens = [_ray_projector(v) for v in
+            ([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 1, 1, 1])]
     assert is_irreducible(gens)
