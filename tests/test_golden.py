@@ -1,0 +1,65 @@
+"""Byte-for-byte records output of every subcommand on the qubit file.
+
+Each case's stdout under `--format records` is stored in
+tests/data/golden/<name>.records, and its exit code in CASES. To
+regenerate the files after a deliberate output change, run
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from sublat.cli import main
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden"
+QUBIT = str(DATA / "qubit.sublat")
+
+# name -> (argv without --format, exit code)
+CASES = {
+    "lattice": (["lattice", QUBIT], 0),
+    "laws": (["laws", QUBIT], 0),
+    "laws_limit2": (["laws", QUBIT, "--limit", "2"], 0),
+    "filters_plus_paper": (["filters", QUBIT, "--remove", "plus", "--convention", "paper"], 0),
+    "filters_plus_standard": (
+        ["filters", QUBIT, "--remove", "plus", "--convention", "standard"], 0),
+    "filters_x1_paper": (["filters", QUBIT, "--remove", "x1", "--convention", "paper"], 0),
+    "filters_x1_standard": (
+        ["filters", QUBIT, "--remove", "x1", "--convention", "standard"], 0),
+    "valuations": (["valuations", QUBIT], 0),
+    "valuations_complement_law": (["valuations", QUBIT, "--laws", "complement-law"], 0),
+    "invariant": (["invariant", QUBIT, "--ops", "x1", "z1"], 0),
+    "burnside": (["burnside", QUBIT, "--ops", "x1", "y1", "z1"], 0),
+    "contexts": (["contexts", QUBIT], 0),
+    "dot": (["dot", QUBIT], 0),
+    "demo_qubit": (["demo-qubit", "--seed", "7"], 0),
+}
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv + ["--format", "records"])
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_records_match_golden(name):
+    argv, expected_code = CASES[name]
+    code, stdout = _run(argv)
+    assert code == expected_code
+    assert stdout == (GOLDEN / f"{name}.records").read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, (argv, expected_code) in sorted(CASES.items()):
+        code, stdout = _run(argv)
+        if code != expected_code:
+            raise SystemExit(f"{name}: exit {code}, expected {expected_code}")
+        (GOLDEN / f"{name}.records").write_text(stdout, encoding="utf-8")
+        print(f"wrote {name}.records")
