@@ -25,7 +25,6 @@ from .filters import (
 )
 from .invariant import (
     AlgebraBasis,
-    LatticeRegistry,
     algebra_span,
     common_invariant_sublattice,
     contextual_valuation_report,
@@ -48,7 +47,6 @@ __all__ = [
     "FiniteLattice",
     "GaussianRational",
     "INDETERMINATE",
-    "LatticeRegistry",
     "LatticeSubset",
     "NOT_APPLICABLE",
     "ProjectorId",

@@ -556,25 +556,26 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
 
 def _cmd_burnside(args: argparse.Namespace) -> int:
     doc = _load_document(args.file)
-    universe = _build_lattice(doc)
     rep = Reporter(args.format)
     ops = _resolve_operators(doc, args.ops)
     span = inv.algebra_span(ops)
     side = span.side
     irreducible = span.dim == side * side
-    common = inv.common_invariant_sublattice(ops, universe)
     rep.text(f"generators: {', '.join(args.ops)}")
     rep.text(f"algebra dimension: {span.dim} of {side * side}")
     rep.text(f"irreducible: {'yes' if irreducible else 'no'}")
-    rep.text(
-        f"common invariant subspaces ({len(common)}): {', '.join(common.spans())}"
-    )
     rep.record(
         "burnside",
         generators=args.ops,
         dimension=span.dim,
         full=side * side,
         irreducible=irreducible,
+    )
+    # The verdict is out before the universe is closed, which can hit the
+    # closure cap.
+    common = inv.common_invariant_sublattice(ops, _build_lattice(doc))
+    rep.text(
+        f"common invariant subspaces ({len(common)}): {', '.join(common.spans())}"
     )
     rep.record("common", elements=len(common), spans=common.spans())
     if args.assert_verdict is not None:
@@ -597,29 +598,31 @@ def _cmd_contexts(args: argparse.Namespace) -> int:
         raise InputError("no contexts declared")
     universe = _build_lattice(doc)
     rep = Reporter(args.format)
-    registry = inv.LatticeRegistry()
-    for name, member_names in doc.contexts.items():
-        members = [doc.projectors[m] for m in member_names]
-        registry.register(name, inv.common_invariant_sublattice(members, universe))
+    contexts = {
+        name: inv.common_invariant_sublattice(
+            [doc.projectors[m] for m in doc.contexts[name]], universe
+        )
+        for name in sorted(doc.contexts)
+    }
 
-    for name, lat in registry.items():
+    for name, lat in contexts.items():
         rep.text(f"context {name} ({len(lat)} elements): {', '.join(lat.spans())}")
         rep.record("context", name=name, elements=len(lat), spans=lat.spans())
 
     union_elements = sorted(
-        {s for _, lat in registry.items() for s in lat.elements},
+        {s for lat in contexts.values() for s in lat.elements},
         key=Subspace.sort_key,
     )
     rep.text("meet-defined matrix (within some registered lattice):")
     for x in union_elements:
         bits = "".join(
-            "1" if inv.meet_defined(x, y, registry) else "0" for y in union_elements
+            "1" if inv.meet_defined(x, y, contexts) else "0" for y in union_elements
         )
         rep.text(f"  {x.span_str()} {bits}")
         rep.record("meet_defined", element=x.span_str(), bits=bits)
 
     try:
-        report = inv.contextual_valuation_report(registry)
+        report = inv.contextual_valuation_report(universe, contexts)
     except ValueError as exc:
         raise InputError(str(exc)) from None
     for summary in report.summaries:

@@ -1,5 +1,5 @@
 """Invariant-subspace lattices, generated operator algebras, and
-contextual valuation reports over registries of lattices.
+contextual valuation reports over sets of contexts.
 
 The invariant sublattice of an operator collects the universe elements it
 maps into themselves; families of operators share the intersection of
@@ -11,10 +11,11 @@ time, and stopping at n^2 members. Irreducibility is decided by its
 dimension: by Burnside's theorem it is the full matrix algebra, of
 dimension n^2, exactly when no nontrivial subspace is invariant.
 
-A LatticeRegistry holds named lattices over one ambient space whose
-pairwise overlaps are trivial; meets between elements of different
-lattices are then undefined, and the contextual report spells out what
-each per-lattice valuation can and cannot see.
+Contexts are named sublattices of one universe lattice whose pairwise
+overlaps are trivial; meets between elements of different contexts are
+then undefined, and the contextual report spells out what each
+per-context valuation can and cannot see. Their union lattice is a
+restriction of the universe's tables too.
 """
 
 from __future__ import annotations
@@ -27,12 +28,11 @@ from . import filters as flt
 from . import lattice as lt
 from . import subspace as sub
 from .exactlin import ONE, ExactMatrix, GaussianRational, rank
-from .lattice import FiniteLattice, close_and_build
+from .lattice import FiniteLattice
 from .subspace import Subspace
 
 __all__ = [
     "AlgebraBasis",
-    "LatticeRegistry",
     "LatticeValuationSummary",
     "ContextualValuationReport",
     "algebra_span",
@@ -157,63 +157,20 @@ def is_irreducible(generators: Iterable[ExactMatrix]) -> bool:
     return span.dim == span.side * span.side
 
 
-class LatticeRegistry:
-    """Named lattices over one ambient space."""
-
-    def __init__(self, lattices: Mapping[str, FiniteLattice] | None = None):
-        self._lattices: dict[str, FiniteLattice] = {}
-        if lattices:
-            for name in sorted(lattices):
-                self.register(name, lattices[name])
-
-    def register(self, name: str, lattice: FiniteLattice) -> None:
-        if name in self._lattices:
-            raise ValueError(f"name {name!r} is already registered")
-        if self._lattices:
-            existing = next(iter(self._lattices.values()))
-            if lattice.ambient_dim != existing.ambient_dim:
-                raise ValueError(
-                    f"ambient dimensions differ: {existing.ambient_dim} vs "
-                    f"{lattice.ambient_dim}"
-                )
-        self._lattices[name] = lattice
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._lattices))
-
-    def get(self, name: str) -> FiniteLattice:
-        try:
-            return self._lattices[name]
-        except KeyError:
-            raise ValueError(f"no lattice registered under {name!r}") from None
-
-    def items(self) -> tuple[tuple[str, FiniteLattice], ...]:
-        return tuple((name, self._lattices[name]) for name in self.names())
-
-    def __len__(self) -> int:
-        return len(self._lattices)
-
-    @property
-    def ambient_dim(self) -> int:
-        if not self._lattices:
-            raise ValueError("registry is empty")
-        return next(iter(self._lattices.values())).ambient_dim
-
-
-def meet_defined(x: Subspace, y: Subspace, registry: LatticeRegistry) -> bool:
-    """True when some registered lattice contains both x and y."""
-    return any(x in lat and y in lat for _, lat in registry.items())
+def meet_defined(x: Subspace, y: Subspace, contexts: Mapping[str, FiniteLattice]) -> bool:
+    """True when some context lattice contains both x and y."""
+    return any(x in lat and y in lat for lat in contexts.values())
 
 
 @dataclass(frozen=True)
 class LatticeValuationSummary:
-    """Valuations available inside one registered lattice.
+    """Valuations available inside one context lattice.
 
     paper_valuations holds the literal map for each atom (1 on the atom,
     0 elsewhere); standard_valuations holds every map on this lattice
     satisfying the full homomorphism laws. excluded_atom_spans lists the
-    other lattices' atoms that this lattice's maps never see because the
-    meets pairing them with local elements are undefined in the registry.
+    other contexts' atoms that this lattice's maps never see because the
+    meets pairing them with local elements are undefined.
     """
 
     name: str
@@ -226,10 +183,10 @@ class LatticeValuationSummary:
 
 @dataclass(frozen=True)
 class ContextualValuationReport:
-    """Both readings of a two-valued map on a registry of lattices.
+    """Both readings of a two-valued map on a set of contexts.
 
     per_lattice_consistent: assignments to the union's atoms whose
-    restriction to each registered lattice separately satisfies the
+    restriction to each context lattice separately satisfies the
     homomorphism laws (meets and joins evaluated inside that lattice).
     global_valuations: maps on the single union lattice, with meets and
     joins evaluated there, satisfying the full homomorphism laws.
@@ -242,35 +199,49 @@ class ContextualValuationReport:
     global_valuations: tuple[tuple[int, ...], ...]
 
 
-def contextual_valuation_report(registry: LatticeRegistry) -> ContextualValuationReport:
-    """Per-lattice valuations plus the two union-level searches.
+def contextual_valuation_report(
+    universe: FiniteLattice, contexts: Mapping[str, FiniteLattice]
+) -> ContextualValuationReport:
+    """Per-context valuations plus the two union-level readings.
 
-    Requires every pair of registered lattices to intersect exactly in
-    {bottom, top}, and every registered element to be the bottom, the
-    top, or an atom of the union lattice.
+    The contexts are sublattices of universe, reported in sorted name
+    order; their union lattice is read off the universe's tables. Requires
+    every pair of contexts to intersect exactly in {bottom, top}, and every
+    context element to be the bottom, the top, or an atom of the union
+    lattice.
     """
-    if len(registry) == 0:
-        raise ValueError("registry is empty")
-    n = registry.ambient_dim
-    bottom = Subspace.zero(n)
-    top = Subspace.full(n)
-    trivial = {bottom, top}
-
-    items = registry.items()
+    if not contexts:
+        raise ValueError("the contexts mapping is empty")
+    items = [(name, contexts[name]) for name in sorted(contexts)]
+    for name, lat in items:
+        stray = [s for s in lat.elements if s not in universe]
+        if stray:
+            raise ValueError(
+                f"context {name!r} element {stray[0].span_str()} is not an "
+                "element of the universe"
+            )
+    trivial = {universe.elements[universe.bottom], universe.elements[universe.top]}
     for (name_a, lat_a), (name_b, lat_b) in itertools.combinations(items, 2):
-        overlap = set(lat_a.elements) & set(lat_b.elements)
-        if overlap != trivial:
+        if set(lat_a.elements) & set(lat_b.elements) != trivial:
             raise ValueError(
                 f"lattices {name_a!r} and {name_b!r} must intersect exactly in "
                 "the bottom and the top"
             )
 
-    union_elements = sorted(
-        {s for _, lat in items for s in lat.elements}, key=Subspace.sort_key
-    )
-    union = close_and_build(union_elements, ambient_dim=n)
-    union_atoms = lt.atoms(union)
-    union_atom_subspaces = [union.elements[i] for i in union_atoms]
+    kept = {universe.bottom, universe.top}
+    kept.update(universe.index_of(s) for _, lat in items for s in lat.elements)
+    while True:
+        grown = kept | {
+            table[i][j]
+            for table in (universe.meet_table, universe.join_table)
+            for i in kept
+            for j in kept
+        }
+        if grown == kept:
+            break
+        kept = grown
+    union = lt.sublattice(universe, kept)
+    union_atom_subspaces = [union.elements[i] for i in lt.atoms(union)]
     allowed = trivial | set(union_atom_subspaces)
     for name, lat in items:
         stray = [s for s in lat.elements if s not in allowed]
@@ -279,6 +250,9 @@ def contextual_valuation_report(registry: LatticeRegistry) -> ContextualValuatio
                 f"lattice {name!r} element {stray[0].span_str()} is neither "
                 "trivial nor an atom of the union lattice"
             )
+    # The nontrivial elements of the contexts are union atoms, and no two
+    # contexts share one.
+    owned = {name: [s for s in lat.elements if s not in trivial] for name, lat in items}
 
     summaries = []
     for name, lat in items:
@@ -295,15 +269,13 @@ def contextual_valuation_report(registry: LatticeRegistry) -> ContextualValuatio
             b.assignment
             for b in flt.search_bivaluations(lat, flt.FULL_HOMOMORPHISM_LAWS)
         )
-        other_atoms = {
-            s
-            for other_name, other in items
-            if other_name != name
-            for s in (other.elements[i] for i in lt.atoms(other))
-        }
+        # A meet of a local atom with another context's atom is defined only
+        # in a context holding both, and none does.
         excluded = sorted(
-            s.span_str() for s in other_atoms
-            if not any(meet_defined(s, lat.elements[a], registry) for a in lat_atoms)
+            s.span_str()
+            for other_name, _ in items
+            if other_name != name
+            for s in owned[other_name]
         )
         summaries.append(
             LatticeValuationSummary(
@@ -316,26 +288,22 @@ def contextual_valuation_report(registry: LatticeRegistry) -> ContextualValuatio
             )
         )
 
-    # Reading (a): one bit per union atom, laws checked inside each
-    # registered lattice separately.
-    consistent: list[tuple[int, ...]] = []
-    for bits in itertools.product((0, 1), repeat=len(union_atoms)):
-        by_subspace = dict(zip(union_atom_subspaces, bits))
-        ok = True
-        for _, lat in items:
-            assignment = []
-            for s in lat.elements:
-                if s == bottom:
-                    assignment.append(0)
-                elif s == top:
-                    assignment.append(1)
-                else:
-                    assignment.append(by_subspace[s])
-            if not flt.satisfies_laws(lat, tuple(assignment), flt.FULL_HOMOMORPHISM_LAWS):
-                ok = False
-                break
-        if ok:
-            consistent.append(bits)
+    # Reading (a): one bit per union atom, laws checked inside each context
+    # separately. The contexts' atoms are disjoint, so a consistent
+    # assignment picks one standard valuation per context and either bit on
+    # each union atom that lies in no context.
+    parts = [
+        [{s: bits[lat.index_of(s)] for s in owned[name]}
+         for bits in summary.standard_valuations]
+        for (name, lat), summary in zip(items, summaries)
+    ]
+    in_contexts = {s for own in owned.values() for s in own}
+    parts += [[{s: 0}, {s: 1}] for s in union_atom_subspaces if s not in in_contexts]
+    consistent = []
+    for pick in itertools.product(*parts):
+        chosen = {s: bit for part in pick for s, bit in part.items()}
+        consistent.append(tuple(chosen[s] for s in union_atom_subspaces))
+    consistent.sort()
 
     # Reading (b): one map on the union lattice, laws checked there.
     global_vals = tuple(

@@ -185,6 +185,23 @@ def test_burnside_command(capsys):
     assert main(["burnside", str(DATA), "--ops", "x1", "x2", "--assert", "irreducible"]) == 2
 
 
+def test_burnside_prints_verdict_before_universe_cap(tmp_path, capsys):
+    # the five images close past the element cap; the span needs no closure
+    path = tmp_path / "cap.sublat"
+    path.write_text(
+        "dim 3\n"
+        "proj a = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]\n"
+        "proj b = [[0, 0, 0], [0, 1, 0], [0, 0, 0]]\n"
+        "proj c = [[0, 0, 0], [0, 0, 0], [0, 0, 1]]\n"
+        "proj d = [[1/3, 1/3, 1/3], [1/3, 1/3, 1/3], [1/3, 1/3, 1/3]]\n"
+        "proj e = [[1/2, 1/2, 0], [1/2, 1/2, 0], [0, 0, 0]]\n"
+    )
+    assert main(["burnside", str(path), "--ops", "a", "b", "--format", "records"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "burnside generators=a,b dimension=3 full=9 irreducible=false\n"
+    assert "meet/join closure exceeds the cap of 256 elements" in captured.err
+
+
 def test_contexts_command(capsys):
     assert main(["contexts", str(DATA)]) == 0
     out = capsys.readouterr().out

@@ -3,9 +3,9 @@ import itertools
 import pytest
 
 from sublat.exactlin import ExactMatrix, rank
+from sublat.filters import FULL_HOMOMORPHISM_LAWS, satisfies_laws, search_bivaluations
 from sublat.invariant import (
     AlgebraBasis,
-    LatticeRegistry,
     _vectorized,
     algebra_span,
     common_invariant_sublattice,
@@ -27,12 +27,11 @@ def universe():
 
 
 @pytest.fixture(scope="module")
-def registry(universe):
-    reg = LatticeRegistry()
-    for w in (1, 2, 3):
-        members = list(context(w).members)
-        reg.register(f"L{w}", common_invariant_sublattice(members, universe))
-    return reg
+def contexts(universe):
+    return {
+        f"L{w}": common_invariant_sublattice(list(context(w).members), universe)
+        for w in (1, 2, 3)
+    }
 
 
 EXPECTED_CONTEXT_SPANS = {
@@ -115,37 +114,33 @@ def test_is_irreducible():
         is_irreducible([])
 
 
-def test_meet_defined(registry):
+def test_meet_defined(contexts):
     k = span([[1, 1]])
     m = span([[1, -1]])
     o = span([[1, 0]])
-    assert meet_defined(k, m, registry)
-    assert not meet_defined(k, o, registry)
+    assert meet_defined(k, m, contexts)
+    assert not meet_defined(k, o, contexts)
     bottom, top = Subspace.zero(2), Subspace.full(2)
     for x in (k, m, o):
-        assert meet_defined(bottom, x, registry)
-        assert meet_defined(x, top, registry)
-        assert meet_defined(x, x, registry)
-    assert meet_defined(k, m, registry) == meet_defined(m, k, registry)
+        assert meet_defined(bottom, x, contexts)
+        assert meet_defined(x, top, contexts)
+        assert meet_defined(x, x, contexts)
+    assert meet_defined(k, m, contexts) == meet_defined(m, k, contexts)
 
 
-def test_registry_validation(universe):
-    reg = LatticeRegistry()
+def test_contextual_report_rejects_elements_outside_universe(universe):
     lat = common_invariant_sublattice(list(context(1).members), universe)
-    reg.register("a", lat)
-    with pytest.raises(ValueError, match="already registered"):
-        reg.register("a", lat)
-    with pytest.raises(ValueError, match="ambient"):
-        reg.register("b", close_and_build([], ambient_dim=3))
-    assert reg.names() == ("a",)
-    assert reg.get("a") == lat
-    with pytest.raises(ValueError, match="no lattice"):
-        reg.get("missing")
-    assert reg.ambient_dim == 2
+    stray = close_and_build([span([[1, 2]])])
+    with pytest.raises(ValueError) as err:
+        contextual_valuation_report(universe, {"a": lat, "b": stray})
+    assert str(err.value) == (
+        "context 'b' element span{[1,2]} is not an element of the universe")
+    with pytest.raises(ValueError, match="not an element of the universe"):
+        contextual_valuation_report(universe, {"a": close_and_build([], ambient_dim=3)})
 
 
-def test_contextual_report_counts(registry):
-    report = contextual_valuation_report(registry)
+def test_contextual_report_counts(universe, contexts):
+    report = contextual_valuation_report(universe, contexts)
     assert len(report.summaries) == 3
     assert len(report.union_spans) == 8
     assert len(report.union_atom_spans) == 6
@@ -153,8 +148,8 @@ def test_contextual_report_counts(registry):
     assert report.global_valuations == ()
 
 
-def test_contextual_report_consistent_assignments_structure(registry):
-    report = contextual_valuation_report(registry)
+def test_contextual_report_consistent_assignments_structure(universe, contexts):
+    report = contextual_valuation_report(universe, contexts)
     spans = report.union_atom_spans
     pairings = [
         ("span{[1,1]}", "span{[1,-1]}"),
@@ -169,8 +164,9 @@ def test_contextual_report_consistent_assignments_structure(registry):
     assert len(report.per_lattice_consistent) == 2 ** 3
 
 
-def test_contextual_report_per_lattice_valuations(registry):
-    report = contextual_valuation_report(registry)
+def test_contextual_report_per_lattice_valuations(universe, contexts):
+    report = contextual_valuation_report(universe, contexts)
+    assert [s.name for s in report.summaries] == ["L1", "L2", "L3"]
     for summary in report.summaries:
         assert len(summary.atom_spans) == 2
         assert summary.standard_valuations == ((0, 0, 1, 1), (0, 1, 0, 1))
@@ -181,34 +177,118 @@ def test_contextual_report_per_lattice_valuations(registry):
 
 
 def test_contextual_report_single_lattice(universe):
-    reg = LatticeRegistry()
-    reg.register("only", common_invariant_sublattice(list(context(1).members), universe))
-    report = contextual_valuation_report(reg)
+    only = common_invariant_sublattice(list(context(1).members), universe)
+    report = contextual_valuation_report(universe, {"only": only})
     assert len(report.per_lattice_consistent) == 2
     assert len(report.global_valuations) == 2
     assert report.summaries[0].excluded_atom_spans == ()
 
 
 def test_contextual_report_rejects_overlapping_lattices(universe):
-    reg = LatticeRegistry()
-    reg.register("a", common_invariant_sublattice(list(context(1).members), universe))
-    reg.register("b", close_and_build([span([[1, 1]]), span([[1, 0]])]))
+    contexts = {
+        "a": common_invariant_sublattice(list(context(1).members), universe),
+        "b": close_and_build([span([[1, 1]]), span([[1, 0]])]),
+    }
     with pytest.raises(ValueError, match="intersect"):
-        contextual_valuation_report(reg)
+        contextual_valuation_report(universe, contexts)
 
 
 def test_contextual_report_rejects_mid_rank_elements():
-    reg = LatticeRegistry()
-    reg.register(
-        "deep", close_and_build([span([[1, 0, 0]]), span([[1, 0, 0], [0, 1, 0]])])
-    )
+    deep = close_and_build([span([[1, 0, 0]]), span([[1, 0, 0], [0, 1, 0]])])
     with pytest.raises(ValueError, match="atom"):
-        contextual_valuation_report(reg)
+        contextual_valuation_report(deep, {"deep": deep})
 
 
-def test_contextual_report_empty_registry():
+def test_contextual_report_empty_registry(universe):
     with pytest.raises(ValueError, match="empty"):
-        contextual_valuation_report(LatticeRegistry())
+        contextual_valuation_report(universe, {})
+
+
+def _reference_report(contexts):
+    """The former route: re-close the union with exact algebra, try all
+    2^atoms assignments against each context's laws, and exclude the other
+    contexts' atoms that no context pairs with a local atom."""
+    items = sorted(contexts.items())
+    n = items[0][1].ambient_dim
+    union = close_and_build({s for _, lat in items for s in lat.elements}, ambient_dim=n)
+    union_atoms = [union.elements[i] for i in atoms(union)]
+    excluded = []
+    for name, lat in items:
+        local = [lat.elements[a] for a in atoms(lat)]
+        others = {
+            other.elements[a]
+            for other_name, other in items if other_name != name
+            for a in atoms(other)
+        }
+        excluded.append(tuple(sorted(
+            s.span_str() for s in others
+            if not any(meet_defined(s, a, contexts) for a in local)
+        )))
+    consistent = []
+    for bits in itertools.product((0, 1), repeat=len(union_atoms)):
+        value = {Subspace.zero(n): 0, Subspace.full(n): 1, **dict(zip(union_atoms, bits))}
+        if all(
+            satisfies_laws(lat, tuple(value[s] for s in lat.elements), FULL_HOMOMORPHISM_LAWS)
+            for _, lat in items
+        ):
+            consistent.append(bits)
+    found = search_bivaluations(union, FULL_HOMOMORPHISM_LAWS)
+    return union.spans(), tuple(excluded), tuple(consistent), tuple(b.assignment for b in found)
+
+
+_PAIRS = [
+    ([1, 0], [0, 1]),
+    ([1, 1], [1, -1]),
+    ([1, "i"], [1, "-i"]),
+    ([1, 2], [2, -1]),
+    ([2, 1], [1, -2]),
+]
+
+
+def _qubit_case(ws):
+    universe = close_and_build([image(p) for p in nontrivial_projectors()])
+    return universe, {
+        f"L{w}": common_invariant_sublattice(list(context(w).members), universe)
+        for w in ws
+    }
+
+
+def _pairs_case(count):
+    pairs = [(span([a]), span([b])) for a, b in _PAIRS[:count]]
+    universe = close_and_build([s for pair in pairs for s in pair])
+    return universe, {f"P{k}": close_and_build(pair) for k, pair in enumerate(pairs)}
+
+
+def _lines_case():
+    lines = [span([[int(k == i) for k in range(3)]]) for i in range(3)]
+    universe = close_and_build(lines)
+    return universe, {f"e{i + 1}": close_and_build([s], ambient_dim=3)
+                      for i, s in enumerate(lines)}
+
+
+@pytest.mark.parametrize(
+    "case, union_size, consistent, global_count",
+    [
+        (lambda: _qubit_case([1, 2, 3]), 8, 8, 0),
+        (lambda: _qubit_case([1]), 4, 2, 2),
+        (lambda: _pairs_case(4), 10, 16, 0),
+        (lambda: _pairs_case(5), 12, 32, 0),
+        (_lines_case, 8, 8, 3),
+    ],
+    ids=["qubit", "single", "pairs4", "pairs5", "lines_c3"],
+)
+def test_contextual_report_matches_enumeration_reference(
+    case, union_size, consistent, global_count
+):
+    universe, contexts = case()
+    report = contextual_valuation_report(universe, contexts)
+    union_spans, excluded, expected, global_vals = _reference_report(contexts)
+    assert report.union_spans == union_spans
+    assert tuple(s.excluded_atom_spans for s in report.summaries) == excluded
+    assert report.per_lattice_consistent == expected
+    assert report.global_valuations == global_vals
+    assert (len(union_spans), len(expected), len(global_vals)) == (
+        union_size, consistent, global_count)
 
 
 def test_irreducibility_cross_check_runs(universe):
