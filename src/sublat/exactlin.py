@@ -334,11 +334,15 @@ class ExactMatrix:
             )
         flat: list[GaussianRational] = []
         for i in range(self.rows):
-            my_row = self.row(i)
+            # Zero terms add nothing, so only the row's nonzero entries are
+            # multiplied, and only by nonzero entries of the other factor.
+            terms = [(j, a) for j, a in enumerate(self.row(i)) if a]
             for k in range(other.cols):
                 acc = ZERO
-                for j in range(self.cols):
-                    acc = acc + my_row[j] * other.entries[j * other.cols + k]
+                for j, a in terms:
+                    b = other.entries[j * other.cols + k]
+                    if b:
+                        acc = acc + a * b
                 flat.append(acc)
         return ExactMatrix(self.rows, other.cols, tuple(flat))
 

@@ -208,7 +208,7 @@ def contextual_valuation_report(
     order; their union lattice is read off the universe's tables. Requires
     every pair of contexts to intersect exactly in {bottom, top}, and every
     context element to be the bottom, the top, or an atom of the union
-    lattice.
+    lattice; a context that is just {bottom, top} is rejected.
     """
     if not contexts:
         raise ValueError("the contexts mapping is empty")
@@ -219,6 +219,11 @@ def contextual_valuation_report(
             raise ValueError(
                 f"context {name!r} element {stray[0].span_str()} is not an "
                 "element of the universe"
+            )
+        if len(lat) == 2:
+            raise ValueError(
+                f"context {name!r} has no element besides {{0}} and "
+                f"C^{lat.ambient_dim}"
             )
     trivial = {universe.elements[universe.bottom], universe.elements[universe.top]}
     for (name_a, lat_a), (name_b, lat_b) in itertools.combinations(items, 2):

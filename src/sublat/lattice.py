@@ -4,9 +4,12 @@ A FiniteLattice is a closed family of subspaces of one ambient space with
 precomputed order, meet, and join tables over element indices. Elements
 are sorted by (dimension, basis entries), so index 0 is the zero subspace
 and the last index is the full space, and rebuilding from the same family
-reproduces the same object. Only the order table is computed with exact
-algebra; the meet and join tables are read off it, and sublattices of a
-built lattice are taken by restricting its tables.
+reproduces the same object. Closure is a worklist that settles each
+pair of elements once: dimension alone settles pairs that involve the
+bottom or the top, pairs of hyperplanes of C^2 and the zero meets that
+Grassmann's formula shows, and exact meet or join does the rest. All
+three tables are read off those pair results, and sublattices of a built
+lattice are taken by restricting its tables.
 """
 
 from __future__ import annotations
@@ -90,6 +93,12 @@ def close_and_build(
 ) -> FiniteLattice:
     """Close seeds under meet and join, adjoin bottom and top, build tables.
 
+    The closure runs as a worklist: each element is paired once with every
+    element found before it, so each unordered pair is settled exactly
+    once, and dimension settles most pairs without exact algebra (see
+    `_settle`). The meet and join tables are read off those pair results,
+    and the order table off the meet table.
+
     Rebuilding from a lattice's own elements returns an equal lattice.
     Raises ClosureCapError if closure would exceed max_elements and
     ValueError on an ambient-dimension mismatch (or when no dimension can
@@ -107,55 +116,91 @@ def close_and_build(
     if n is None:
         raise ValueError("ambient_dim is required when seeds are empty")
 
-    members: set[Subspace] = {Subspace.zero(n), Subspace.full(n)}
-    members.update(seed_list)
-    if len(members) > max_elements:
+    zero, full = Subspace.zero(n), Subspace.full(n)
+    found = list(dict.fromkeys([zero, full, *seed_list]))
+    if len(found) > max_elements:
         raise ClosureCapError(
-            f"{len(members)} seed elements exceed the cap of {max_elements}"
+            f"{len(found)} seed elements exceed the cap of {max_elements}"
         )
-    while True:
-        current = sorted(members, key=Subspace.sort_key)
-        new: list[Subspace] = []
-        for a, b in itertools.combinations(current, 2):
-            for candidate in (sub.meet(a, b), sub.join(a, b)):
-                if candidate not in members:
-                    members.add(candidate)
-                    new.append(candidate)
-                    if len(members) > max_elements:
-                        raise ClosureCapError(
-                            f"meet/join closure exceeds the cap of {max_elements} elements"
-                        )
-        if not new:
-            break
+    index = {s: k for k, s in enumerate(found)}
 
-    elements = tuple(sorted(members, key=Subspace.sort_key))
-    size = len(elements)
-    order = tuple(
-        tuple(sub.leq(elements[i], elements[j]) for j in range(size))
-        for i in range(size)
-    )
-    # Sorting by dimension puts every strict lower bound at a smaller
-    # index, so a meet is the largest common lower bound index and a join
-    # the smallest common upper bound index.
-    meet_table = tuple(
-        tuple(next(k for k in range(min(i, j), -1, -1) if order[k][i] and order[k][j])
-              for j in range(size))
-        for i in range(size)
-    )
-    join_table = tuple(
-        tuple(next(k for k in range(max(i, j), size) if order[i][k] and order[j][k])
-              for j in range(size))
-        for i in range(size)
-    )
+    def locate(x: Subspace, i: int, k: int) -> int:
+        """Discovery index of x, a result for the pair (i, k); x is appended
+        when new. The pair's own elements and the bounds are matched by
+        identity, which spares hashing a basis."""
+        for d in (i, k, 0, 1):
+            if found[d] is x:
+                return d
+        d = index.get(x)
+        if d is None:
+            d = index[x] = len(found)
+            found.append(x)
+            if len(found) > max_elements:
+                raise ClosureCapError(
+                    f"meet/join closure exceeds the cap of {max_elements} elements"
+                )
+        return d
+
+    # pairs[k][i] holds the discovery indices of the meet and the join of
+    # found[i] and found[k], for i < k; iterating over the growing list
+    # reaches the elements appended along the way.
+    pairs = []
+    for k, t in enumerate(found):
+        row = []
+        for i, s in enumerate(found[:k]):
+            m, j = _settle(s, t, zero, full)
+            row.append((locate(m, i, k), locate(j, i, k)))
+        pairs.append(row)
+
+    size = len(found)
+    ranked = sorted(range(size), key=lambda k: found[k].sort_key())
+    rank = [0] * size
+    for r, k in enumerate(ranked):
+        rank[k] = r
+    meets = [[r] * size for r in range(size)]
+    joins = [[r] * size for r in range(size)]
+    for k, row in enumerate(pairs):
+        for i, (m, j) in enumerate(row):
+            a, b = rank[k], rank[i]
+            meets[a][b] = meets[b][a] = rank[m]
+            joins[a][b] = joins[b][a] = rank[j]
     return FiniteLattice(
         ambient_dim=n,
-        elements=elements,
-        order=order,
-        meet_table=meet_table,
-        join_table=join_table,
+        elements=tuple(found[k] for k in ranked),
+        order=tuple(tuple(m == i for m in meets[i]) for i in range(size)),
+        meet_table=tuple(map(tuple, meets)),
+        join_table=tuple(map(tuple, joins)),
         bottom=0,
         top=size - 1,
     )
+
+
+def _settle(
+    s: Subspace, t: Subspace, zero: Subspace, full: Subspace
+) -> tuple[Subspace, Subspace]:
+    """Meet and join of distinct s and t.
+
+    Dimension settles a pair where it can; by Grassmann's formula,
+    dim(s ^ t) + dim(s v t) = dim s + dim t.
+    """
+    if s.dim > t.dim:
+        s, t = t, s
+    n = full.dim
+    if s.dim == 0 or t.dim == n:
+        return s, t
+    if s.dim == n - 1:
+        # two distinct hyperplanes span the whole space
+        return (zero if n == 2 else sub.meet(s, t)), full
+    if t.dim == 1:
+        # two distinct lines
+        return zero, sub.join(s, t)
+    j = sub.join(s, t)
+    if j.dim == t.dim:
+        # t <= j, so j = t and s <= t
+        return s, t
+    if s.dim + t.dim == j.dim:
+        return zero, j
+    return sub.meet(s, t), j
 
 
 def sublattice(lat: FiniteLattice, indices: Iterable[int]) -> FiniteLattice:

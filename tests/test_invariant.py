@@ -193,6 +193,17 @@ def test_contextual_report_rejects_overlapping_lattices(universe):
         contextual_valuation_report(universe, contexts)
 
 
+def test_contextual_report_rejects_trivial_context(universe, contexts):
+    # x1 and z1 share no invariant subspace besides {0} and C^2
+    bad = common_invariant_sublattice(
+        [projector(ProjectorId(1, 1)), projector(ProjectorId(3, 1))], universe
+    )
+    assert len(bad) == 2
+    with pytest.raises(ValueError) as err:
+        contextual_valuation_report(universe, {**contexts, "bad": bad})
+    assert str(err.value) == "context 'bad' has no element besides {0} and C^2"
+
+
 def test_contextual_report_rejects_mid_rank_elements():
     deep = close_and_build([span([[1, 0, 0]]), span([[1, 0, 0], [0, 1, 0]])])
     with pytest.raises(ValueError, match="atom"):

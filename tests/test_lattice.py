@@ -2,6 +2,8 @@ import itertools
 
 import pytest
 
+from sublat import subspace as sub
+from sublat.exactlin import GaussianRational, as_scalar
 from sublat.lattice import (
     ClosureCapError,
     FiniteLattice,
@@ -92,8 +94,6 @@ def test_index_and_membership(full_lattice):
 def test_tables_match_subspace_operations(full_lattice):
     # the meet and join tables are read off the order table; they must
     # agree with exact intersections and spans
-    from sublat import subspace as sub
-
     mo_6 = close_and_build([span([[1, k]]) for k in range(5)] + [span([[0, 1]])])
     boolean = close_and_build([span([[1, 1, 0]]), span([[1, -1, 0]]), span([[0, 0, 1]])])
     mixed = close_and_build(
@@ -270,3 +270,162 @@ def test_sublattice_restricts_tables(full_lattice):
         sublattice(full_lattice, [full_lattice.bottom, k, m])
     with pytest.raises(ValueError, match="bottom or the top"):
         sublattice(full_lattice, [full_lattice.top])
+
+
+def _reference_close_and_build(seeds, max_elements=256):
+    """The former route: pair every two members in every round until a
+    round adds nothing, then take the order table from exact containment
+    tests and read the meet and join tables off it."""
+    seeds = list(seeds)
+    n = seeds[0].ambient_dim
+    members = {Subspace.zero(n), Subspace.full(n)} | set(seeds)
+    while True:
+        current = sorted(members, key=Subspace.sort_key)
+        new = []
+        for a, b in itertools.combinations(current, 2):
+            for candidate in (sub.meet(a, b), sub.join(a, b)):
+                if candidate not in members:
+                    members.add(candidate)
+                    new.append(candidate)
+                    if len(members) > max_elements:
+                        raise ClosureCapError(
+                            f"meet/join closure exceeds the cap of {max_elements} elements"
+                        )
+        if not new:
+            break
+    elements = tuple(sorted(members, key=Subspace.sort_key))
+    size = len(elements)
+    order = tuple(
+        tuple(sub.leq(elements[i], elements[j]) for j in range(size))
+        for i in range(size)
+    )
+    meet_table = tuple(
+        tuple(next(k for k in range(min(i, j), -1, -1) if order[k][i] and order[k][j])
+              for j in range(size))
+        for i in range(size)
+    )
+    join_table = tuple(
+        tuple(next(k for k in range(max(i, j), size) if order[i][k] and order[j][k])
+              for j in range(size))
+        for i in range(size)
+    )
+    return elements, order, meet_table, join_table
+
+
+def _tables(lat):
+    return lat.elements, lat.order, lat.meet_table, lat.join_table
+
+
+_UNITS = ("1", "-1", "i", "-i")
+
+
+def _slopes(rng, k):
+    """k distinct small Gaussian rationals."""
+    out = set()
+    while len(out) < k:
+        out.add(GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3)) / rng.randint(1, 2))
+    return sorted(out, key=GaussianRational.sort_key)
+
+
+def _householder_frame(rng, n):
+    """The columns of I - 2 v v* / (v* v) for v with unit entries: n
+    orthogonal lines of C^n, none of them a coordinate axis."""
+    v = [GaussianRational(1)] + [as_scalar(rng.choice(_UNITS)) for _ in range(n - 1)]
+    norm = sum((x * x.conjugate()).real for x in v)
+    return [
+        span([[int(i == j) - 2 * v[i] * v[j].conjugate() / norm for i in range(n)]])
+        for j in range(n)
+    ]
+
+
+def _random_span(rng, n, dim):
+    while True:
+        s = span([[rng.randint(-2, 2) for _ in range(n)] for _ in range(dim)])
+        if s.dim == dim:
+            return s
+
+
+def _closure_cases(rng):
+    cases = {}
+    for k in (3, 5, 8):
+        cases[f"MO_{k}"] = [span([[1, z]]) for z in _slopes(rng, k - 1)] + [span([[0, 1]])]
+    for n in (3, 4):
+        cases[f"Boolean_2^{n}"] = _householder_frame(rng, n)
+    cases["MO_2+MO_3"] = (
+        [span([[1, z, 0, 0]]) for z in _slopes(rng, 2)]
+        + [span([[0, 0, 1, z]]) for z in _slopes(rng, 3)]
+    )
+    cases["planes_C3"] = [_random_span(rng, 3, 2) for _ in range(3)]
+    cases["hyperplanes_C4"] = [_random_span(rng, 4, 3) for _ in range(3)]
+    return cases
+
+
+def test_close_and_build_matches_round_reference(rng):
+    cases = _closure_cases(rng)
+    sizes = {}
+    for label, seeds in cases.items():
+        lat = close_and_build(seeds)
+        assert _tables(lat) == _reference_close_and_build(seeds), label
+        sizes[label] = len(lat)
+    assert sizes["MO_3"] == 5 and sizes["MO_5"] == 7 and sizes["MO_8"] == 10
+    assert sizes["Boolean_2^3"] == 8 and sizes["Boolean_2^4"] == 16
+    assert sizes["MO_2+MO_3"] == 20
+
+
+def test_close_and_build_matches_round_reference_on_unit_rays(rng):
+    # Rays with entries in {0, +-1, +-i} in C^3; both routes must agree on
+    # the lattice, or both hit the cap.
+    closed = 0
+    for _ in range(40):
+        seeds = []
+        while len(seeds) < rng.choice((3, 4)):
+            ray = [rng.choice(("0",) + _UNITS) for _ in range(3)]
+            if ray != ["0"] * 3:
+                seeds.append(span([ray]))
+        try:
+            expected = _reference_close_and_build(seeds, max_elements=24)
+        except ClosureCapError as exc:
+            with pytest.raises(ClosureCapError, match=str(exc)):
+                close_and_build(seeds, max_elements=24)
+            continue
+        assert _tables(close_and_build(seeds, max_elements=24)) == expected
+        closed += 1
+        if closed == 4:
+            break
+    assert closed == 4
+
+
+def test_thirteen_unit_rays_of_c3_exceed_the_cap():
+    # the {0, +-1} rays of C^3 up to sign; their closure does not terminate
+    rays = [
+        v for v in itertools.product((-1, 0, 1), repeat=3)
+        if any(v) and v[next(i for i in range(3) if v[i])] == 1
+    ]
+    assert len(rays) == 13
+    with pytest.raises(ClosureCapError) as caught:
+        close_and_build([span([list(v)]) for v in rays])
+    assert str(caught.value) == "meet/join closure exceeds the cap of 256 elements"
+
+
+def test_close_and_build_operation_counts(monkeypatch):
+    # Dimension settles every MO_k pair, and no pair of any lattice needs a
+    # containment test; the counts would grow if per-pair algebra returned.
+    counts = {"meet": 0, "join": 0, "leq": 0}
+
+    def counting(name):
+        original = getattr(sub, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return original(*args)
+
+        return counted
+
+    for name in counts:
+        monkeypatch.setattr(sub, name, counting(name))
+    mo_24 = close_and_build([span([[1, k]]) for k in range(23)] + [span([[0, 1]])])
+    assert len(mo_24) == 26
+    assert counts == {"meet": 0, "join": 0, "leq": 0}
+    frame = close_and_build([span([[1, 0, 0]]), span([[0, 1, 0]]), span([[0, 0, 1]])])
+    assert len(frame) == 8
+    assert counts == {"meet": 3, "join": 12, "leq": 0}
