@@ -1,8 +1,9 @@
-"""Byte-for-byte records output of every subcommand on the qubit file.
+"""Byte-for-byte stdout of every subcommand on the qubit file, in both formats.
 
-Each case's stdout under `--format records` is stored in
-tests/data/golden/<name>.records, and its exit code in CASES. To
-regenerate the files after a deliberate output change, run
+Each case's stdout is stored in tests/data/golden/<name>.<ext>, with the
+extension `txt` for `--format text` and `records` for `--format records`;
+its exit code is in CASES. To regenerate the files after a deliberate
+output change, run
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -18,6 +19,9 @@ from sublat.cli import main
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
 QUBIT = str(DATA / "qubit.sublat")
+
+# --format value -> golden file extension
+FORMATS = {"text": "txt", "records": "records"}
 
 # name -> (argv without --format, exit code)
 CASES = {
@@ -40,26 +44,37 @@ CASES = {
 }
 
 
-def _run(argv):
+def _run(argv, fmt):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(argv + ["--format", "records"])
+        code = main(argv + ["--format", fmt])
     return code, out.getvalue()
+
+
+def _check(name, fmt):
+    argv, expected_code = CASES[name]
+    code, stdout = _run(argv, fmt)
+    assert code == expected_code
+    golden = GOLDEN / f"{name}.{FORMATS[fmt]}"
+    assert stdout == golden.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_records_match_golden(name):
-    argv, expected_code = CASES[name]
-    code, stdout = _run(argv)
-    assert code == expected_code
-    assert stdout == (GOLDEN / f"{name}.records").read_text(encoding="utf-8")
+    _check(name, "records")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_text_matches_golden(name):
+    _check(name, "text")
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, (argv, expected_code) in sorted(CASES.items()):
-        code, stdout = _run(argv)
-        if code != expected_code:
-            raise SystemExit(f"{name}: exit {code}, expected {expected_code}")
-        (GOLDEN / f"{name}.records").write_text(stdout, encoding="utf-8")
-        print(f"wrote {name}.records")
+        for fmt, ext in sorted(FORMATS.items()):
+            code, stdout = _run(argv, fmt)
+            if code != expected_code:
+                raise SystemExit(f"{name} {fmt}: exit {code}, expected {expected_code}")
+            (GOLDEN / f"{name}.{ext}").write_text(stdout, encoding="utf-8")
+            print(f"wrote {name}.{ext}")
