@@ -8,9 +8,14 @@ Input files are line oriented. `#` starts a comment. Declarations:
     context <name> = <projname>, <projname>, ...
 
 Scalars use the exact grammar of exactlin.parse_scalar. Every subcommand
-accepts --format text|records; records mode prints one record per line as
+accepts --format text|records (`dot` ignores it). Each fact goes through
+one Reporter call that carries both its text and its record: text mode
+prints the text, records mode prints one record per line as
 space-separated key=value fields (spaces inside values become
-underscores), so equal inputs produce byte-identical output.
+underscores), so equal inputs produce byte-identical output. `contexts`
+checks its contexts before its first line, so a file it rejects leaves
+stdout empty; `burnside` prints its verdict before closing the declared
+subspaces, which can exceed the closure cap.
 
 Exit codes: 0 success, 1 input or parse error, 2 a demo-qubit check or an
 --assert expectation failed.
@@ -77,9 +82,8 @@ class InputDocument:
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _DIM_RE = re.compile(r"(\s*dim\s+)(\S+)\s*")
-_RAY_RE = re.compile(r"(\s*ray\s+)([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(\S.*?)\s*")
-_PROJ_RE = re.compile(r"(\s*proj\s+)([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(\S.*?)\s*")
-_CONTEXT_RE = re.compile(r"(\s*context\s+)([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(\S.*?)\s*")
+# `<keyword> <name> = <body>`; the keyword is the line's first token.
+_DECL_RE = re.compile(r"\s*\S+\s+([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(\S.*?)\s*")
 
 
 def _split_top_level(text: str, base: int, line: int) -> list[tuple[str, int]]:
@@ -118,38 +122,35 @@ def _parse_scalar_at(token: str, offset: int, line: int) -> GaussianRational:
         ) from None
 
 
-def _parse_bracket_vector(text: str, offset: int, line: int) -> list[GaussianRational]:
+def _parse_bracket_list(
+    text: str, offset: int, line: int, what: str, item: str, parse_item
+) -> list:
+    """Parse `[a, b, ...]`, each piece through parse_item(token, offset, line).
+
+    `what` names the list and `item` its pieces in the error messages.
+    """
     if not text.startswith("["):
         raise InputSyntaxError("expected '['", line, offset + 1)
     if not text.endswith("]"):
         raise InputSyntaxError("expected ']'", line, offset + len(text))
     inner = text[1:-1]
     if not inner.strip():
-        raise InputSyntaxError("empty vector", line, offset + 2)
+        raise InputSyntaxError(f"empty {what}", line, offset + 2)
     values = []
     for piece, piece_off in _split_top_level(inner, offset + 1, line):
         token, token_off = _strip_with_offset(piece, piece_off)
         if not token:
-            raise InputSyntaxError("empty entry", line, token_off + 1)
-        values.append(_parse_scalar_at(token, token_off, line))
+            raise InputSyntaxError(f"empty {item}", line, token_off + 1)
+        values.append(parse_item(token, token_off, line))
     return values
 
 
-def _parse_bracket_matrix(text: str, offset: int, line: int) -> list[list[GaussianRational]]:
-    if not text.startswith("["):
-        raise InputSyntaxError("expected '['", line, offset + 1)
-    if not text.endswith("]"):
-        raise InputSyntaxError("expected ']'", line, offset + len(text))
-    inner = text[1:-1]
-    if not inner.strip():
-        raise InputSyntaxError("empty matrix", line, offset + 2)
-    rows = []
-    for piece, piece_off in _split_top_level(inner, offset + 1, line):
-        token, token_off = _strip_with_offset(piece, piece_off)
-        if not token:
-            raise InputSyntaxError("empty row", line, token_off + 1)
-        rows.append(_parse_bracket_vector(token, token_off, line))
-    return rows
+def _parse_vector(text: str, offset: int, line: int) -> list[GaussianRational]:
+    return _parse_bracket_list(text, offset, line, "vector", "entry", _parse_scalar_at)
+
+
+def _parse_matrix(text: str, offset: int, line: int) -> list[list[GaussianRational]]:
+    return _parse_bracket_list(text, offset, line, "matrix", "row", _parse_vector)
 
 
 def parse_input(text: str) -> InputDocument:
@@ -163,10 +164,6 @@ def parse_input(text: str) -> InputDocument:
     rays: dict[str, StateVector] = {}
     projectors: dict[str, ExactMatrix] = {}
     contexts: dict[str, tuple[str, ...]] = {}
-
-    def check_fresh(name: str, lineno: int) -> None:
-        if name in rays or name in projectors or name in contexts:
-            raise InputValidationError(name, "name is already declared")
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
@@ -192,18 +189,23 @@ def parse_input(text: str) -> InputDocument:
                 )
             continue
 
-        if keyword in ("ray", "proj", "context") and dim is None:
+        if keyword not in ("ray", "proj", "context"):
+            raise InputSyntaxError(f"unknown directive {keyword!r}", lineno, keyword_col)
+        if dim is None:
             raise InputValidationError(
                 keyword, "dim must be declared before any other declaration"
             )
+        m = _DECL_RE.fullmatch(line)
+        if m is None:
+            raise InputSyntaxError(
+                f"malformed {keyword} declaration", lineno, keyword_col
+            )
+        name, body, body_col = m.group(1), m.group(2), m.start(2)
+        if name in rays or name in projectors or name in contexts:
+            raise InputValidationError(name, "name is already declared")
 
         if keyword == "ray":
-            m = _RAY_RE.fullmatch(line)
-            if m is None:
-                raise InputSyntaxError("malformed ray declaration", lineno, keyword_col)
-            name = m.group(2)
-            check_fresh(name, lineno)
-            values = _parse_bracket_vector(m.group(3), m.start(3), lineno)
+            values = _parse_vector(body, body_col, lineno)
             if len(values) != dim:
                 raise InputValidationError(
                     name, f"ray has {len(values)} components but dim is {dim}"
@@ -212,15 +214,8 @@ def parse_input(text: str) -> InputDocument:
                 rays[name] = StateVector(ExactMatrix.column(values))
             except ValueError as exc:
                 raise InputValidationError(name, str(exc)) from None
-            continue
-
-        if keyword == "proj":
-            m = _PROJ_RE.fullmatch(line)
-            if m is None:
-                raise InputSyntaxError("malformed proj declaration", lineno, keyword_col)
-            name = m.group(2)
-            check_fresh(name, lineno)
-            rows = _parse_bracket_matrix(m.group(3), m.start(3), lineno)
+        elif keyword == "proj":
+            rows = _parse_matrix(body, body_col, lineno)
             if len(rows) != dim or any(len(r) != dim for r in rows):
                 raise InputValidationError(
                     name, f"projector must be a {dim}x{dim} matrix"
@@ -231,18 +226,9 @@ def parse_input(text: str) -> InputDocument:
             if not matrix.is_idempotent():
                 raise InputValidationError(name, "projector is not idempotent")
             projectors[name] = matrix
-            continue
-
-        if keyword == "context":
-            m = _CONTEXT_RE.fullmatch(line)
-            if m is None:
-                raise InputSyntaxError(
-                    "malformed context declaration", lineno, keyword_col
-                )
-            name = m.group(2)
-            check_fresh(name, lineno)
+        else:
             members = []
-            for piece, piece_off in _split_top_level(m.group(3), m.start(3), lineno):
+            for piece, piece_off in _split_top_level(body, body_col, lineno):
                 token, token_off = _strip_with_offset(piece, piece_off)
                 if not _NAME_RE.fullmatch(token):
                     raise InputSyntaxError(
@@ -256,9 +242,6 @@ def parse_input(text: str) -> InputDocument:
                     raise InputValidationError(name, f"duplicate member {token!r}")
                 members.append(token)
             contexts[name] = tuple(members)
-            continue
-
-        raise InputSyntaxError(f"unknown directive {keyword!r}", lineno, keyword_col)
 
     if dim is None:
         raise InputValidationError("dim", "missing dim declaration")
@@ -280,20 +263,23 @@ def _record_value(value: object) -> str:
 
 
 class Reporter:
-    """Routes each logical output line to the chosen format."""
+    """Prints each fact once, in the chosen format.
 
-    def __init__(self, fmt: str, stream=None):
-        self.fmt = fmt
-        self.stream = stream if stream is not None else sys.stdout
+    `out(text, kind, **fields)` prints `text` (one or more lines) in text
+    mode and the record `kind field=value ...` in records mode. A call
+    with `kind=None` is text only; one with `text=None` is a record only.
+    """
 
-    def text(self, line: str = "") -> None:
-        if self.fmt == "text":
-            print(line, file=self.stream)
+    def __init__(self, fmt: str):
+        self.records = fmt == "records"
 
-    def record(self, kind: str, **fields: object) -> None:
-        if self.fmt == "records":
+    def __call__(self, text: str | None, kind: str | None = None, **fields: object) -> None:
+        if not self.records:
+            if text is not None:
+                print(text)
+        elif kind is not None:
             parts = [kind] + [f"{k}={_record_value(v)}" for k, v in fields.items()]
-            print(" ".join(parts), file=self.stream)
+            print(" ".join(parts))
 
 
 # --------------------------------------------------------------------------
@@ -340,41 +326,44 @@ def _bits(assignment: tuple[int, ...]) -> str:
     return "".join(str(v) for v in assignment)
 
 
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+def _element_rows(out: Reporter, lat: FiniteLattice) -> None:
+    for i, s in enumerate(lat.elements):
+        out(f"  [{i}] dim={s.dim} {s.span_str()}",
+            "element", index=i, dim=s.dim, span=s.span_str())
+
+
+def _sublattice_line(
+    out: Reporter, label: str, kind: str, lat: FiniteLattice, **fields: object
+) -> None:
+    out(f"{label} ({len(lat)} elements): {', '.join(lat.spans())}",
+        kind, **fields, elements=len(lat), spans=lat.spans())
+
+
 # --------------------------------------------------------------------------
 # Subcommands
 
 
 def _cmd_lattice(args: argparse.Namespace) -> int:
-    doc = _load_document(args.file)
-    lat = _build_lattice(doc)
-    rep = Reporter(args.format)
-    rep.record(
-        "lattice",
-        ambient=lat.ambient_dim,
-        elements=len(lat),
-        bottom=lat.bottom,
-        top=lat.top,
-    )
-    rep.text(f"ambient dimension: {lat.ambient_dim}")
-    rep.text(f"elements ({len(lat)}):")
-    for i, s in enumerate(lat.elements):
-        rep.text(f"  [{i}] dim={s.dim} {s.span_str()}")
-        rep.record("element", index=i, dim=s.dim, span=s.span_str())
-    rep.text("order (bit j of row i: element i <= element j):")
-    for i in range(len(lat)):
-        bits = "".join("1" if lat.leq(i, j) else "0" for j in range(len(lat)))
-        rep.text(f"  [{i}] {bits}")
-        rep.record("order", row=i, bits=bits)
-    rep.text("meet table (entry j of row i: index of i ^ j):")
-    for i in range(len(lat)):
-        row = lat.meet_table[i]
-        rep.text(f"  [{i}] {','.join(str(v) for v in row)}")
-        rep.record("meet", row=i, entries=row)
-    rep.text("join table (entry j of row i: index of i v j):")
-    for i in range(len(lat)):
-        row = lat.join_table[i]
-        rep.text(f"  [{i}] {','.join(str(v) for v in row)}")
-        rep.record("join", row=i, entries=row)
+    lat = _build_lattice(_load_document(args.file))
+    out = Reporter(args.format)
+    n = len(lat)
+    out(f"ambient dimension: {lat.ambient_dim}\nelements ({n}):",
+        "lattice", ambient=lat.ambient_dim, elements=n, bottom=lat.bottom, top=lat.top)
+    _element_rows(out, lat)
+    out("order (bit j of row i: element i <= element j):")
+    for i in range(n):
+        bits = "".join("1" if lat.leq(i, j) else "0" for j in range(n))
+        out(f"  [{i}] {bits}", "order", row=i, bits=bits)
+    for kind, symbol, table in (
+        ("meet", "^", lat.meet_table), ("join", "v", lat.join_table)
+    ):
+        out(f"{kind} table (entry j of row i: index of i {symbol} j):")
+        for i, row in enumerate(table):
+            out(f"  [{i}] {','.join(str(v) for v in row)}", kind, row=i, entries=row)
     return 0
 
 
@@ -386,55 +375,35 @@ _LAW_CHECKS = (
 
 
 def _cmd_laws(args: argparse.Namespace) -> int:
-    doc = _load_document(args.file)
-    lat = _build_lattice(doc)
-    rep = Reporter(args.format)
+    lat = _build_lattice(_load_document(args.file))
+    out = Reporter(args.format)
+
+    def span(e: int) -> str:
+        return lat.elements[e].span_str()
+
     verdicts: dict[str, bool | None] = {}
     for law_name, check in _LAW_CHECKS:
         try:
             report = check(lat, limit=args.limit)
         except ValueError as exc:
             verdicts[law_name] = None
-            rep.text(f"{law_name}: skipped ({exc})")
-            rep.record("law", name=law_name, status="skipped", reason=str(exc))
+            out(f"{law_name}: skipped ({exc})",
+                "law", name=law_name, status="skipped", reason=str(exc))
             continue
         verdicts[law_name] = report.holds
-        if report.holds:
-            rep.text(f"{law_name}: holds")
-        else:
-            shown = len(report.violations)
-            rep.text(
-                f"{law_name}: fails ({report.total_violations} violations, "
-                f"showing {shown})"
-            )
-        rep.record(
-            "law",
-            name=law_name,
-            status="checked",
-            holds=report.holds,
-            violations=report.total_violations,
-            shown=len(report.violations),
-        )
+        shown = len(report.violations)
+        verdict = ("holds" if report.holds else
+                   f"fails ({report.total_violations} violations, showing {shown})")
+        out(f"{law_name}: {verdict}", "law", name=law_name, status="checked",
+            holds=report.holds, violations=report.total_violations, shown=shown)
         for v in report.violations:
-            names = " ".join(
-                f"{chr(97 + k)}={lat.elements[e].span_str()}"
-                for k, e in enumerate(v.elements)
-            )
-            rep.text(
-                f"  {names}: lhs={lat.elements[v.lhs].span_str()} "
-                f"rhs={lat.elements[v.rhs].span_str()}"
-            )
-            rep.record(
-                "violation",
-                law=law_name,
-                elements=v.elements,
-                lhs=v.lhs,
-                rhs=v.rhs,
-            )
+            names = " ".join(f"{chr(97 + k)}={span(e)}" for k, e in enumerate(v.elements))
+            out(f"  {names}: lhs={span(v.lhs)} rhs={span(v.rhs)}",
+                "violation", law=law_name, elements=v.elements, lhs=v.lhs, rhs=v.rhs)
     for asserted in args.asserts or []:
         if verdicts.get(asserted) is not True:
-            rep.text(f"assertion failed: {asserted} does not hold")
-            rep.record("assertion", law=asserted, ok=False)
+            out(f"assertion failed: {asserted} does not hold",
+                "assertion", law=asserted, ok=False)
             return 2
     return 0
 
@@ -442,7 +411,7 @@ def _cmd_laws(args: argparse.Namespace) -> int:
 def _cmd_filters(args: argparse.Namespace) -> int:
     doc = _load_document(args.file)
     lat = _build_lattice(doc)
-    rep = Reporter(args.format)
+    out = Reporter(args.format)
     target = _resolve_subspace(doc, args.remove)
     w = lat.index_of(target)
     filt = flt.coatom_complement_filter(lat, w)
@@ -453,84 +422,60 @@ def _cmd_filters(args: argparse.Namespace) -> int:
     prime_standard = flt.is_prime_standard(filt)
     valuation = flt.homomorphism_from_filter(lat, filt, args.convention)
 
-    rep.text(f"lattice: {len(lat)} elements over C^{lat.ambient_dim}")
-    rep.text(f"removed element: {target.span_str()} (index {w})")
-    members = ", ".join(lat.elements[i].span_str() for i in filt.sorted_members())
-    rep.text(f"filter ({len(filt)} members): {members}")
-    rep.record(
-        "filter",
-        removed=target.span_str(),
-        removed_index=w,
-        size=len(filt),
-        members=filt.sorted_members(),
-    )
-    rep.text(f"downward directed: {'yes' if directed else 'no'}")
-    rep.record("property", name="downward-directed", value=directed)
+    def spans(members: list[int]) -> str:
+        return ", ".join(lat.elements[i].span_str() for i in members)
+
+    out(f"lattice: {len(lat)} elements over C^{lat.ambient_dim}\n"
+        f"removed element: {target.span_str()} (index {w})\n"
+        f"filter ({len(filt)} members): {spans(filt.sorted_members())}",
+        "filter", removed=target.span_str(), removed_index=w, size=len(filt),
+        members=filt.sorted_members())
+    out(f"downward directed: {_yes(directed)}",
+        "property", name="downward-directed", value=directed)
     if closed:
-        rep.text("upward closed: yes")
-        rep.record("property", name="upward-closed", value=True)
+        out("upward closed: yes", "property", name="upward-closed", value=True)
     else:
         low, high = witness
-        rep.text(
-            f"upward closed: no (member {lat.elements[low].span_str()} lies below "
-            f"non-member {lat.elements[high].span_str()})"
-        )
-        rep.record(
-            "property",
-            name="upward-closed",
-            value=False,
-            witness_low=low,
-            witness_high=high,
-        )
-    rep.text(f"prime (paper convention): {'yes' if prime_paper else 'no'}")
-    rep.record("property", name="prime-paper", value=prime_paper)
+        out(f"upward closed: no (member {lat.elements[low].span_str()} lies below "
+            f"non-member {lat.elements[high].span_str()})",
+            "property", name="upward-closed", value=False,
+            witness_low=low, witness_high=high)
+    out(f"prime (paper convention): {_yes(prime_paper)}",
+        "property", name="prime-paper", value=prime_paper)
     if prime_standard is flt.NOT_APPLICABLE:
-        rep.text("prime (standard convention): not applicable (not a standard filter)")
-        rep.record("property", name="prime-standard", value="not-applicable")
+        out("prime (standard convention): not applicable (not a standard filter)",
+            "property", name="prime-standard", value="not-applicable")
     else:
-        rep.text(f"prime (standard convention): {'yes' if prime_standard else 'no'}")
-        rep.record("property", name="prime-standard", value=prime_standard)
-    ideal_members = ", ".join(
-        lat.elements[i].span_str() for i in ideal.sorted_members()
-    )
-    rep.text(f"ideal ({len(ideal)} members): {ideal_members}")
-    rep.record("ideal", size=len(ideal), members=ideal.sorted_members())
-    rep.text(f"valuation ({valuation.convention} convention):")
-    for i, s in enumerate(lat.elements):
-        rep.text(f"  v({s.span_str()}) = {valuation.value(i)}")
-    rep.record(
-        "valuation", convention=valuation.convention, bits=_bits(valuation.assignment)
-    )
+        out(f"prime (standard convention): {_yes(prime_standard)}",
+            "property", name="prime-standard", value=prime_standard)
+    out(f"ideal ({len(ideal)} members): {spans(ideal.sorted_members())}",
+        "ideal", size=len(ideal), members=ideal.sorted_members())
+    out("\n".join([f"valuation ({valuation.convention} convention):"] + [
+        f"  v({s.span_str()}) = {valuation.value(i)}" for i, s in enumerate(lat.elements)
+    ]), "valuation", convention=valuation.convention, bits=_bits(valuation.assignment))
     return 0
 
 
 def _cmd_valuations(args: argparse.Namespace) -> int:
-    doc = _load_document(args.file)
-    lat = _build_lattice(doc)
-    rep = Reporter(args.format)
+    lat = _build_lattice(_load_document(args.file))
+    out = Reporter(args.format)
     laws = [token for token in args.laws.split(",") if token]
     try:
         found = flt.search_bivaluations(lat, laws)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    rep.text(f"laws: {', '.join(sorted(laws))}")
-    rep.text(f"lattice: {len(lat)} elements")
-    rep.record("search", laws=sorted(laws), elements=len(lat), found=len(found))
+    out(f"laws: {', '.join(sorted(laws))}\nlattice: {len(lat)} elements",
+        "search", laws=sorted(laws), elements=len(lat), found=len(found))
     for i, s in enumerate(lat.elements):
-        rep.text(f"  [{i}] {s.span_str()}")
-        rep.record("legend", index=i, span=s.span_str())
-    rep.text(f"valuations found: {len(found)}")
+        out(f"  [{i}] {s.span_str()}", "legend", index=i, span=s.span_str())
+    out(f"valuations found: {len(found)}")
     for k, biv in enumerate(found):
-        rep.text(f"  [{k}] {_bits(biv.assignment)}")
-        rep.record("valuation", index=k, bits=_bits(biv.assignment))
+        bits = _bits(biv.assignment)
+        out(f"  [{k}] {bits}", "valuation", index=k, bits=bits)
     if args.assert_count is not None and args.assert_count != len(found):
-        rep.text(
-            f"assertion failed: expected {args.assert_count} valuations, "
-            f"found {len(found)}"
-        )
-        rep.record(
-            "assertion", expected=args.assert_count, found=len(found), ok=False
-        )
+        out(f"assertion failed: expected {args.assert_count} valuations, "
+            f"found {len(found)}",
+            "assertion", expected=args.assert_count, found=len(found), ok=False)
         return 2
     return 0
 
@@ -538,57 +483,40 @@ def _cmd_valuations(args: argparse.Namespace) -> int:
 def _cmd_invariant(args: argparse.Namespace) -> int:
     doc = _load_document(args.file)
     universe = _build_lattice(doc)
-    rep = Reporter(args.format)
+    out = Reporter(args.format)
     ops = _resolve_operators(doc, args.ops)
-    rep.text(f"universe: {len(universe)} elements over C^{universe.ambient_dim}")
-    rep.record("universe", elements=len(universe), ambient=universe.ambient_dim)
+    out(f"universe: {len(universe)} elements over C^{universe.ambient_dim}",
+        "universe", elements=len(universe), ambient=universe.ambient_dim)
     for name, op in zip(args.ops, ops):
-        lat = inv.invariant_sublattice(op, universe)
-        spans = ", ".join(lat.spans())
-        rep.text(f"invariant sublattice of {name} ({len(lat)} elements): {spans}")
-        rep.record("invariant", op=name, elements=len(lat), spans=lat.spans())
-    common = inv.common_invariant_sublattice(ops, universe)
-    spans = ", ".join(common.spans())
-    rep.text(f"common invariant sublattice ({len(common)} elements): {spans}")
-    rep.record("common", elements=len(common), spans=common.spans())
+        _sublattice_line(out, f"invariant sublattice of {name}", "invariant",
+                         inv.invariant_sublattice(op, universe), op=name)
+    _sublattice_line(out, "common invariant sublattice", "common",
+                     inv.common_invariant_sublattice(ops, universe))
     return 0
 
 
 def _cmd_burnside(args: argparse.Namespace) -> int:
     doc = _load_document(args.file)
-    rep = Reporter(args.format)
+    out = Reporter(args.format)
     ops = _resolve_operators(doc, args.ops)
     span = inv.algebra_span(ops)
-    side = span.side
-    irreducible = span.dim == side * side
-    rep.text(f"generators: {', '.join(args.ops)}")
-    rep.text(f"algebra dimension: {span.dim} of {side * side}")
-    rep.text(f"irreducible: {'yes' if irreducible else 'no'}")
-    rep.record(
-        "burnside",
-        generators=args.ops,
-        dimension=span.dim,
-        full=side * side,
-        irreducible=irreducible,
-    )
+    full = span.side * span.side
+    irreducible = span.dim == full
+    verdict = "irreducible" if irreducible else "reducible"
+    out(f"generators: {', '.join(args.ops)}\n"
+        f"algebra dimension: {span.dim} of {full}\n"
+        f"irreducible: {_yes(irreducible)}",
+        "burnside", generators=args.ops, dimension=span.dim, full=full,
+        irreducible=irreducible)
     # The verdict is out before the universe is closed, which can hit the
     # closure cap.
     common = inv.common_invariant_sublattice(ops, _build_lattice(doc))
-    rep.text(
-        f"common invariant subspaces ({len(common)}): {', '.join(common.spans())}"
-    )
-    rep.record("common", elements=len(common), spans=common.spans())
-    if args.assert_verdict is not None:
-        expected = args.assert_verdict == "irreducible"
-        if irreducible != expected:
-            rep.text(
-                f"assertion failed: expected {args.assert_verdict}, got "
-                f"{'irreducible' if irreducible else 'reducible'}"
-            )
-            rep.record(
-                "assertion", expected=args.assert_verdict, ok=False
-            )
-            return 2
+    out(f"common invariant subspaces ({len(common)}): {', '.join(common.spans())}",
+        "common", elements=len(common), spans=common.spans())
+    if args.assert_verdict not in (None, verdict):
+        out(f"assertion failed: expected {args.assert_verdict}, got {verdict}",
+            "assertion", expected=args.assert_verdict, ok=False)
+        return 2
     return 0
 
 
@@ -597,85 +525,63 @@ def _cmd_contexts(args: argparse.Namespace) -> int:
     if not doc.contexts:
         raise InputError("no contexts declared")
     universe = _build_lattice(doc)
-    rep = Reporter(args.format)
     contexts = {
         name: inv.common_invariant_sublattice(
             [doc.projectors[m] for m in doc.contexts[name]], universe
         )
         for name in sorted(doc.contexts)
     }
-
-    for name, lat in contexts.items():
-        rep.text(f"context {name} ({len(lat)} elements): {', '.join(lat.spans())}")
-        rep.record("context", name=name, elements=len(lat), spans=lat.spans())
-
-    union_elements = sorted(
-        {s for lat in contexts.values() for s in lat.elements},
-        key=Subspace.sort_key,
-    )
-    rep.text("meet-defined matrix (within some registered lattice):")
-    for x in union_elements:
-        bits = "".join(
-            "1" if inv.meet_defined(x, y, contexts) else "0" for y in union_elements
-        )
-        rep.text(f"  {x.span_str()} {bits}")
-        rep.record("meet_defined", element=x.span_str(), bits=bits)
-
+    # The report can reject the file, so it runs before the first line.
     try:
         report = inv.contextual_valuation_report(universe, contexts)
     except ValueError as exc:
         raise InputError(str(exc)) from None
+
+    out = Reporter(args.format)
+    for name, lat in contexts.items():
+        _sublattice_line(out, f"context {name}", "context", lat, name=name)
+    union_elements = sorted(
+        {s for lat in contexts.values() for s in lat.elements},
+        key=Subspace.sort_key,
+    )
+    out("meet-defined matrix (within some registered lattice):")
+    for x in union_elements:
+        bits = "".join(
+            "1" if inv.meet_defined(x, y, contexts) else "0" for y in union_elements
+        )
+        out(f"  {x.span_str()} {bits}", "meet_defined", element=x.span_str(), bits=bits)
     for summary in report.summaries:
-        rep.text(f"valuations in context {summary.name}:")
-        rep.text(f"  elements: {', '.join(summary.element_spans)}")
+        out(f"valuations in context {summary.name}:\n"
+            f"  elements: {', '.join(summary.element_spans)}")
         for atom_span, bits in zip(summary.atom_spans, summary.paper_valuations):
-            rep.text(f"  paper valuation at {atom_span}: {_bits(bits)}")
-            rep.record(
-                "paper_valuation",
-                context=summary.name,
-                atom=atom_span,
-                bits=_bits(bits),
-            )
+            out(f"  paper valuation at {atom_span}: {_bits(bits)}",
+                "paper_valuation", context=summary.name, atom=atom_span, bits=_bits(bits))
         for bits in summary.standard_valuations:
-            rep.text(f"  standard valuation: {_bits(bits)}")
-            rep.record(
-                "standard_valuation", context=summary.name, bits=_bits(bits)
-            )
+            out(f"  standard valuation: {_bits(bits)}",
+                "standard_valuation", context=summary.name, bits=_bits(bits))
         if summary.excluded_atom_spans:
-            rep.text(
-                "  domain excludes (meet undefined): "
-                + ", ".join(summary.excluded_atom_spans)
-            )
-            rep.record(
-                "excluded", context=summary.name, atoms=summary.excluded_atom_spans
-            )
-    rep.text(f"union lattice elements: {', '.join(report.union_spans)}")
-    rep.text(f"union atoms: {', '.join(report.union_atom_spans)}")
-    rep.record("union", spans=report.union_spans, atoms=report.union_atom_spans)
-    rep.text(
-        "atom assignments consistent with every context separately: "
-        f"{len(report.per_lattice_consistent)}"
-    )
-    for bits in report.per_lattice_consistent:
-        rep.text(f"  {_bits(bits)}")
-        rep.record("consistent", bits=_bits(bits))
-    rep.text(
-        f"global valuations on the union lattice: {len(report.global_valuations)}"
-    )
-    for bits in report.global_valuations:
-        rep.text(f"  {_bits(bits)}")
-        rep.record("global", bits=_bits(bits))
-    rep.record(
-        "summary",
-        consistent=len(report.per_lattice_consistent),
-        global_valuations=len(report.global_valuations),
-    )
+            out("  domain excludes (meet undefined): "
+                + ", ".join(summary.excluded_atom_spans),
+                "excluded", context=summary.name, atoms=summary.excluded_atom_spans)
+    out(f"union lattice elements: {', '.join(report.union_spans)}\n"
+        f"union atoms: {', '.join(report.union_atom_spans)}",
+        "union", spans=report.union_spans, atoms=report.union_atom_spans)
+    for header, kind, found in (
+        ("atom assignments consistent with every context separately",
+         "consistent", report.per_lattice_consistent),
+        ("global valuations on the union lattice", "global", report.global_valuations),
+    ):
+        out(f"{header}: {len(found)}")
+        for bits in found:
+            out(f"  {_bits(bits)}", kind, bits=_bits(bits))
+    out(None, "summary", consistent=len(report.per_lattice_consistent),
+        global_valuations=len(report.global_valuations))
     return 0
 
 
 def _cmd_dot(args: argparse.Namespace) -> int:
-    doc = _load_document(args.file)
-    lat = _build_lattice(doc)
+    # --format is accepted and ignored: DOT is its own format.
+    lat = _build_lattice(_load_document(args.file))
     dot = lt.to_dot(lat, name=args.name)
     if args.out:
         try:
@@ -693,6 +599,7 @@ def _cmd_dot(args: argparse.Namespace) -> int:
 # demo-qubit
 
 
+# Written out by hand, independently of qubit.py, as ground truth.
 _EXPECTED_CATALOGUE = frozenset(
     {
         "{0}",
@@ -713,22 +620,18 @@ _EXPECTED_CONTEXT_SPANS = {
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    rep = Reporter(args.format)
+    out = Reporter(args.format)
     checks: list[tuple[str, bool]] = []
 
-    def check(name: str, ok: bool, detail: str = "") -> None:
+    def check(name: str, ok: bool) -> None:
         checks.append((name, ok))
-        suffix = f" ({detail})" if detail else ""
-        rep.text(f"check {name}: {'ok' if ok else 'FAILED'}{suffix}")
-        rep.record("check", name=name, ok=ok)
+        out(f"check {name}: {'ok' if ok else 'FAILED'}", "check", name=name, ok=ok)
 
     # Catalogue: closure of the six nontrivial projector images.
     images = [sub.image(p) for p in qubit.nontrivial_projectors()]
     full_lattice = lt.close_and_build(images, ambient_dim=2)
-    rep.text("subspace catalogue from the six nontrivial projectors:")
-    for i, s in enumerate(full_lattice.elements):
-        rep.text(f"  [{i}] dim={s.dim} {s.span_str()}")
-        rep.record("element", index=i, dim=s.dim, span=s.span_str())
+    out("subspace catalogue from the six nontrivial projectors:")
+    _element_rows(out, full_lattice)
     check(
         "catalogue",
         frozenset(full_lattice.spans()) == _EXPECTED_CATALOGUE
@@ -741,8 +644,8 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         members = list(qubit.context(w).members)
         lat = inv.common_invariant_sublattice(members, full_lattice)
         context_lattices[w] = lat
-        rep.text(f"invariant lattice for context {w}: {', '.join(lat.spans())}")
-        rep.record("context_lattice", w=w, spans=lat.spans())
+        out(f"invariant lattice for context {w}: {', '.join(lat.spans())}",
+            "context_lattice", w=w, spans=lat.spans())
         check(
             f"context-lattice-{w}",
             frozenset(lat.spans()) == _EXPECTED_CONTEXT_SPANS[w],
@@ -753,11 +656,9 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     full_dim = inv.algebra_span(sigma).dim
     single_dim = inv.algebra_span(list(qubit.context(1).members)).dim
     common = inv.common_invariant_sublattice(sigma, full_lattice)
-    rep.text(
-        f"algebra dimension: full family {full_dim} of 4, single context "
-        f"{single_dim} of 4"
-    )
-    rep.record("algebra", full=full_dim, single_context=single_dim)
+    out(f"algebra dimension: full family {full_dim} of 4, single context "
+        f"{single_dim} of 4",
+        "algebra", full=full_dim, single_context=single_dim)
     check("burnside-full-family", full_dim == 4)
     check("burnside-single-context", single_dim == 2)
     check(
@@ -771,17 +672,13 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     o = full_lattice.index_of(sub.span([[1, 0]]))
     lhs = full_lattice.meet(full_lattice.join(k, m), o)
     rhs = full_lattice.join(full_lattice.meet(k, o), full_lattice.meet(m, o))
-    rep.text(
-        "distributivity witness: (span{[1,1]} v span{[1,-1]}) ^ span{[1,0]} = "
-        f"{full_lattice.elements[lhs].span_str()}, "
+    lhs_span = full_lattice.elements[lhs].span_str()
+    rhs_span = full_lattice.elements[rhs].span_str()
+    out("distributivity witness: (span{[1,1]} v span{[1,-1]}) ^ span{[1,0]} = "
+        f"{lhs_span}, "
         "(span{[1,1]} ^ span{[1,0]}) v (span{[1,-1]} ^ span{[1,0]}) = "
-        f"{full_lattice.elements[rhs].span_str()}"
-    )
-    rep.record(
-        "distributivity_witness",
-        lhs=full_lattice.elements[lhs].span_str(),
-        rhs=full_lattice.elements[rhs].span_str(),
-    )
+        f"{rhs_span}",
+        "distributivity_witness", lhs=lhs_span, rhs=rhs_span)
     dist_report = lt.check_distributive(full_lattice, limit=1000)
     check(
         "distributivity-counterexample",
@@ -824,19 +721,10 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         )
         battery_ok = battery_ok and ok
         span_name = full_lattice.elements[a].span_str()
-        rep.text(
-            f"filter battery at {span_name}: directed={'yes' if directed else 'no'} "
-            f"upward-closed={'yes' if closed else 'no'} "
-            f"prime-paper={'yes' if prime else 'no'}"
-        )
-        rep.record(
-            "filter_battery",
-            atom=span_name,
-            directed=directed,
-            upward_closed=closed,
-            prime_paper=prime,
-            bits=_bits(valuation.assignment),
-        )
+        out(f"filter battery at {span_name}: directed={_yes(directed)} "
+            f"upward-closed={_yes(closed)} prime-paper={_yes(prime)}",
+            "filter_battery", atom=span_name, directed=directed, upward_closed=closed,
+            prime_paper=prime, bits=_bits(valuation.assignment))
     check("filter-battery", battery_ok)
 
     # Valuation searches.
@@ -845,13 +733,9 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         len(flt.search_bivaluations(context_lattices[w], flt.FULL_HOMOMORPHISM_LAWS))
         for w in (1, 2, 3)
     ]
-    rep.text(
-        f"valuation search: full lattice {len(full_found)}, per context "
-        f"{per_context[0]}/{per_context[1]}/{per_context[2]}"
-    )
-    rep.record(
-        "valuation_search", full=len(full_found), per_context=per_context
-    )
+    out(f"valuation search: full lattice {len(full_found)}, per context "
+        f"{per_context[0]}/{per_context[1]}/{per_context[2]}",
+        "valuation_search", full=len(full_found), per_context=per_context)
     check(
         "valuation-search",
         len(full_found) == 0 and per_context == [2, 2, 2],
@@ -864,16 +748,10 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         flt.state_valuation(p11, sub.vector([1, -1])),
         flt.state_valuation(p11, sub.vector([1, 0])),
     )
-    rep.text(
-        f"state valuation of P(1,1): [1,1] -> {results[0]}, [1,-1] -> "
-        f"{results[1]}, [1,0] -> {results[2]}"
-    )
-    rep.record(
-        "state_valuation",
-        plus=str(results[0]),
-        minus=str(results[1]),
-        up=str(results[2]),
-    )
+    out(f"state valuation of P(1,1): [1,1] -> {results[0]}, [1,-1] -> "
+        f"{results[1]}, [1,0] -> {results[2]}",
+        "state_valuation", plus=str(results[0]), minus=str(results[1]),
+        up=str(results[2]))
     check(
         "state-valuation",
         results == (1, 0, flt.INDETERMINATE),
@@ -893,13 +771,13 @@ def _cmd_demo(args: argparse.Namespace) -> int:
             sub.meet(s, t).dim + sub.join(s, t).dim == s.dim + t.dim
         )
         spot_ok = spot_ok and de_morgan and dims
-    rep.text(f"random spot check: {pairs} pairs at seed {args.seed}")
-    rep.record("spot_check", pairs=pairs, seed=args.seed)
+    out(f"random spot check: {pairs} pairs at seed {args.seed}",
+        "spot_check", pairs=pairs, seed=args.seed)
     check("random-identities", spot_ok)
 
     failed = [name for name, ok in checks if not ok]
-    rep.text(f"demo-qubit: {len(checks) - len(failed)}/{len(checks)} checks passed")
-    rep.record("summary", checks=len(checks), failed=len(failed))
+    out(f"demo-qubit: {len(checks) - len(failed)}/{len(checks)} checks passed",
+        "summary", checks=len(checks), failed=len(failed))
     return 2 if failed else 0
 
 
@@ -1036,10 +914,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # InputError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

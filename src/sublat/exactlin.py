@@ -286,9 +286,6 @@ class ExactMatrix:
     def row(self, i: int) -> tuple[GaussianRational, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def col(self, j: int) -> tuple[GaussianRational, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
     def take_rows(self, indices: Iterable[int]) -> "ExactMatrix":
         idx = list(indices)
         flat: list[GaussianRational] = []

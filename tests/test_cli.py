@@ -80,6 +80,46 @@ def test_parse_input_validation_errors():
         parse_input("dim 2\nproj p = [[1]]")
 
 
+_PROJ_P = "proj p = [[1, 0], [0, 0]]\n"
+
+
+# (text, message, line, column); line and column are None for validation errors
+_PARSE_ERRORS = [
+    ("dim 2\nproj p [[1, 0], [0, 0]]", "malformed proj declaration", 2, 1),
+    ("dim 2\n  context c", "malformed context declaration", 2, 3),
+    ("dim 2\nray v = [  ]", "empty vector", 2, 10),
+    ("dim 2\nproj p = []", "empty matrix", 2, 11),
+    ("dim 2\nproj p = [[1, 0], ]", "empty row", 2, 19),
+    ("dim 2\nray v = 1, 0", "expected '['", 2, 9),
+    ("dim 2\nproj p = [1, 0]", "expected '['", 2, 11),
+    ("dim 2\nray v = [1, 0", "expected ']'", 2, 13),
+    ("dim 2\nproj p = [[1, 0] x, [0, 0]]", "expected ']'", 2, 18),
+    ("dim 2\n" + _PROJ_P + "context c = p, 1x", "expected a projector name", 3, 16),
+    ("dim 2\n" + _PROJ_P + "context c = p,", "expected a projector name", 3, 15),
+    ("dim 2\n" + _PROJ_P + "context c = p,  p",
+     "declaration 'c': duplicate member 'p'", None, None),
+    ("dim 2\n" + _PROJ_P + "ray v = [1, 0]\ncontext v = p",
+     "declaration 'v': name is already declared", None, None),
+    ("dim 2\n" + _PROJ_P + "context c = p\nray c = [1, 0]",
+     "declaration 'c': name is already declared", None, None),
+]
+
+
+@pytest.mark.parametrize(
+    "text, message, line, column", _PARSE_ERRORS, ids=[c[1] for c in _PARSE_ERRORS]
+)
+def test_parse_input_error_branches(text, message, line, column):
+    with pytest.raises((InputSyntaxError, InputValidationError)) as err:
+        parse_input(text)
+    if line is None:
+        assert isinstance(err.value, InputValidationError)
+        assert str(err.value) == message
+    else:
+        assert isinstance(err.value, InputSyntaxError)
+        assert str(err.value) == f"line {line}, column {column}: {message}"
+        assert (err.value.line, err.value.column) == (line, column)
+
+
 def test_lattice_command(capsys):
     assert main(["lattice", str(DATA)]) == 0
     out = capsys.readouterr().out
@@ -229,6 +269,39 @@ def test_contexts_rejects_trivial_context(tmp_path, capsys):
     assert main(["contexts", str(path)]) == 1
     err = capsys.readouterr().err
     assert "error: context 'bad' has no element besides {0} and C^2" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "records"])
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (
+            "dim 2\n"
+            "proj x1 = [[1/2, 1/2], [1/2, 1/2]]\n"
+            "proj z1 = [[1, 0], [0, 0]]\n"
+            "context bad = x1, z1\n",
+            "error: context 'bad' has no element besides {0} and C^2\n",
+        ),
+        (
+            "dim 3\n"
+            "proj a = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]\n"
+            "proj b = [[0, 0, 0], [0, 1, 0], [0, 0, 0]]\n"
+            "proj c = [[0, 0, 0], [0, 0, 0], [0, 0, 1]]\n"
+            "ray d = [1, 1, 0]\n"
+            "context k = a, b, c\n",
+            "error: lattice 'k' element span{[0,1,0],[0,0,1]} is neither trivial "
+            "nor an atom of the union lattice\n",
+        ),
+    ],
+    ids=["trivial-context", "plane-not-atom"],
+)
+def test_contexts_rejection_leaves_stdout_empty(tmp_path, capsys, text, error, fmt):
+    path = tmp_path / "rejected.sublat"
+    path.write_text(text)
+    assert main(["contexts", str(path), "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == error
 
 
 def test_dot_command(tmp_path, capsys):
