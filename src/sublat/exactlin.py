@@ -1,16 +1,29 @@
 """Exact arithmetic over the Gaussian rationals.
 
 Scalars are complex numbers whose real and imaginary parts are rationals
-in lowest terms, backed by fractions.Fraction. Matrices are immutable and
-row-major. Everything downstream rests on the four exact algorithms here:
-reduced row echelon form, kernel bases, conjugate transposition, and
-Gauss-Jordan inversion. No floating point is used anywhere.
+in lowest terms, backed by fractions.Fraction; they are the entries of
+every matrix that crosses this module's boundary. Matrices are immutable
+and row-major. Everything downstream rests on the four exact algorithms
+here: reduced row echelon form, kernel bases, conjugate transposition,
+and inversion, with kernels and inverses read off the reduced form.
+
+Elimination runs over the Gaussian integers Z[i]. Each row is scaled to
+Gaussian integers by the lcm of its denominators, and each pivot step is
+a fraction-free step of Bareiss (Math. Comp. 22, 1968) that divides
+exactly by the previous pivot, so every intermediate entry is a minor of
+the scaled matrix. Fractions are formed only when the reduced rows are
+divided by their pivots at the end. The pivot is the first nonzero entry
+scanning columns left to right and rows top to bottom, as in elimination
+over Q(i): every fraction-free row is a nonzero multiple of the row that
+elimination over Q(i) holds at the same step, so the pivots, and hence
+the reduced form, are the same. No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, NamedTuple, Sequence, Union
 
 __all__ = [
@@ -50,9 +63,12 @@ class GaussianRational:
     imag: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        # Fraction() normalizes to lowest terms with positive denominator.
-        object.__setattr__(self, "real", Fraction(self.real))
-        object.__setattr__(self, "imag", Fraction(self.imag))
+        # Fraction() normalizes to lowest terms with positive denominator; a
+        # part that is exactly a Fraction is in that form already.
+        if type(self.real) is not Fraction:
+            object.__setattr__(self, "real", Fraction(self.real))
+        if type(self.imag) is not Fraction:
+            object.__setattr__(self, "imag", Fraction(self.imag))
 
     def __repr__(self) -> str:
         return f"GaussianRational({format_scalar(self)!r})"
@@ -390,6 +406,76 @@ class ExactMatrix:
         return f"<{self.rows}x{self.cols} {body}>"
 
 
+# A Gaussian integer a+bi as the int pair (a, b).
+GaussianInteger = tuple[int, int]
+_GZERO: GaussianInteger = (0, 0)
+
+
+def _integer_row(entries: Sequence[GaussianRational]) -> list[GaussianInteger]:
+    """The entries scaled by the lcm of their denominators, as (re, im) pairs.
+
+    A nonzero rational scale leaves the row's span and its zero entries as
+    they were, so pivots found on the scaled row are the row's own.
+    """
+    scale = 1
+    for e in entries:
+        scale = lcm(scale, e.real.denominator, e.imag.denominator)
+    return [
+        (
+            e.real.numerator * (scale // e.real.denominator),
+            e.imag.numerator * (scale // e.imag.denominator),
+        )
+        for e in entries
+    ]
+
+
+def _eliminate(
+    row: list[GaussianInteger],
+    pivot_row: list[GaussianInteger],
+    col: int,
+    prev: GaussianInteger,
+) -> list[GaussianInteger]:
+    """One Bareiss step, (p*row - row[col]*pivot_row) / prev with p = pivot_row[col].
+
+    prev is the pivot of the step before (1 for the first step). By
+    Sylvester's identity every entry of the result is a minor of the scaled
+    matrix, so the division is exact in Z[i]; it multiplies through by the
+    conjugate of prev and divides by its norm. The result is 0 at col.
+    """
+    pr, pi = pivot_row[col]
+    fr, fi = row[col]
+    qr, qi = prev
+    if qi:
+        norm = qr * qr + qi * qi
+        pr, pi = pr * qr + pi * qi, pi * qr - pr * qi
+        fr, fi = fr * qr + fi * qi, fi * qr - fr * qi
+    else:
+        norm = qr
+    return [
+        (
+            (pr * xr - pi * xi - fr * yr + fi * yi) // norm,
+            (pr * xi + pi * xr - fr * yi - fi * yr) // norm,
+        )
+        for (xr, xi), (yr, yi) in zip(row, pivot_row)
+    ]
+
+
+def _divided(row: list[GaussianInteger], d: GaussianInteger) -> list[GaussianRational]:
+    """The row divided by the nonzero Gaussian integer d, as Gaussian rationals."""
+    dr, di = d
+    if di:
+        norm = dr * dr + di * di
+        row = [(xr * dr + xi * di, xi * dr - xr * di) for xr, xi in row]
+    else:
+        norm = dr
+    one = (norm, 0)
+    return [
+        ONE if x == one else ZERO if x == _GZERO
+        else GaussianRational(Fraction(x[0], norm), Fraction(x[1], norm))
+        for x in row
+    ]
+
+
 class RrefResult(NamedTuple):
     matrix: ExactMatrix
     pivots: tuple[int, ...]
@@ -402,27 +488,35 @@ def rref(m: ExactMatrix) -> RrefResult:
     Pivots are chosen as the first nonzero entry scanning columns left to
     right and rows top to bottom, so the result is unique for a given
     matrix and equality of rref forms is entry-wise equality.
+
+    The elimination is fraction-free Gauss-Jordan over Z[i]: the rows are
+    scaled to Gaussian integers, each pivot step is one Bareiss step on
+    every other row, and each pivot row is divided by its pivot once, at
+    the end. Each row stays a nonzero multiple of its counterpart in
+    elimination over Q(i), so the pivots are the same.
     """
-    work = [list(m.row(i)) for i in range(m.rows)]
+    work = [_integer_row(m.row(i)) for i in range(m.rows)]
     pivots: list[int] = []
+    prev: GaussianInteger = (1, 0)
     r = 0
     for c in range(m.cols):
-        pivot_row = next((i for i in range(r, m.rows) if work[i][c]), None)
+        pivot_row = next((i for i in range(r, m.rows) if work[i][c] != _GZERO), None)
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = ONE / work[r][c]
-        work[r] = [e * inv for e in work[r]]
         for i in range(m.rows):
-            if i != r and work[i][c]:
-                factor = work[i][c]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
+            if i != r:
+                work[i] = _eliminate(work[i], work[r], c, prev)
+        prev = work[r][c]
         pivots.append(c)
         r += 1
         if r == m.rows:
             break
-    flat = tuple(e for row in work for e in row)
-    return RrefResult(ExactMatrix(m.rows, m.cols, flat), tuple(pivots), r)
+    flat: list[GaussianRational] = []
+    for row, c in zip(work, pivots):
+        flat.extend(_divided(row, row[c]))
+    flat.extend([ZERO] * ((m.rows - r) * m.cols))
+    return RrefResult(ExactMatrix(m.rows, m.cols, tuple(flat)), tuple(pivots), r)
 
 
 def rank(m: ExactMatrix) -> int:

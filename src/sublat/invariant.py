@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 from . import filters as flt
 from . import lattice as lt
 from . import subspace as sub
-from .exactlin import ONE, ExactMatrix, GaussianRational, rank
+from .exactlin import ExactMatrix, GaussianInteger, _eliminate, _integer_row, rank
 from .lattice import FiniteLattice
 from .subspace import Subspace
 
@@ -81,9 +81,11 @@ def algebra_span(generators: Iterable[ExactMatrix]) -> AlgebraBasis:
     and the generators, and is then walked as a queue: for each member b
     and each generator g, the product g @ b joins the basis when it is
     independent of the members so far. Independence is decided by
-    reducing the product's entries against an echelon form of the members,
-    one row per member, scaled to 1 at its pivot. The walk ends when the
-    queue is exhausted or the basis has n^2 members, which is all of M_n.
+    reducing the product's entries, scaled to Gaussian integers, against an
+    echelon form of the members: one fraction-free row per member, kept as
+    its own reduction left it, with the pivot at its first nonzero entry.
+    The walk ends when the queue is exhausted or the basis has n^2 members,
+    which is all of M_n.
     """
     gens = list(generators)
     if not gens:
@@ -95,21 +97,21 @@ def algebra_span(generators: Iterable[ExactMatrix]) -> AlgebraBasis:
 
     full = n * n
     basis: list[ExactMatrix] = []
-    echelon: list[tuple[int, list[GaussianRational]]] = []
+    echelon: list[tuple[int, list[GaussianInteger]]] = []
 
     def try_add(m: ExactMatrix) -> None:
-        # Each kept row is 0 at every earlier pivot, so one pass in
-        # insertion order clears all of them.
-        row = list(m.entries)
+        # Forward Bareiss, one kept row at a time: each kept row is 0 at every
+        # earlier pivot, so one pass in insertion order clears all of them,
+        # each step dividing exactly by the previous kept row's pivot.
+        row = _integer_row(m.entries)
+        prev: GaussianInteger = (1, 0)
         for pivot, kept in echelon:
-            factor = row[pivot]
-            if factor:
-                row = [a - factor * b if b else a for a, b in zip(row, kept)]
-        pivot = next((c for c, e in enumerate(row) if e), None)
+            row = _eliminate(row, kept, pivot, prev)
+            prev = kept[pivot]
+        pivot = next((c for c, e in enumerate(row) if e != (0, 0)), None)
         if pivot is None:
             return
-        inv = ONE / row[pivot]
-        echelon.append((pivot, [e * inv for e in row]))
+        echelon.append((pivot, row))
         basis.append(m)
 
     try_add(ExactMatrix.identity(n))

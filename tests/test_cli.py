@@ -271,7 +271,7 @@ def test_contexts_rejects_trivial_context(tmp_path, capsys):
     assert "error: context 'bad' has no element besides {0} and C^2" in err
 
 
-@pytest.mark.parametrize("fmt", ["text", "records"])
+@pytest.mark.parametrize("fmt", [None, "text", "records"], ids=["default", "text", "records"])
 @pytest.mark.parametrize(
     "text, error",
     [
@@ -298,7 +298,8 @@ def test_contexts_rejects_trivial_context(tmp_path, capsys):
 def test_contexts_rejection_leaves_stdout_empty(tmp_path, capsys, text, error, fmt):
     path = tmp_path / "rejected.sublat"
     path.write_text(text)
-    assert main(["contexts", str(path), "--format", fmt]) == 1
+    fmt_args = [] if fmt is None else ["--format", fmt]
+    assert main(["contexts", str(path), *fmt_args]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == error

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from sublat.exactlin import ExactMatrix, rank
+from sublat.exactlin import ZERO, ExactMatrix, invert, rank
 from sublat.filters import FULL_HOMOMORPHISM_LAWS, satisfies_laws, search_bivaluations
 from sublat.invariant import (
     AlgebraBasis,
@@ -404,13 +404,33 @@ def _random_integer_matrix(rng, n):
     return M([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
 
 
-def test_algebra_span_matches_product_closure_reference(rng):
+def _block_triangular_family(rng, random_matrix, n, m):
+    """Two random operators that keep span(e_1..e_m) invariant, conjugated
+    by a unit lower-triangular matrix with small Gaussian-integer entries,
+    so the invariant subspace is no coordinate subspace."""
+    s = M([[1 if i == j else rng.choice((0, 1, -1, "i", "1-i")) if i > j else 0
+            for j in range(n)] for i in range(n)])
+    gens = []
+    for _ in range(2):
+        g = random_matrix(n, n)
+        gens.append(ExactMatrix(n, n, tuple(
+            ZERO if i >= m > j else g[i, j] for i in range(n) for j in range(n)
+        )))
+    return [invert(s) @ g @ s for g in gens]
+
+
+def test_algebra_span_matches_product_closure_reference(rng, random_matrix):
     sigma = list(nontrivial_projectors())
     cases = [rng.sample(sigma, rng.randint(1, len(sigma))) for _ in range(6)]
     cases.append(_full_family(rng))
     cases += [_block_family(rng, m)[0] for m in (1, 2)]
     for n, count in ((2, 1), (2, 2), (3, 1), (3, 2)):
         cases.append([_random_integer_matrix(rng, n) for _ in range(count)])
+    # Denominators and imaginary parts make the reduction divide by
+    # non-real pivots.
+    for n, count in ((3, 1), (3, 2), (4, 1)):
+        cases.append([random_matrix(n, n) for _ in range(count)])
+    cases += [_block_triangular_family(rng, random_matrix, n, m) for n, m in ((3, 1), (4, 2))]
     for gens in cases:
         got = algebra_span(gens).basis
         expected = _reference_span(gens)

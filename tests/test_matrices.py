@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 
 from sublat.exactlin import (
+    ONE,
     ExactMatrix,
     GaussianRational,
+    RrefResult,
     ZERO,
     hstack,
     invert,
@@ -14,6 +16,30 @@ from sublat.exactlin import (
 )
 
 M = ExactMatrix.from_rows
+
+
+def _reference_rref(m: ExactMatrix) -> RrefResult:
+    """Gauss-Jordan in GaussianRational arithmetic, the former body of rref."""
+    work = [list(m.row(i)) for i in range(m.rows)]
+    pivots: list[int] = []
+    r = 0
+    for c in range(m.cols):
+        pivot_row = next((i for i in range(r, m.rows) if work[i][c]), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        inv = ONE / work[r][c]
+        work[r] = [e * inv for e in work[r]]
+        for i in range(m.rows):
+            if i != r and work[i][c]:
+                factor = work[i][c]
+                work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == m.rows:
+            break
+    flat = tuple(e for row in work for e in row)
+    return RrefResult(ExactMatrix(m.rows, m.cols, flat), tuple(pivots), r)
 
 
 def test_rref_examples():
@@ -48,6 +74,45 @@ def test_rref_pivot_normalization():
     reduced, pivots, r = rref(M([["2i", 0, 4]]))
     assert reduced == M([["1", "0", "-2i"]])
     assert pivots == (0,)
+
+
+def _elimination_cases(rng, random_matrix):
+    """Matrices up to 12x12, most with non-unit denominators and nonzero
+    imaginary parts, so the fraction-free pivots are non-real."""
+    cases = [random_matrix(1, 1), ExactMatrix.zeros(1, 1)]
+    # dense square, wide and tall
+    cases += [random_matrix(n, n) for n in (2, 3, 4, 8, 12)]
+    cases += [random_matrix(r, c) for r, c in ((2, 5), (3, 7), (4, 12), (6, 12))]
+    cases += [random_matrix(r, c) for r, c in ((5, 2), (7, 3), (12, 4), (12, 6))]
+    # dependent rows: each row a combination of the same r random rows
+    for rows, cols, r in ((3, 3, 1), (5, 5, 2), (8, 8, 5), (12, 12, 7), (6, 10, 3), (10, 4, 2)):
+        cases.append(random_matrix(rows, r) @ random_matrix(r, cols))
+    # small Gaussian integers, whose pivots reach units and 1+i
+    small = [GaussianRational(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
+    for rows, cols in ((2, 2), (3, 3), (4, 6), (6, 6)):
+        cases += [M([[rng.choice(small) for _ in range(cols)] for _ in range(rows)])
+                  for _ in range(10)]
+    # all-zero columns, first and inside, and about half the entries zero
+    for rows, cols in ((4, 4), (6, 9), (12, 12)):
+        m = random_matrix(rows, cols)
+        zero_cols = {0, rng.randrange(1, cols)}
+        cases.append(ExactMatrix(rows, cols, tuple(
+            ZERO if j in zero_cols or rng.random() < 0.5 else m[i, j]
+            for i in range(rows) for j in range(cols)
+        )))
+    return cases
+
+
+def test_rref_matches_reference(rng, random_matrix):
+    for m in _elimination_cases(rng, random_matrix):
+        got = rref(m)
+        assert got == _reference_rref(m), str(m)
+        assert (m @ kernel_basis(m)).is_zero()
+        if m.is_square() and got.rank == m.rows:
+            assert invert(m) @ m == ExactMatrix.identity(m.rows)
+        elif m.is_square():
+            with pytest.raises(ValueError, match="singular"):
+                invert(m)
 
 
 def test_kernel_examples():
