@@ -56,7 +56,7 @@ __all__ = [
     "satisfies_laws",
     "state_valuation",
     "search_bivaluations",
-    "SEARCH_SIZE_CAP",
+    "SEARCH_FREE_BIT_CAP",
 ]
 
 CONVENTION_PAPER = "paper"
@@ -71,7 +71,7 @@ BOTTOM_TO_ZERO = "bottom-to-zero"
 KNOWN_LAWS = frozenset({MEET_HOM, JOIN_HOM, COMPLEMENT_LAW, TOP_TO_ONE, BOTTOM_TO_ZERO})
 FULL_HOMOMORPHISM_LAWS = frozenset({MEET_HOM, JOIN_HOM, TOP_TO_ONE, BOTTOM_TO_ZERO})
 
-SEARCH_SIZE_CAP = 24
+SEARCH_FREE_BIT_CAP = 16
 
 
 class _Sentinel:
@@ -275,12 +275,12 @@ def _satisfies(host: FiniteLattice, v: tuple[int, ...], chosen, comp) -> bool:
     meet_hom, join_hom = MEET_HOM in chosen, JOIN_HOM in chosen
     if not (meet_hom or join_hom):
         return True
-    size = len(host)
-    for x, y in itertools.product(range(size), repeat=2):
-        if meet_hom and v[host.meet(x, y)] != min(v[x], v[y]):
-            return False
-        if join_hom and v[host.join(x, y)] != max(v[x], v[y]):
-            return False
+    for vx, meet_row, join_row in zip(v, host.meet_table, host.join_table):
+        for vy, m, j in zip(v, meet_row, join_row):
+            if meet_hom and v[m] != min(vx, vy):
+                return False
+            if join_hom and v[j] != max(vx, vy):
+                return False
     return True
 
 
@@ -301,18 +301,14 @@ def search_bivaluations(
     The candidates come from the order table. Under meet-hom the 1-set of
     a map is empty or a principal filter up(a); under join-hom the 0-set
     is empty or a principal ideal down(b). So there are n+1 candidates,
-    each checked against the whole law set. Without either law the answer
-    is a product over free bits and can hold 2^n maps, so lattices above
-    SEARCH_SIZE_CAP elements are refused there.
+    each checked against the whole law set. Without either law the
+    candidates are a product over free bits, one per element or per
+    orthocomplement pair, so k free bits give 2^k candidates; a search
+    with more than SEARCH_FREE_BIT_CAP free bits is refused before any
+    candidate is listed.
     """
     chosen = _check_law_tokens(laws)
     size = len(host)
-    if MEET_HOM not in chosen and JOIN_HOM not in chosen and size > SEARCH_SIZE_CAP:
-        raise ValueError(
-            f"lattice has {size} elements; the search cap is {SEARCH_SIZE_CAP} "
-            "elements for law sets without meet-hom or join-hom, whose "
-            f"valuations are listed one by one (up to 2^{size} of them)"
-        )
     comp = orthocomplement_indices(host) if COMPLEMENT_LAW in chosen else None
     if MEET_HOM in chosen:
         candidates = [(0,) * size] + [tuple(map(int, row)) for row in host.order]
@@ -321,9 +317,15 @@ def search_bivaluations(
             tuple(int(not host.leq(y, b)) for y in range(size)) for b in range(size)
         ]
     else:
-        # one free bit per element, or per orthocomplement pair; bottom and
-        # top are left to the law check
+        # bottom and top are left to the law check
         free = [i for i in range(size) if comp is None or i <= comp[i]]
+        if len(free) > SEARCH_FREE_BIT_CAP:
+            raise ValueError(
+                f"lattice has {size} elements and {len(free)} free bits; the "
+                f"search cap is {SEARCH_FREE_BIT_CAP} free bits for law sets "
+                "without meet-hom or join-hom, whose valuations are listed "
+                f"one by one (2^{len(free)} candidates)"
+            )
         bit_maps = (
             dict(zip(free, bits)) for bits in itertools.product((0, 1), repeat=len(free))
         )

@@ -9,12 +9,14 @@ pair of elements once: dimension alone settles pairs that involve the
 bottom or the top, pairs of hyperplanes of C^2 and the zero meets that
 Grassmann's formula shows, and exact meet or join does the rest. All
 three tables are read off those pair results, and sublattices of a built
-lattice are taken by restricting its tables.
+lattice are taken by restricting its tables. Atoms, covers and law
+reports are counted off the tables too, with no subspace algebra.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -232,33 +234,24 @@ def sublattice(lat: FiniteLattice, indices: Iterable[int]) -> FiniteLattice:
 
 
 def atoms(lat: FiniteLattice) -> tuple[int, ...]:
-    """Indices of elements covering the bottom."""
-    found = []
-    for i in range(len(lat)):
-        if i == lat.bottom:
-            continue
-        strictly_below = [
-            z for z in range(len(lat)) if z != i and lat.leq(z, i) and z != lat.bottom
-        ]
-        if not strictly_below:
-            found.append(i)
-    return tuple(found)
+    """Indices of elements covering the bottom: a != bottom whose down-set,
+    its order column, is exactly {bottom, a}."""
+    return tuple(
+        i for i, column in enumerate(zip(*lat.order))
+        if i != lat.bottom and sum(column) == 2
+    )
 
 
 def covers(lat: FiniteLattice) -> tuple[tuple[int, int], ...]:
-    """All covering pairs (i, j): i < j with nothing strictly between."""
-    pairs = []
-    for i in range(len(lat)):
-        for j in range(len(lat)):
-            if i == j or not lat.leq(i, j):
-                continue
-            between = any(
-                z not in (i, j) and lat.leq(i, z) and lat.leq(z, j)
-                for z in range(len(lat))
-            )
-            if not between:
-                pairs.append((i, j))
-    return tuple(pairs)
+    """All covering pairs (i, j): i < j with nothing strictly between, that
+    is, the interval {z : i <= z <= j} holds exactly i and j."""
+    columns = tuple(zip(*lat.order))
+    return tuple(
+        (i, j)
+        for i, up in enumerate(lat.order)
+        for j, down in enumerate(columns)
+        if i != j and up[j] and sum(map(operator.and_, up, down)) == 2
+    )
 
 
 def orthocomplement_indices(
@@ -294,40 +287,38 @@ class LawReport:
     violations: tuple[LawViolation, ...]
 
 
-def _collect(law: str, found: list[LawViolation], total: int) -> LawReport:
+def _report(
+    law: str, cases: Iterable[tuple[tuple[int, ...], int, int]], limit: int
+) -> LawReport:
+    """Count the (elements, lhs, rhs) cases whose sides differ, keeping the
+    first limit of them."""
+    total = 0
+    found: list[LawViolation] = []
+    for elements, lhs, rhs in cases:
+        if lhs != rhs:
+            total += 1
+            if len(found) < limit:
+                found.append(LawViolation(elements, lhs, rhs))
     return LawReport(law, total == 0, total, tuple(found))
 
 
 def check_distributive(lat: FiniteLattice, *, limit: int = 10) -> LawReport:
     """Scan all ordered triples (a, b, c) for (a v b) ^ c = (a ^ c) v (b ^ c)."""
-    found: list[LawViolation] = []
-    total = 0
-    size = len(lat)
-    for a, b, c in itertools.product(range(size), repeat=3):
-        lhs = lat.meet(lat.join(a, b), c)
-        rhs = lat.join(lat.meet(a, c), lat.meet(b, c))
-        if lhs != rhs:
-            total += 1
-            if len(found) < limit:
-                found.append(LawViolation((a, b, c), lhs, rhs))
-    return _collect("distributive", found, total)
+    meet, join = lat.meet_table, lat.join_table
+    return _report("distributive", (
+        ((a, b, c), meet[join[a][b]][c], join[meet[a][c]][meet[b][c]])
+        for a, b, c in itertools.product(range(len(lat)), repeat=3)
+    ), limit)
 
 
 def check_modular(lat: FiniteLattice, *, limit: int = 10) -> LawReport:
     """Scan triples with a <= c for a v (b ^ c) = (a v b) ^ c."""
-    found: list[LawViolation] = []
-    total = 0
-    size = len(lat)
-    for a, b, c in itertools.product(range(size), repeat=3):
-        if not lat.leq(a, c):
-            continue
-        lhs = lat.join(a, lat.meet(b, c))
-        rhs = lat.meet(lat.join(a, b), c)
-        if lhs != rhs:
-            total += 1
-            if len(found) < limit:
-                found.append(LawViolation((a, b, c), lhs, rhs))
-    return _collect("modular", found, total)
+    meet, join, order = lat.meet_table, lat.join_table, lat.order
+    return _report("modular", (
+        ((a, b, c), join[a][meet[b][c]], meet[join[a][b]][c])
+        for a, b, c in itertools.product(range(len(lat)), repeat=3)
+        if order[a][c]
+    ), limit)
 
 
 def check_orthomodular(
@@ -342,19 +333,12 @@ def check_orthomodular(
     ValueError naming the first one that is not.
     """
     comp = orthocomplement_indices(lat, complement)
-    found: list[LawViolation] = []
-    total = 0
-    size = len(lat)
-    for a in range(size):
-        for b in range(size):
-            if not lat.leq(a, b):
-                continue
-            rebuilt = lat.join(a, lat.meet(comp[a], b))
-            if rebuilt != b:
-                total += 1
-                if len(found) < limit:
-                    found.append(LawViolation((a, b), rebuilt, b))
-    return _collect("orthomodular", found, total)
+    meet, join, order = lat.meet_table, lat.join_table, lat.order
+    return _report("orthomodular", (
+        ((a, b), join[a][meet[comp[a]][b]], b)
+        for a, b in itertools.product(range(len(lat)), repeat=2)
+        if order[a][b]
+    ), limit)
 
 
 def to_dot(lat: FiniteLattice, name: str = "lattice") -> str:

@@ -164,10 +164,10 @@ def leq(s: Subspace, t: Subspace) -> bool:
 
 
 def meet(s: Subspace, t: Subspace) -> Subspace:
-    """Intersection, via the joint system B_s x = B_t y."""
+    """Intersection, via the joint system B_s x + B_t y = 0: each kernel
+    vector gives B_s x = B_t (-y), a vector of both."""
     _require_same_ambient(s, t)
-    stacked = hstack(s.basis, -t.basis)
-    coeffs = kernel_basis(stacked)
+    coeffs = kernel_basis(hstack(s.basis, t.basis))
     x_part = coeffs.take_rows(range(s.dim))
     return image(s.basis @ x_part)
 

@@ -258,19 +258,6 @@ def test_contexts_requires_contexts(tmp_path, capsys):
     assert "no contexts declared" in capsys.readouterr().err
 
 
-def test_contexts_rejects_trivial_context(tmp_path, capsys):
-    path = tmp_path / "trivial.sublat"
-    path.write_text(
-        "dim 2\n"
-        "proj x1 = [[1/2, 1/2], [1/2, 1/2]]\n"
-        "proj z1 = [[1, 0], [0, 0]]\n"
-        "context bad = x1, z1\n"
-    )
-    assert main(["contexts", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert "error: context 'bad' has no element besides {0} and C^2" in err
-
-
 @pytest.mark.parametrize("fmt", [None, "text", "records"], ids=["default", "text", "records"])
 @pytest.mark.parametrize(
     "text, error",

@@ -249,8 +249,18 @@ def test_search_size_guard():
     # so no cap applies; MO_24 has no two-valued homomorphism
     assert search_bivaluations(lat, FULL_HOMOMORPHISM_LAWS) == ()
     assert len(search_bivaluations(lat, {MEET_HOM, BOTTOM_TO_ZERO})) == 26
-    with pytest.raises(ValueError, match="search cap is 24 .* without meet-hom or join-hom"):
+    with pytest.raises(
+        ValueError,
+        match="26 elements and 26 free bits; the search cap is 16 free bits .* "
+        "without meet-hom or join-hom",
+    ):
         search_bivaluations(lat, {TOP_TO_ONE})
+    # MO_16 has 18 elements, within the earlier cap of 24 elements, but 2^18
+    # candidates; it is refused before any is listed
+    mo16 = close_and_build([span([[1, k]]) for k in range(15)] + [span([[0, 1]])])
+    assert len(mo16) == 18
+    with pytest.raises(ValueError, match="18 elements and 18 free bits"):
+        search_bivaluations(mo16, {TOP_TO_ONE})
 
 
 def test_satisfies_laws(full_lattice):

@@ -7,6 +7,8 @@ from sublat.exactlin import GaussianRational, as_scalar
 from sublat.lattice import (
     ClosureCapError,
     FiniteLattice,
+    LawReport,
+    LawViolation,
     atoms,
     check_distributive,
     check_modular,
@@ -193,7 +195,7 @@ def test_orthocomplement_indices(full_lattice):
     assert all(comp[comp[i]] == i for i in range(8))
 
 
-def test_non_modular_lattice_detected():
+def _pentagon():
     # Subspace lattices are always modular, so the failure branch of the
     # scanner needs hand-built pentagon tables: bottom < a < c, bottom < b.
     order = {
@@ -223,7 +225,7 @@ def test_non_modular_lattice_detected():
         span([[1, 0, 0, 0, 0], [0, 0, 1, 0, 0]]),
         Subspace.full(5),
     ]
-    pentagon = FiniteLattice(
+    return FiniteLattice(
         ambient_dim=5,
         elements=tuple(spans),
         order=tuple(tuple(row) for row in leq),
@@ -232,6 +234,10 @@ def test_non_modular_lattice_detected():
         bottom=0,
         top=4,
     )
+
+
+def test_non_modular_lattice_detected():
+    pentagon = _pentagon()
     assert not check_modular(pentagon).holds
     assert not check_distributive(pentagon).holds
 
@@ -429,3 +435,134 @@ def test_close_and_build_operation_counts(monkeypatch):
     frame = close_and_build([span([[1, 0, 0]]), span([[0, 1, 0]]), span([[0, 0, 1]])])
     assert len(frame) == 8
     assert counts == {"meet": 3, "join": 12, "leq": 0}
+
+
+# The bodies below are the earlier accessor-based scans, kept verbatim as
+# references for the table-counting versions.
+
+
+def _reference_atoms(lat):
+    found = []
+    for i in range(len(lat)):
+        if i == lat.bottom:
+            continue
+        strictly_below = [
+            z for z in range(len(lat)) if z != i and lat.leq(z, i) and z != lat.bottom
+        ]
+        if not strictly_below:
+            found.append(i)
+    return tuple(found)
+
+
+def _reference_covers(lat):
+    pairs = []
+    for i in range(len(lat)):
+        for j in range(len(lat)):
+            if i == j or not lat.leq(i, j):
+                continue
+            between = any(
+                z not in (i, j) and lat.leq(i, z) and lat.leq(z, j)
+                for z in range(len(lat))
+            )
+            if not between:
+                pairs.append((i, j))
+    return tuple(pairs)
+
+
+def _reference_collect(law, found, total):
+    return LawReport(law, total == 0, total, tuple(found))
+
+
+def _reference_check_distributive(lat, *, limit=10):
+    found = []
+    total = 0
+    size = len(lat)
+    for a, b, c in itertools.product(range(size), repeat=3):
+        lhs = lat.meet(lat.join(a, b), c)
+        rhs = lat.join(lat.meet(a, c), lat.meet(b, c))
+        if lhs != rhs:
+            total += 1
+            if len(found) < limit:
+                found.append(LawViolation((a, b, c), lhs, rhs))
+    return _reference_collect("distributive", found, total)
+
+
+def _reference_check_modular(lat, *, limit=10):
+    found = []
+    total = 0
+    size = len(lat)
+    for a, b, c in itertools.product(range(size), repeat=3):
+        if not lat.leq(a, c):
+            continue
+        lhs = lat.join(a, lat.meet(b, c))
+        rhs = lat.meet(lat.join(a, b), c)
+        if lhs != rhs:
+            total += 1
+            if len(found) < limit:
+                found.append(LawViolation((a, b, c), lhs, rhs))
+    return _reference_collect("modular", found, total)
+
+
+def _reference_check_orthomodular(lat, complement=sub.orthocomplement, *, limit=10):
+    comp = orthocomplement_indices(lat, complement)
+    found = []
+    total = 0
+    size = len(lat)
+    for a in range(size):
+        for b in range(size):
+            if not lat.leq(a, b):
+                continue
+            rebuilt = lat.join(a, lat.meet(comp[a], b))
+            if rebuilt != b:
+                total += 1
+                if len(found) < limit:
+                    found.append(LawViolation((a, b), rebuilt, b))
+    return _reference_collect("orthomodular", found, total)
+
+
+def _generated(lat, picks):
+    """The index set that picks, the bottom and the top generate under the
+    lattice's meet and join tables."""
+    kept = {lat.bottom, lat.top, *picks}
+    while True:
+        more = {
+            table[i][j] for table in (lat.meet_table, lat.join_table)
+            for i in kept for j in kept
+        }
+        if more <= kept:
+            return kept
+        kept |= more
+
+
+def _outcome(check, lat, limit):
+    try:
+        return check(lat, limit=limit)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def test_table_counts_match_accessor_references(rng, full_lattice, diamond, two_chain):
+    lattices = {"qubit": full_lattice, "diamond": diamond, "2-chain": two_chain}
+    lattices["pentagon"] = _pentagon()
+    for label, seeds in _closure_cases(rng).items():
+        lat = lattices[label] = close_and_build(seeds)
+        for k in (1, 2, 3):
+            picks = rng.sample(range(len(lat)), min(k, len(lat)))
+            lattices[f"{label}/sub{k}"] = sublattice(lat, _generated(lat, picks))
+    checks = (
+        (check_distributive, _reference_check_distributive),
+        (check_modular, _reference_check_modular),
+        (check_orthomodular, _reference_check_orthomodular),
+    )
+    raised = 0
+    for label, lat in lattices.items():
+        assert atoms(lat) == _reference_atoms(lat), label
+        assert covers(lat) == _reference_covers(lat), label
+        for check, reference in checks:
+            for limit in (0, 1, 10, 10_000):
+                got = _outcome(check, lat, limit)
+                assert got == _outcome(reference, lat, limit), (label, check, limit)
+                raised += isinstance(got, tuple)
+    # the pentagon fails distributivity, and some cases have no orthocomplements
+    assert not check_distributive(lattices["pentagon"]).holds
+    assert raised > 0
