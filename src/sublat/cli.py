@@ -794,6 +794,17 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _nonnegative_int(text: str) -> int:
+    """argparse type for a count; a negative value is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _add_format(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format",
@@ -817,7 +828,9 @@ def _build_parser() -> _ArgumentParser:
 
     p = commands.add_parser("laws", help="distributive, modular, orthomodular checks")
     p.add_argument("file")
-    p.add_argument("--limit", type=int, default=10, help="violations shown per law")
+    p.add_argument(
+        "--limit", type=_nonnegative_int, default=10, help="violations shown per law"
+    )
     p.add_argument(
         "--assert",
         dest="asserts",

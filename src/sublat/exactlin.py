@@ -17,6 +17,12 @@ scanning columns left to right and rows top to bottom, as in elimination
 over Q(i): every fraction-free row is a nonzero multiple of the row that
 elimination over Q(i) holds at the same step, so the pivots, and hence
 the reduced form, are the same. No floating point is used anywhere.
+
+Products run over Z[i] too: each factor is scaled once to Gaussian
+integers, the integer product is taken term by term, and Fractions are
+formed once per result entry. Matrices this package builds from
+GaussianRational entries it computed itself go through a trusted
+constructor that skips the per-entry coercion of the public one.
 """
 
 from __future__ import annotations
@@ -262,13 +268,33 @@ class ExactMatrix:
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        coerced = tuple(as_scalar(e) for e in self.entries)
-        if len(coerced) != self.rows * self.cols:
+        object.__setattr__(self, "entries", tuple(as_scalar(e) for e in self.entries))
+        self._check_length()
+
+    @classmethod
+    def _trusted(
+        cls, rows: int, cols: int, entries: tuple[GaussianRational, ...]
+    ) -> "ExactMatrix":
+        """A matrix from entries that are GaussianRational already.
+
+        Only this module and the package's own modules call it, on tuples
+        they built from GaussianRational arithmetic, so the per-entry
+        coercion of the public constructor is skipped; the length is still
+        checked.
+        """
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "entries", entries)
+        m._check_length()
+        return m
+
+    def _check_length(self) -> None:
+        if len(self.entries) != self.rows * self.cols:
             raise ValueError(
                 f"expected {self.rows * self.cols} entries for a "
-                f"{self.rows}x{self.cols} matrix, got {len(coerced)}"
+                f"{self.rows}x{self.cols} matrix, got {len(self.entries)}"
             )
-        object.__setattr__(self, "entries", coerced)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[ScalarLike]]) -> "ExactMatrix":
@@ -307,25 +333,25 @@ class ExactMatrix:
         flat: list[GaussianRational] = []
         for i in idx:
             flat.extend(self.row(i))
-        return ExactMatrix(len(idx), self.cols, tuple(flat))
+        return ExactMatrix._trusted(len(idx), self.cols, tuple(flat))
 
     def take_cols(self, indices: Iterable[int]) -> "ExactMatrix":
         idx = list(indices)
         flat = [self.entries[i * self.cols + j] for i in range(self.rows) for j in idx]
-        return ExactMatrix(self.rows, len(idx), tuple(flat))
+        return ExactMatrix._trusted(self.rows, len(idx), tuple(flat))
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols, tuple(-e for e in self.entries))
+        return ExactMatrix._trusted(self.rows, self.cols, tuple(-e for e in self.entries))
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._require_same_shape(other)
-        return ExactMatrix(
+        return ExactMatrix._trusted(
             self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries))
         )
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._require_same_shape(other)
-        return ExactMatrix(
+        return ExactMatrix._trusted(
             self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries))
         )
 
@@ -333,11 +359,18 @@ class ExactMatrix:
         z = _coerce(scalar)
         if z is None:
             return NotImplemented
-        return ExactMatrix(self.rows, self.cols, tuple(e * z for e in self.entries))
+        return ExactMatrix._trusted(self.rows, self.cols, tuple(e * z for e in self.entries))
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
+        """The matrix product, taken over Z[i].
+
+        Each factor is scaled once to Gaussian integers by the lcm of its
+        denominators; the integer product is divided by the two scales'
+        product, so a Fraction is formed once per result entry, not once
+        per term.
+        """
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if self.cols != other.rows:
@@ -345,29 +378,22 @@ class ExactMatrix:
                 f"shapes {self.rows}x{self.cols} and {other.rows}x{other.cols} "
                 "are not conformable"
             )
-        flat: list[GaussianRational] = []
-        for i in range(self.rows):
-            # Zero terms add nothing, so only the row's nonzero entries are
-            # multiplied, and only by nonzero entries of the other factor.
-            terms = [(j, a) for j, a in enumerate(self.row(i)) if a]
-            for k in range(other.cols):
-                acc = ZERO
-                for j, a in terms:
-                    b = other.entries[j * other.cols + k]
-                    if b:
-                        acc = acc + a * b
-                flat.append(acc)
-        return ExactMatrix(self.rows, other.cols, tuple(flat))
+        a, da = _integer_row(self.entries)
+        b, db = _integer_row(other.entries)
+        product = _gaussian_product(a, b, self.rows, self.cols, other.cols)
+        return ExactMatrix._trusted(
+            self.rows, other.cols, tuple(_divided(product, (da * db, 0)))
+        )
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
+        return ExactMatrix._trusted(
             self.cols,
             self.rows,
             tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)),
         )
 
     def conjugate_transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
+        return ExactMatrix._trusted(
             self.cols,
             self.rows,
             tuple(
@@ -411,8 +437,11 @@ GaussianInteger = tuple[int, int]
 _GZERO: GaussianInteger = (0, 0)
 
 
-def _integer_row(entries: Sequence[GaussianRational]) -> list[GaussianInteger]:
-    """The entries scaled by the lcm of their denominators, as (re, im) pairs.
+def _integer_row(
+    entries: Sequence[GaussianRational],
+) -> tuple[list[GaussianInteger], int]:
+    """The entries scaled by the lcm of their denominators, as (re, im)
+    pairs, and that lcm: entry k is pairs[k] / lcm.
 
     A nonzero rational scale leaves the row's span and its zero entries as
     they were, so pivots found on the scaled row are the row's own.
@@ -426,7 +455,34 @@ def _integer_row(entries: Sequence[GaussianRational]) -> list[GaussianInteger]:
             e.imag.numerator * (scale // e.imag.denominator),
         )
         for e in entries
-    ]
+    ], scale
+
+
+def _gaussian_product(
+    a: Sequence[GaussianInteger],
+    b: Sequence[GaussianInteger],
+    rows: int,
+    inner: int,
+    cols: int,
+) -> list[GaussianInteger]:
+    """The row-major product of a (rows x inner) and b (inner x cols) over Z[i].
+
+    Zero terms add nothing, so only each row's nonzero entries of a are
+    multiplied, and only by nonzero entries of b.
+    """
+    columns = [b[k::cols] for k in range(cols)]
+    out: list[GaussianInteger] = []
+    for i in range(rows):
+        terms = [(j, x) for j, x in enumerate(a[i * inner : (i + 1) * inner]) if x != _GZERO]
+        for column in columns:
+            re = im = 0
+            for j, (xr, xi) in terms:
+                yr, yi = column[j]
+                if yr or yi:
+                    re += xr * yr - xi * yi
+                    im += xr * yi + xi * yr
+            out.append((re, im))
+    return out
 
 
 def _eliminate(
@@ -495,7 +551,7 @@ def rref(m: ExactMatrix) -> RrefResult:
     the end. Each row stays a nonzero multiple of its counterpart in
     elimination over Q(i), so the pivots are the same.
     """
-    work = [_integer_row(m.row(i)) for i in range(m.rows)]
+    work = [_integer_row(m.row(i))[0] for i in range(m.rows)]
     pivots: list[int] = []
     prev: GaussianInteger = (1, 0)
     r = 0
@@ -516,7 +572,7 @@ def rref(m: ExactMatrix) -> RrefResult:
     for row, c in zip(work, pivots):
         flat.extend(_divided(row, row[c]))
     flat.extend([ZERO] * ((m.rows - r) * m.cols))
-    return RrefResult(ExactMatrix(m.rows, m.cols, tuple(flat)), tuple(pivots), r)
+    return RrefResult(ExactMatrix._trusted(m.rows, m.cols, tuple(flat)), tuple(pivots), r)
 
 
 def rank(m: ExactMatrix) -> int:
@@ -538,7 +594,7 @@ def kernel_basis(m: ExactMatrix) -> ExactMatrix:
             else:
                 row_vals.append(ZERO)
         flat.extend(row_vals)
-    return ExactMatrix(m.cols, len(free), tuple(flat))
+    return ExactMatrix._trusted(m.cols, len(free), tuple(flat))
 
 
 def invert(m: ExactMatrix) -> ExactMatrix:
@@ -565,4 +621,4 @@ def hstack(*matrices: ExactMatrix) -> ExactMatrix:
         for m in matrices:
             flat.extend(m.row(i))
     total_cols = sum(m.cols for m in matrices)
-    return ExactMatrix(nrows, total_cols, tuple(flat))
+    return ExactMatrix._trusted(nrows, total_cols, tuple(flat))

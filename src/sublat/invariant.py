@@ -22,12 +22,21 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from . import filters as flt
 from . import lattice as lt
 from . import subspace as sub
-from .exactlin import ExactMatrix, GaussianInteger, _eliminate, _integer_row, rank
+from .exactlin import (
+    ExactMatrix,
+    GaussianInteger,
+    _divided,
+    _eliminate,
+    _gaussian_product,
+    _integer_row,
+    rank,
+)
 from .lattice import FiniteLattice
 from .subspace import Subspace
 
@@ -69,7 +78,7 @@ def _vectorized(mats: Sequence[ExactMatrix]) -> ExactMatrix:
         raise ValueError("need at least one matrix")
     width = mats[0].rows * mats[0].cols
     flat = tuple(e for m in mats for e in m.entries)
-    return ExactMatrix(len(mats), width, flat)
+    return ExactMatrix._trusted(len(mats), width, flat)
 
 
 def algebra_span(generators: Iterable[ExactMatrix]) -> AlgebraBasis:
@@ -80,12 +89,18 @@ def algebra_span(generators: Iterable[ExactMatrix]) -> AlgebraBasis:
     multiplication by each generator. The basis starts as the identity
     and the generators, and is then walked as a queue: for each member b
     and each generator g, the product g @ b joins the basis when it is
-    independent of the members so far. Independence is decided by
-    reducing the product's entries, scaled to Gaussian integers, against an
-    echelon form of the members: one fraction-free row per member, kept as
-    its own reduction left it, with the pivot at its first nonzero entry.
-    The walk ends when the queue is exhausted or the basis has n^2 members,
-    which is all of M_n.
+    independent of the members so far. The walk ends when the queue is
+    exhausted or the basis has n^2 members, which is all of M_n.
+
+    Everything in the walk runs over Z[i]. Each generator is scaled once to
+    Gaussian integers, and each member is kept as Gaussian-integer entries
+    over one denominator, with their common factor divided out; a candidate
+    g @ b is the integer product of the two. Independence is decided by
+    reducing the candidate against an echelon form of the members: one
+    fraction-free row per member, kept as its own reduction left it, with
+    the pivot at its first nonzero entry. A nonzero scale changes no
+    independence, so only the accepted products, at most n^2, are turned
+    into Gaussian-rational matrices.
     """
     gens = list(generators)
     if not gens:
@@ -96,14 +111,16 @@ def algebra_span(generators: Iterable[ExactMatrix]) -> AlgebraBasis:
             raise ValueError("generators must be square matrices of one side")
 
     full = n * n
+    scaled = [_integer_row(g.entries) for g in gens]
     basis: list[ExactMatrix] = []
+    members: list[tuple[list[GaussianInteger], int]] = []
     echelon: list[tuple[int, list[GaussianInteger]]] = []
 
-    def try_add(m: ExactMatrix) -> None:
+    def try_add(entries: list[GaussianInteger], den: int, m: ExactMatrix | None = None) -> None:
         # Forward Bareiss, one kept row at a time: each kept row is 0 at every
         # earlier pivot, so one pass in insertion order clears all of them,
         # each step dividing exactly by the previous kept row's pivot.
-        row = _integer_row(m.entries)
+        row = entries
         prev: GaussianInteger = (1, 0)
         for pivot, kept in echelon:
             row = _eliminate(row, kept, pivot, prev)
@@ -112,17 +129,24 @@ def algebra_span(generators: Iterable[ExactMatrix]) -> AlgebraBasis:
         if pivot is None:
             return
         echelon.append((pivot, row))
+        if m is None:
+            common = gcd(den, *itertools.chain.from_iterable(entries))
+            entries = [(re // common, im // common) for re, im in entries]
+            den //= common
+            m = ExactMatrix._trusted(n, n, tuple(_divided(entries, (den, 0))))
+        members.append((entries, den))
         basis.append(m)
 
-    try_add(ExactMatrix.identity(n))
-    for g in gens:
-        try_add(g)
+    identity = ExactMatrix.identity(n)
+    try_add(*_integer_row(identity.entries), identity)
+    for g, (entries, den) in zip(gens, scaled):
+        try_add(entries, den, g)
     queued = 0
     while queued < len(basis) < full:
-        b = basis[queued]
+        b, b_den = members[queued]
         queued += 1
-        for g in gens:
-            try_add(g @ b)
+        for g, g_den in scaled:
+            try_add(_gaussian_product(g, b, n, n, n), g_den * b_den)
             if len(basis) == full:
                 break
     return AlgebraBasis(n, tuple(basis))

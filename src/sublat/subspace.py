@@ -46,7 +46,7 @@ def _column_canonical(m: ExactMatrix) -> ExactMatrix:
     """Reduced column echelon basis: nonzero rows of rref(m^T), as columns."""
     reduced, _, r = rref(m.transpose())
     flat = tuple(reduced[j, i] for i in range(m.rows) for j in range(r))
-    return ExactMatrix(m.rows, r, flat)
+    return ExactMatrix._trusted(m.rows, r, flat)
 
 
 @dataclass(frozen=True)

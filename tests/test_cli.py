@@ -348,6 +348,30 @@ def test_usage_errors_exit_one():
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--limit", "-1"], "argument --limit: must be nonnegative, got -1"),
+        (["--limit=-3"], "argument --limit: must be nonnegative, got -3"),
+        (["--limit", "x"], "argument --limit: invalid int value: 'x'"),
+    ],
+)
+def test_laws_rejects_bad_limit(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["laws", str(DATA)] + argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_laws_limit_zero_shows_no_violations(capsys):
+    assert main(["laws", str(DATA), "--limit", "0", "--format", "records"]) == 0
+    out = capsys.readouterr().out
+    assert "law name=distributive status=checked holds=false violations=120 shown=0" in out
+    assert "violation" not in out.replace("violations=", "")
+
+
 def test_dim_above_limit_exits_one(tmp_path, capsys):
     path = tmp_path / "huge.sublat"
     path.write_text("dim 100000\n")

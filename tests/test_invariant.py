@@ -1,8 +1,18 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
-from sublat.exactlin import ZERO, ExactMatrix, invert, rank
+from sublat.exactlin import (
+    ZERO,
+    ExactMatrix,
+    GaussianInteger,
+    GaussianRational,
+    _eliminate,
+    _integer_row,
+    invert,
+    rank,
+)
 from sublat.filters import FULL_HOMOMORPHISM_LAWS, satisfies_laws, search_bivaluations
 from sublat.invariant import (
     AlgebraBasis,
@@ -419,7 +429,7 @@ def _block_triangular_family(rng, random_matrix, n, m):
     return [invert(s) @ g @ s for g in gens]
 
 
-def test_algebra_span_matches_product_closure_reference(rng, random_matrix):
+def _span_cases(rng, random_matrix):
     sigma = list(nontrivial_projectors())
     cases = [rng.sample(sigma, rng.randint(1, len(sigma))) for _ in range(6)]
     cases.append(_full_family(rng))
@@ -431,13 +441,61 @@ def test_algebra_span_matches_product_closure_reference(rng, random_matrix):
     for n, count in ((3, 1), (3, 2), (4, 1)):
         cases.append([random_matrix(n, n) for _ in range(count)])
     cases += [_block_triangular_family(rng, random_matrix, n, m) for n, m in ((3, 1), (4, 2))]
-    for gens in cases:
+    return cases
+
+
+def test_algebra_span_matches_product_closure_reference(rng, random_matrix):
+    for gens in _span_cases(rng, random_matrix):
         got = algebra_span(gens).basis
         expected = _reference_span(gens)
         assert len(got) == len(expected)
         assert rank(_vectorized(list(got) + expected)) == len(got)
         products = [a @ b for a in got for b in got]
         assert rank(_vectorized(list(got) + products)) == len(got)
+
+
+def _reference_algebra_span(generators):
+    """The former body of algebra_span: each product g @ b is formed in
+    GaussianRational arithmetic and then scaled to Gaussian integers."""
+    gens = list(generators)
+    if not gens:
+        raise ValueError("at least one generator is required")
+    n = gens[0].rows
+    for g in gens:
+        if g.rows != n or g.cols != n:
+            raise ValueError("generators must be square matrices of one side")
+
+    full = n * n
+    basis: list[ExactMatrix] = []
+    echelon: list[tuple[int, list[GaussianInteger]]] = []
+
+    def try_add(m: ExactMatrix) -> None:
+        # Forward Bareiss, one kept row at a time: each kept row is 0 at every
+        # earlier pivot, so one pass in insertion order clears all of them,
+        # each step dividing exactly by the previous kept row's pivot.
+        row, _ = _integer_row(m.entries)
+        prev: GaussianInteger = (1, 0)
+        for pivot, kept in echelon:
+            row = _eliminate(row, kept, pivot, prev)
+            prev = kept[pivot]
+        pivot = next((c for c, e in enumerate(row) if e != (0, 0)), None)
+        if pivot is None:
+            return
+        echelon.append((pivot, row))
+        basis.append(m)
+
+    try_add(ExactMatrix.identity(n))
+    for g in gens:
+        try_add(g)
+    queued = 0
+    while queued < len(basis) < full:
+        b = basis[queued]
+        queued += 1
+        for g in gens:
+            try_add(g @ b)
+            if len(basis) == full:
+                break
+    return AlgebraBasis(n, tuple(basis))
 
 
 def _unit(n, i, j):
@@ -457,7 +515,25 @@ def test_algebra_span_upper_triangular(n):
     assert algebra_span(gens).dim == n * (n + 1) // 2
 
 
-def test_is_irreducible_c4_coordinate_rays_and_all_ones():
-    gens = [_ray_projector(v) for v in
+def _c4_rays_and_all_ones():
+    return [_ray_projector(v) for v in
             ([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 1, 1, 1])]
-    assert is_irreducible(gens)
+
+
+def test_is_irreducible_c4_coordinate_rays_and_all_ones():
+    assert is_irreducible(_c4_rays_and_all_ones())
+
+
+def test_algebra_span_members_and_order_match_reference(rng, random_matrix):
+    cases = _span_cases(rng, random_matrix)
+    for n in (2, 3, 4):
+        cases.append([M([[int(c == r + 1) for c in range(n)] for r in range(n)])])
+        cases.append([_unit(n, i, i) for i in range(n)]
+                     + [_unit(n, i, i + 1) for i in range(n - 1)])
+    cases.append(_c4_rays_and_all_ones())
+    for gens in cases:
+        got = algebra_span(gens).basis
+        assert got == _reference_algebra_span(gens).basis
+        for m in got:
+            assert all(type(e) is GaussianRational and type(e.real) is Fraction
+                       and type(e.imag) is Fraction for e in m.entries)

@@ -42,6 +42,24 @@ def _reference_rref(m: ExactMatrix) -> RrefResult:
     return RrefResult(ExactMatrix(m.rows, m.cols, flat), tuple(pivots), r)
 
 
+def _reference_matmul(self: ExactMatrix, other: ExactMatrix) -> ExactMatrix:
+    """The product in GaussianRational arithmetic, the former body of
+    ExactMatrix.__matmul__ (self and other are the two factors)."""
+    flat: list[GaussianRational] = []
+    for i in range(self.rows):
+        # Zero terms add nothing, so only the row's nonzero entries are
+        # multiplied, and only by nonzero entries of the other factor.
+        terms = [(j, a) for j, a in enumerate(self.row(i)) if a]
+        for k in range(other.cols):
+            acc = ZERO
+            for j, a in terms:
+                b = other.entries[j * other.cols + k]
+                if b:
+                    acc = acc + a * b
+            flat.append(acc)
+    return ExactMatrix(self.rows, other.cols, tuple(flat))
+
+
 def test_rref_examples():
     reduced, pivots, r = rref(M([[1, 1], [1, 1]]))
     assert reduced == M([[1, 1], [0, 0]])
@@ -222,3 +240,67 @@ def test_hstack():
     assert hstack(a, b) == M([[1, 3], [2, 4]])
     with pytest.raises(ValueError, match="common row count"):
         hstack(a, ExactMatrix.zeros(3, 1))
+
+
+def _sparse(rng, m: ExactMatrix) -> ExactMatrix:
+    """m with about two thirds of its entries zeroed, and its first row
+    and last column entirely zero."""
+    return ExactMatrix(m.rows, m.cols, tuple(
+        ZERO if i == 0 or j == m.cols - 1 or rng.random() < 2 / 3 else m[i, j]
+        for i in range(m.rows) for j in range(m.cols)
+    ))
+
+
+def _product_cases(rng, random_matrix):
+    """Factor pairs: 1x1, dense, rectangular, sparse, purely imaginary,
+    small integer and zero-width shapes."""
+    pairs = [(random_matrix(1, 1), random_matrix(1, 1))]
+    pairs += [(random_matrix(n, n), random_matrix(n, n)) for n in (2, 3, 4, 8)]
+    pairs += [(random_matrix(r, k), random_matrix(k, c))
+              for r, k, c in ((2, 5, 3), (4, 1, 4), (1, 6, 1), (3, 2, 7), (6, 4, 2))]
+    for r, k, c in ((3, 3, 3), (4, 6, 5), (8, 8, 8)):
+        pairs.append((_sparse(rng, random_matrix(r, k)), _sparse(rng, random_matrix(k, c))))
+        pairs.append((random_matrix(r, k), _sparse(rng, random_matrix(k, c))))
+    for r, k, c in ((2, 2, 2), (3, 4, 2)):
+        a, b = (ExactMatrix(x, y, tuple(
+            GaussianRational(Fraction(0), Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+            for _ in range(x * y))) for x, y in ((r, k), (k, c)))
+        pairs += [(a, b), (a, random_matrix(k, c))]
+    for n in (2, 4):
+        a, b = (M([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]) for _ in range(2))
+        pairs.append((a, b))
+    pairs += [(random_matrix(3, 0), random_matrix(0, 4)),
+              (random_matrix(0, 3), random_matrix(3, 4)),
+              (random_matrix(3, 4), random_matrix(4, 0)),
+              (random_matrix(0, 0), random_matrix(0, 0))]
+    return pairs
+
+
+def test_matmul_matches_reference(rng, random_matrix):
+    for a, b in _product_cases(rng, random_matrix):
+        got = a @ b
+        assert got == _reference_matmul(a, b), f"{a} @ {b}"
+        assert (got.rows, got.cols) == (a.rows, b.cols)
+
+
+def _assert_exact_entries(m: ExactMatrix) -> None:
+    for e in m.entries:
+        assert type(e) is GaussianRational, repr(e)
+        assert type(e.real) is Fraction and type(e.imag) is Fraction, repr(e)
+
+
+def test_internal_constructions_hold_exact_scalars(rng, random_matrix):
+    # Matrices the library builds itself skip per-entry coercion, so every
+    # entry they hold must already be a GaussianRational over Fractions.
+    for a, b in _product_cases(rng, random_matrix):
+        _assert_exact_entries(a @ b)
+    for m in _elimination_cases(rng, random_matrix)[:20]:
+        reduced = rref(m).matrix
+        results = [reduced, kernel_basis(m), m.transpose(), m.conjugate_transpose(),
+                   m.take_rows(range(0, m.rows, 2)), m.take_cols(range(0, m.cols, 2)),
+                   hstack(m, reduced), -m, m + m, m - reduced, m * 3,
+                   GaussianRational(Fraction(0), Fraction(1, 2)) * m]
+        if m.is_square() and rank(m) == m.rows:
+            results.append(invert(m))
+        for result in results:
+            _assert_exact_entries(result)
