@@ -7,9 +7,12 @@ Input files are line oriented. `#` starts a comment. Declarations:
     proj <name> = [[<scalar>, ...], ...]
     context <name> = <projname>, <projname>, ...
 
-Scalars use the exact grammar of exactlin.parse_scalar. Every subcommand
-accepts --format text|records (`dot` ignores it). Each fact goes through
-one Reporter call that carries both its text and its record: text mode
+Scalars use the exact grammar of exactlin.parse_scalar. The parser is
+built once per process, on the first `main` call, and declares `file`
+and --format text|records once each: --format serves every subcommand
+(`dot` ignores it) and `file` every one but demo-qubit. `main` makes the
+one Reporter and hands it to the subcommand. Each fact goes through one
+Reporter call that carries both its text and its record: text mode
 prints the text, records mode prints one record per line as
 space-separated key=value fields (spaces inside values become
 underscores), so equal inputs produce byte-identical output. `contexts`
@@ -17,13 +20,15 @@ checks its contexts before its first line, so a file it rejects leaves
 stdout empty; `burnside` prints its verdict before closing the declared
 subspaces, which can exceed the closure cap.
 
-Exit codes: 0 success, 1 input or parse error, 2 a demo-qubit check or an
---assert expectation failed.
+Exit codes: 0 success, 1 input, parse or usage error (a negative
+--limit or --assert-count included), 2 a demo-qubit check or an --assert
+expectation failed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import re
 import sys
@@ -347,9 +352,8 @@ def _sublattice_line(
 # Subcommands
 
 
-def _cmd_lattice(args: argparse.Namespace) -> int:
+def _cmd_lattice(args: argparse.Namespace, out: Reporter) -> int:
     lat = _build_lattice(_load_document(args.file))
-    out = Reporter(args.format)
     n = len(lat)
     out(f"ambient dimension: {lat.ambient_dim}\nelements ({n}):",
         "lattice", ambient=lat.ambient_dim, elements=n, bottom=lat.bottom, top=lat.top)
@@ -374,9 +378,8 @@ _LAW_CHECKS = (
 )
 
 
-def _cmd_laws(args: argparse.Namespace) -> int:
+def _cmd_laws(args: argparse.Namespace, out: Reporter) -> int:
     lat = _build_lattice(_load_document(args.file))
-    out = Reporter(args.format)
 
     def span(e: int) -> str:
         return lat.elements[e].span_str()
@@ -408,10 +411,9 @@ def _cmd_laws(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_filters(args: argparse.Namespace) -> int:
+def _cmd_filters(args: argparse.Namespace, out: Reporter) -> int:
     doc = _load_document(args.file)
     lat = _build_lattice(doc)
-    out = Reporter(args.format)
     target = _resolve_subspace(doc, args.remove)
     w = lat.index_of(target)
     filt = flt.coatom_complement_filter(lat, w)
@@ -456,9 +458,8 @@ def _cmd_filters(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_valuations(args: argparse.Namespace) -> int:
+def _cmd_valuations(args: argparse.Namespace, out: Reporter) -> int:
     lat = _build_lattice(_load_document(args.file))
-    out = Reporter(args.format)
     laws = [token for token in args.laws.split(",") if token]
     try:
         found = flt.search_bivaluations(lat, laws)
@@ -480,10 +481,9 @@ def _cmd_valuations(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_invariant(args: argparse.Namespace) -> int:
+def _cmd_invariant(args: argparse.Namespace, out: Reporter) -> int:
     doc = _load_document(args.file)
     universe = _build_lattice(doc)
-    out = Reporter(args.format)
     ops = _resolve_operators(doc, args.ops)
     out(f"universe: {len(universe)} elements over C^{universe.ambient_dim}",
         "universe", elements=len(universe), ambient=universe.ambient_dim)
@@ -495,9 +495,8 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_burnside(args: argparse.Namespace) -> int:
+def _cmd_burnside(args: argparse.Namespace, out: Reporter) -> int:
     doc = _load_document(args.file)
-    out = Reporter(args.format)
     ops = _resolve_operators(doc, args.ops)
     span = inv.algebra_span(ops)
     full = span.side * span.side
@@ -520,7 +519,7 @@ def _cmd_burnside(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_contexts(args: argparse.Namespace) -> int:
+def _cmd_contexts(args: argparse.Namespace, out: Reporter) -> int:
     doc = _load_document(args.file)
     if not doc.contexts:
         raise InputError("no contexts declared")
@@ -537,7 +536,6 @@ def _cmd_contexts(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from None
 
-    out = Reporter(args.format)
     for name, lat in contexts.items():
         _sublattice_line(out, f"context {name}", "context", lat, name=name)
     union_elements = sorted(
@@ -579,8 +577,8 @@ def _cmd_contexts(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_dot(args: argparse.Namespace) -> int:
-    # --format is accepted and ignored: DOT is its own format.
+def _cmd_dot(args: argparse.Namespace, out: Reporter) -> int:
+    # --format is accepted and `out` ignored: DOT is its own format.
     lat = _build_lattice(_load_document(args.file))
     dot = lt.to_dot(lat, name=args.name)
     if args.out:
@@ -619,8 +617,7 @@ _EXPECTED_CONTEXT_SPANS = {
 }
 
 
-def _cmd_demo(args: argparse.Namespace) -> int:
-    out = Reporter(args.format)
+def _cmd_demo(args: argparse.Namespace, out: Reporter) -> int:
     checks: list[tuple[str, bool]] = []
 
     def check(name: str, ok: bool) -> None:
@@ -764,12 +761,11 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     for _ in range(pairs):
         s = full_lattice.elements[rng.randrange(len(full_lattice))]
         t = full_lattice.elements[rng.randrange(len(full_lattice))]
-        de_morgan = sub.orthocomplement(sub.join(s, t)) == sub.meet(
+        joined = sub.join(s, t)
+        de_morgan = sub.orthocomplement(joined) == sub.meet(
             sub.orthocomplement(s), sub.orthocomplement(t)
         )
-        dims = (
-            sub.meet(s, t).dim + sub.join(s, t).dim == s.dim + t.dim
-        )
+        dims = sub.meet(s, t).dim + joined.dim == s.dim + t.dim
         spot_ok = spot_ok and de_morgan and dims
     out(f"random spot check: {pairs} pairs at seed {args.seed}",
         "spot_check", pairs=pairs, seed=args.seed)
@@ -805,29 +801,38 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _add_format(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
+@functools.cache
+def _build_parser() -> _ArgumentParser:
+    """Build the parser on the first `main` call; later calls reuse it.
+
+    Parsing leaves it unchanged, so no call's options carry over.
+    """
+    formatted = argparse.ArgumentParser(add_help=False)
+    formatted.add_argument(
         "--format",
         choices=("text", "records"),
         default="text",
         help="output style: human-readable text or line-delimited records",
     )
+    reads_file = argparse.ArgumentParser(add_help=False, parents=[formatted])
+    reads_file.add_argument("file")
 
-
-def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(
         prog="sublat",
         description="Exact workbench for finite lattices of closed subspaces.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    p = commands.add_parser("lattice", help="catalogue, order, meet and join tables")
-    p.add_argument("file")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_lattice)
+    def command(
+        name: str, summary: str, handler, parent=reads_file
+    ) -> argparse.ArgumentParser:
+        p = commands.add_parser(name, help=summary, parents=[parent])
+        p.set_defaults(handler=handler)
+        return p
 
-    p = commands.add_parser("laws", help="distributive, modular, orthomodular checks")
-    p.add_argument("file")
+    command("lattice", "catalogue, order, meet and join tables", _cmd_lattice)
+
+    p = command("laws", "distributive, modular, orthomodular checks", _cmd_laws)
     p.add_argument(
         "--limit", type=_nonnegative_int, default=10, help="violations shown per law"
     )
@@ -838,24 +843,18 @@ def _build_parser() -> _ArgumentParser:
         choices=[name for name, _ in _LAW_CHECKS],
         help="exit 2 unless the law holds (repeatable)",
     )
-    _add_format(p)
-    p.set_defaults(handler=_cmd_laws)
 
-    p = commands.add_parser(
-        "filters", help="deleted-element filter, ideal, primality, valuation"
+    p = command(
+        "filters", "deleted-element filter, ideal, primality, valuation", _cmd_filters
     )
-    p.add_argument("file")
     p.add_argument("--remove", required=True, help="ray or projector name to remove")
     p.add_argument(
         "--convention",
         choices=(flt.CONVENTION_PAPER, flt.CONVENTION_STANDARD),
         default=flt.CONVENTION_PAPER,
     )
-    _add_format(p)
-    p.set_defaults(handler=_cmd_filters)
 
-    p = commands.add_parser("valuations", help="two-valued maps satisfying the laws")
-    p.add_argument("file")
+    p = command("valuations", "two-valued maps satisfying the laws", _cmd_valuations)
     p.add_argument(
         "--laws",
         default=",".join(sorted(flt.FULL_HOMOMORPHISM_LAWS)),
@@ -863,25 +862,15 @@ def _build_parser() -> _ArgumentParser:
     )
     p.add_argument(
         "--assert-count",
-        type=int,
+        type=_nonnegative_int,
         default=None,
         help="exit 2 unless exactly this many maps are found",
     )
-    _add_format(p)
-    p.set_defaults(handler=_cmd_valuations)
 
-    p = commands.add_parser(
-        "invariant", help="invariant sublattices of declared projectors"
-    )
-    p.add_argument("file")
+    p = command("invariant", "invariant sublattices of declared projectors", _cmd_invariant)
     p.add_argument("--ops", nargs="+", required=True, help="projector names")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_invariant)
 
-    p = commands.add_parser(
-        "burnside", help="generated algebra dimension and irreducibility"
-    )
-    p.add_argument("file")
+    p = command("burnside", "generated algebra dimension and irreducibility", _cmd_burnside)
     p.add_argument("--ops", nargs="+", required=True, help="projector names")
     p.add_argument(
         "--assert",
@@ -890,25 +879,18 @@ def _build_parser() -> _ArgumentParser:
         default=None,
         help="exit 2 unless the verdict matches",
     )
-    _add_format(p)
-    p.set_defaults(handler=_cmd_burnside)
 
-    p = commands.add_parser(
-        "contexts", help="context lattices, meet-definedness, valuation report"
+    command(
+        "contexts", "context lattices, meet-definedness, valuation report", _cmd_contexts
     )
-    p.add_argument("file")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_contexts)
 
-    p = commands.add_parser("dot", help="Hasse diagram in DOT form")
-    p.add_argument("file")
+    p = command("dot", "Hasse diagram in DOT form", _cmd_dot)
     p.add_argument("--out", default=None, help="write to a file instead of stdout")
     p.add_argument("--name", default="lattice", help="DOT graph name")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_dot)
 
-    p = commands.add_parser(
-        "demo-qubit", help="self-checking tour of the qubit construction"
+    p = command(
+        "demo-qubit", "self-checking tour of the qubit construction", _cmd_demo,
+        parent=formatted,
     )
     p.add_argument(
         "--seed",
@@ -916,17 +898,14 @@ def _build_parser() -> _ArgumentParser:
         default=DEFAULT_SEED,
         help="seed for the randomized spot checks",
     )
-    _add_format(p)
-    p.set_defaults(handler=_cmd_demo)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return args.handler(args, Reporter(args.format))
     except (ValueError, OSError) as exc:  # InputError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1

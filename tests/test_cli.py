@@ -365,6 +365,69 @@ def test_laws_rejects_bad_limit(capsys, argv, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--assert-count", "-1"], "argument --assert-count: must be nonnegative, got -1"),
+        (["--assert-count=-3"], "argument --assert-count: must be nonnegative, got -3"),
+        (["--assert-count", "x"], "argument --assert-count: invalid int value: 'x'"),
+    ],
+)
+def test_valuations_rejects_bad_assert_count(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["valuations", str(DATA)] + argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+# Priming calls, each with its expected exit code, then the final call and
+# the golden file it must reproduce.
+_PARSER_REUSE = [
+    ([(["laws", "--assert", "modular"], 0), (["laws", "--assert", "distributive"], 2)],
+     ["laws"], "laws"),
+    ([(["burnside", "--ops", "x1", "z1"], 0)],
+     ["burnside", "--ops", "x1", "y1", "z1"], "burnside"),
+    ([(["valuations", "--assert-count", "0"], 0)],
+     ["valuations"], "valuations"),
+    ([(["filters", "--remove", "x1", "--convention", "standard"], 0)],
+     ["filters", "--remove", "x1"], "filters_x1_paper"),
+]
+
+
+@pytest.mark.parametrize("fmt", [None, "text", "records"], ids=["default", "text", "records"])
+def test_parser_reuse_carries_nothing_over(capsys, fmt):
+    # The parser is built once per process, so no option of one call may
+    # leak into the next; the priming calls use the other format.
+    final_fmt = [] if fmt is None else ["--format", fmt]
+    other_fmt = ["--format", "text" if fmt == "records" else "records"]
+    for priming, (command, *rest), golden in _PARSER_REUSE:
+        for (name, *options), code in priming:
+            assert main([name, str(DATA), *options, *other_fmt]) == code
+        capsys.readouterr()
+        assert main([command, str(DATA), *rest, *final_fmt]) == 0
+        ext = "records" if fmt == "records" else "txt"
+        expected = (DATA.parent / "golden" / f"{golden}.{ext}").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["lattice", "laws", "filters", "valuations", "invariant", "burnside", "contexts",
+     "dot", "demo-qubit"],
+)
+def test_subcommand_help_lists_shared_arguments(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert ("--format {text,records} output style: human-readable text or "
+            "line-delimited records") in out
+    takes_file = command != "demo-qubit"
+    assert ("positional arguments: file" in out) == takes_file
+
+
 def test_laws_limit_zero_shows_no_violations(capsys):
     assert main(["laws", str(DATA), "--limit", "0", "--format", "records"]) == 0
     out = capsys.readouterr().out
