@@ -26,7 +26,7 @@ from typing import Iterable, Optional
 
 from .exactlin import ExactMatrix
 from .lattice import FiniteLattice, atoms, orthocomplement_indices
-from .subspace import StateVector, Subspace, contains_vector, image
+from .subspace import StateVector, contains_vector, image
 
 __all__ = [
     "CONVENTION_PAPER",
@@ -43,16 +43,13 @@ __all__ = [
     "LatticeSubset",
     "Bivaluation",
     "coatom_complement_filter",
-    "principal_up_set",
     "ideal_complement",
     "is_downward_directed",
     "is_upward_closed",
     "is_standard_filter",
     "is_prime_paper",
     "is_prime_standard",
-    "indicator_bivaluation",
     "homomorphism_from_filter",
-    "is_lattice_homomorphism",
     "satisfies_laws",
     "state_valuation",
     "search_bivaluations",
@@ -94,10 +91,11 @@ class LatticeSubset:
     members: frozenset[int]
 
     def __post_init__(self) -> None:
-        for i in self.members:
+        members = frozenset(self.members)
+        for i in members:
             if not (0 <= i < len(self.host)):
                 raise ValueError(f"member index {i} out of range")
-        object.__setattr__(self, "members", frozenset(self.members))
+        object.__setattr__(self, "members", members)
 
     def sorted_members(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
@@ -121,6 +119,7 @@ class Bivaluation:
     convention: str
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "assignment", tuple(self.assignment))
         if len(self.assignment) != len(self.host):
             raise ValueError("assignment length must match the lattice size")
         if any(v not in (0, 1) for v in self.assignment):
@@ -137,6 +136,8 @@ class Bivaluation:
 
 def coatom_complement_filter(host: FiniteLattice, w: int) -> LatticeSubset:
     """The whole lattice minus {w}; w must be a nontrivial atom."""
+    if not (0 <= w < len(host)):
+        raise ValueError(f"element index {w} out of range")
     if w == host.bottom or w == host.top:
         raise ValueError("cannot remove the bottom or the top")
     if w not in atoms(host):
@@ -144,13 +145,6 @@ def coatom_complement_filter(host: FiniteLattice, w: int) -> LatticeSubset:
             f"{host.elements[w].span_str()} is not an atom of the lattice"
         )
     return LatticeSubset(host, frozenset(range(len(host))) - {w})
-
-
-def principal_up_set(host: FiniteLattice, x: int) -> LatticeSubset:
-    """The standard principal filter {y : x <= y}."""
-    return LatticeSubset(
-        host, frozenset(y for y in range(len(host)) if host.leq(x, y))
-    )
 
 
 def ideal_complement(host: FiniteLattice, subset: LatticeSubset) -> LatticeSubset:
@@ -204,25 +198,14 @@ def is_prime_standard(subset: LatticeSubset):
     """All-pairs primality, or NOT_APPLICABLE off standard filters.
 
     On a standard filter: for every pair (x, y), x v y inside the set
-    forces x or y inside. Returns NOT_APPLICABLE when the subset is not a
-    standard filter, so the caller can report which convention answered.
+    forces x or y inside, which _join_prime decides in one join fold.
+    Returns NOT_APPLICABLE when the subset is not a standard filter, so
+    the caller can report which convention answered.
     """
     if not is_standard_filter(subset):
         return NOT_APPLICABLE
     lat = subset.host
-    size = len(lat)
-    for x, y in itertools.product(range(size), repeat=2):
-        if lat.join(x, y) in subset and x not in subset and y not in subset:
-            return False
-    return True
-
-
-def indicator_bivaluation(
-    host: FiniteLattice, subset: LatticeSubset, convention: str = CONVENTION_STANDARD
-) -> Bivaluation:
-    """The map sending subset members to 1 and everything else to 0."""
-    assignment = tuple(1 if i in subset else 0 for i in range(len(host)))
-    return Bivaluation(host, assignment, convention)
+    return _join_prime(lat, tuple(int(i in subset) for i in range(len(lat))))
 
 
 def homomorphism_from_filter(
@@ -252,11 +235,6 @@ def homomorphism_from_filter(
     return Bivaluation(host, assignment, convention)
 
 
-def is_lattice_homomorphism(valuation: Bivaluation) -> bool:
-    """Table scan: meets map to min and joins to max, over all pairs."""
-    return _satisfies(valuation.host, valuation.assignment, {MEET_HOM, JOIN_HOM}, None)
-
-
 def _check_law_tokens(laws: Iterable[str]) -> frozenset[str]:
     chosen = frozenset(laws)
     unknown = chosen - KNOWN_LAWS
@@ -265,12 +243,38 @@ def _check_law_tokens(laws: Iterable[str]) -> frozenset[str]:
     return chosen
 
 
-def _satisfies(host: FiniteLattice, v: tuple[int, ...], chosen, comp) -> bool:
+def _join_prime(host: FiniteLattice, v: tuple[int, ...]) -> bool:
+    """The 0-set of v is empty or its join maps to 0.
+
+    For a {0,1} map whose 1-set is an up-set this is exactly
+    v(x v y) = max(v(x), v(y)) for all pairs: the 0-set is a down-set,
+    and a down-set is closed under joins when it holds its own join.
+    """
+    zeros = [i for i, b in enumerate(v) if b == 0]
+    if not zeros:
+        return True
+    joined = host.bottom
+    for i in zeros:
+        joined = host.join_table[joined][i]
+    return v[joined] == 0
+
+
+def _bounds_and_complement(host: FiniteLattice, v, chosen, comp) -> bool:
     if BOTTOM_TO_ZERO in chosen and v[host.bottom] != 0:
         return False
     if TOP_TO_ONE in chosen and v[host.top] != 1:
         return False
-    if comp is not None and any(v[i] + v[comp[i]] != 1 for i in range(len(host))):
+    return comp is None or all(v[i] + v[comp[i]] == 1 for i in range(len(host)))
+
+
+def satisfies_laws(
+    host: FiniteLattice, assignment: tuple[int, ...], laws: Iterable[str]
+) -> bool:
+    """Full check of a {0,1} assignment against the chosen law set."""
+    chosen = _check_law_tokens(laws)
+    comp = orthocomplement_indices(host) if COMPLEMENT_LAW in chosen else None
+    v = assignment
+    if not _bounds_and_complement(host, v, chosen, comp):
         return False
     meet_hom, join_hom = MEET_HOM in chosen, JOIN_HOM in chosen
     if not (meet_hom or join_hom):
@@ -284,34 +288,29 @@ def _satisfies(host: FiniteLattice, v: tuple[int, ...], chosen, comp) -> bool:
     return True
 
 
-def satisfies_laws(
-    host: FiniteLattice, assignment: tuple[int, ...], laws: Iterable[str]
-) -> bool:
-    """Full check of a {0,1} assignment against the chosen law set."""
-    chosen = _check_law_tokens(laws)
-    comp = orthocomplement_indices(host) if COMPLEMENT_LAW in chosen else None
-    return _satisfies(host, assignment, chosen, comp)
-
-
 def search_bivaluations(
     host: FiniteLattice, laws: Iterable[str]
 ) -> tuple[Bivaluation, ...]:
     """All {0,1} assignments satisfying the law set, sorted by bits.
 
-    The candidates come from the order table. Under meet-hom the 1-set of
-    a map is empty or a principal filter up(a); under join-hom the 0-set
-    is empty or a principal ideal down(b). So there are n+1 candidates,
-    each checked against the whole law set. Without either law the
-    candidates are a product over free bits, one per element or per
-    orthocomplement pair, so k free bits give 2^k candidates; a search
-    with more than SEARCH_FREE_BIT_CAP free bits is refused before any
-    candidate is listed.
+    The candidates come from the order table, and no pair is checked.
+    Under meet-hom the 1-set is empty or a principal filter up(a), each
+    a meet-homomorphism, and with join-hom one is kept when the join of
+    its 0-set maps to 0. Under join-hom alone the 0-set is empty or a
+    principal ideal down(b), each a join-homomorphism. Without either
+    law the candidates are a product over free bits, one per element or
+    per orthocomplement pair, so k free bits give 2^k candidates; more
+    than SEARCH_FREE_BIT_CAP free bits are refused before any candidate
+    is listed. Each candidate is then checked for the bounds and the
+    complement law.
     """
     chosen = _check_law_tokens(laws)
     size = len(host)
     comp = orthocomplement_indices(host) if COMPLEMENT_LAW in chosen else None
     if MEET_HOM in chosen:
         candidates = [(0,) * size] + [tuple(map(int, row)) for row in host.order]
+        if JOIN_HOM in chosen:
+            candidates = [v for v in candidates if _join_prime(host, v)]
     elif JOIN_HOM in chosen:
         candidates = [(1,) * size] + [
             tuple(int(not host.leq(y, b)) for y in range(size)) for b in range(size)
@@ -333,7 +332,7 @@ def search_bivaluations(
             tuple(b[i] if i in b else 1 - b[comp[i]] for i in range(size))
             for b in bit_maps
         )
-    found = sorted(v for v in candidates if _satisfies(host, v, chosen, comp))
+    found = sorted(v for v in candidates if _bounds_and_complement(host, v, chosen, comp))
     return tuple(Bivaluation(host, v, CONVENTION_STANDARD) for v in found)
 
 

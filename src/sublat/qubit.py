@@ -18,9 +18,7 @@ from .exactlin import ExactMatrix, GaussianRational
 __all__ = [
     "ProjectorId",
     "ContextSet",
-    "all_projector_ids",
     "projector",
-    "negation",
     "context",
     "full_sigma",
     "nontrivial_projectors",
@@ -46,10 +44,6 @@ class ProjectorId:
         return f"P({self.q},{self.n})"
 
 
-def all_projector_ids() -> tuple[ProjectorId, ...]:
-    return tuple(ProjectorId(q, n) for q in range(4) for n in (1, 2))
-
-
 def projector(pid: ProjectorId) -> ExactMatrix:
     """The projector for (q, n), built from Kronecker deltas on q.
 
@@ -67,13 +61,6 @@ def projector(pid: ProjectorId) -> ExactMatrix:
     c = GaussianRational(_HALF * s * (-d1), -_HALF * s * d2)
     d = GaussianRational(_HALF * (1 + s * (d0 + d3)))
     return ExactMatrix(2, 2, (a, b, c, d))
-
-
-def negation(p: ExactMatrix) -> ExactMatrix:
-    """Complement projector 1 - p; requires a projector input."""
-    if not p.is_projector():
-        raise ValueError("negation requires a Hermitian idempotent matrix")
-    return ExactMatrix.identity(p.rows) - p
 
 
 @dataclass(frozen=True)

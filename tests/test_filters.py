@@ -13,6 +13,7 @@ from sublat.filters import (
     FULL_HOMOMORPHISM_LAWS,
     INDETERMINATE,
     JOIN_HOM,
+    KNOWN_LAWS,
     LatticeSubset,
     MEET_HOM,
     NOT_APPLICABLE,
@@ -20,19 +21,16 @@ from sublat.filters import (
     coatom_complement_filter,
     homomorphism_from_filter,
     ideal_complement,
-    indicator_bivaluation,
     is_downward_directed,
-    is_lattice_homomorphism,
     is_prime_paper,
     is_prime_standard,
     is_standard_filter,
     is_upward_closed,
-    principal_up_set,
     satisfies_laws,
     search_bivaluations,
     state_valuation,
 )
-from sublat.lattice import atoms, close_and_build, orthocomplement_indices
+from sublat.lattice import ClosureCapError, atoms, close_and_build, orthocomplement_indices
 from sublat.qubit import ProjectorId, nontrivial_projectors, projector
 from sublat.subspace import image, span, vector
 
@@ -55,6 +53,28 @@ def boolean_frame():
 @pytest.fixture(scope="module")
 def mo5():
     return close_and_build([span([[1, k]]) for k in range(4)] + [span([[0, 1]])])
+
+
+@pytest.fixture(scope="module")
+def three_chain():
+    return close_and_build([span([[1, 0]])])
+
+
+@pytest.fixture(scope="module")
+def non_atomistic_chain():
+    return close_and_build([span([[1, 0, 0], [0, 1, 0]]), span([[1, 0, 0]])])
+
+
+ALL_LAW_SETS = [
+    frozenset(laws)
+    for r in range(len(KNOWN_LAWS) + 1)
+    for laws in itertools.combinations(sorted(KNOWN_LAWS), r)
+]
+
+
+def up_set(lat, x):
+    """The principal filter {y : x <= y}."""
+    return LatticeSubset(lat, frozenset(y for y in range(len(lat)) if lat.leq(x, y)))
 
 
 def naive_search(lat, laws):
@@ -89,6 +109,17 @@ def naive_search(lat, laws):
     return found
 
 
+def assert_search_matches_oracle(lat, laws):
+    if COMPLEMENT_LAW in laws and any(
+        sub.orthocomplement(s) not in lat for s in lat.elements
+    ):
+        with pytest.raises(ValueError, match="not a lattice element"):
+            search_bivaluations(lat, laws)
+        return
+    optimized = [b.assignment for b in search_bivaluations(lat, laws)]
+    assert optimized == naive_search(lat, laws)
+
+
 def test_coatom_complement_filter(full_lattice):
     filt = coatom_complement_filter(full_lattice, 6)
     assert len(filt) == 7
@@ -98,6 +129,13 @@ def test_coatom_complement_filter(full_lattice):
         coatom_complement_filter(full_lattice, full_lattice.bottom)
     with pytest.raises(ValueError, match="bottom or the top"):
         coatom_complement_filter(full_lattice, full_lattice.top)
+
+
+@pytest.mark.parametrize("w", [99, -3])
+def test_coatom_complement_rejects_out_of_range(diamond, w):
+    # -3 must not wrap around to the atom at index 1
+    with pytest.raises(ValueError, match=f"element index {w} out of range"):
+        coatom_complement_filter(diamond, w)
 
 
 def test_coatom_complement_requires_atom():
@@ -127,7 +165,7 @@ def test_upward_closed_cases(full_lattice):
     top_only = LatticeSubset(lat, frozenset({lat.top}))
     assert is_upward_closed(top_only) == (True, None)
     assert is_standard_filter(top_only)
-    up_w = principal_up_set(lat, 6)
+    up_w = up_set(lat, 6)
     assert up_w.sorted_members() == (6, lat.top)
     assert is_upward_closed(up_w) == (True, None)
     assert is_standard_filter(up_w)
@@ -142,10 +180,27 @@ def test_prime_standard(diamond):
     top_only = LatticeSubset(diamond, frozenset({diamond.top}))
     assert is_prime_standard(top_only) is False
     a = atoms(diamond)[0]
-    up_a = principal_up_set(diamond, a)
+    up_a = up_set(diamond, a)
     assert is_prime_standard(up_a) is True
     everything = LatticeSubset(diamond, frozenset(range(len(diamond))))
     assert is_prime_standard(everything) is NOT_APPLICABLE
+
+
+def test_prime_standard_matches_all_pairs_definition(
+    full_lattice, diamond, boolean_frame, mo5, three_chain, non_atomistic_chain
+):
+    for lat in (full_lattice, diamond, boolean_frame, mo5, three_chain, non_atomistic_chain):
+        pairs = list(itertools.product(range(len(lat)), repeat=2))
+        for bits in itertools.product((0, 1), repeat=len(lat)):
+            subset = LatticeSubset(lat, frozenset(i for i, b in enumerate(bits) if b))
+            if not is_standard_filter(subset):
+                expected = NOT_APPLICABLE
+            else:
+                expected = all(
+                    lat.join(x, y) not in subset or x in subset or y in subset
+                    for x, y in pairs
+                )
+            assert is_prime_standard(subset) is expected
 
 
 def test_homomorphism_from_filter(full_lattice):
@@ -184,15 +239,13 @@ def test_standard_flip_fails_meet_preservation_on_context(diamond):
     flip = homomorphism_from_filter(
         diamond, coatom_complement_filter(diamond, a), CONVENTION_STANDARD
     )
-    assert not is_lattice_homomorphism(flip)
-    principal = indicator_bivaluation(
-        diamond, principal_up_set(diamond, a), CONVENTION_STANDARD
-    )
-    assert is_lattice_homomorphism(principal)
+    assert not satisfies_laws(diamond, flip.assignment, {MEET_HOM, JOIN_HOM})
+    principal = tuple(int(i in up_set(diamond, a)) for i in range(len(diamond)))
+    assert satisfies_laws(diamond, principal, {MEET_HOM, JOIN_HOM})
     found = {
         b.assignment for b in search_bivaluations(diamond, FULL_HOMOMORPHISM_LAWS)
     }
-    assert principal.assignment in found
+    assert principal in found
 
 
 def test_search_full_lattice_empty(full_lattice):
@@ -208,32 +261,45 @@ def test_search_diamond_two(diamond):
     )
     for b in found:
         assert b.convention == CONVENTION_STANDARD
-        assert is_lattice_homomorphism(b)
+        assert satisfies_laws(diamond, b.assignment, {MEET_HOM, JOIN_HOM})
 
 
-@pytest.mark.parametrize(
-    "laws",
-    [
-        frozenset(),
-        frozenset({MEET_HOM}),
-        frozenset({JOIN_HOM}),
-        frozenset({MEET_HOM, JOIN_HOM}),
-        frozenset({COMPLEMENT_LAW}),
-        frozenset({TOP_TO_ONE, BOTTOM_TO_ZERO}),
-        FULL_HOMOMORPHISM_LAWS,
-        FULL_HOMOMORPHISM_LAWS | {COMPLEMENT_LAW},
-    ],
-)
-def test_search_matches_naive_oracle(full_lattice, diamond, boolean_frame, mo5, laws):
+@pytest.mark.parametrize("laws", ALL_LAW_SETS)
+def test_search_matches_naive_oracle(
+    full_lattice, diamond, boolean_frame, mo5, three_chain, non_atomistic_chain, laws
+):
     assert (len(boolean_frame), len(mo5)) == (8, 7)
-    for lat in (full_lattice, diamond, boolean_frame, mo5):
-        if COMPLEMENT_LAW in laws and lat is mo5:
-            # the line [1,1] has no orthocomplement in MO_5
-            with pytest.raises(ValueError, match="not a lattice element"):
-                search_bivaluations(lat, laws)
+    assert (len(three_chain), len(non_atomistic_chain)) == (3, 4)
+    # MO_5 and the two chains lack orthocomplements, so complement-law
+    # is refused there
+    for lat in (full_lattice, diamond, boolean_frame, mo5, three_chain, non_atomistic_chain):
+        assert_search_matches_oracle(lat, laws)
+
+
+def test_search_matches_naive_oracle_on_random_rays(rng):
+    # rays with entries in {0, +-1, +-i} in C^2 and C^3, sometimes with
+    # their orthocomplements, kept when they close to at most 10 elements
+    units = ("0", "1", "-1", "i", "-i")
+    closed = 0
+    for _ in range(60):
+        n, k = rng.choice((2, 3)), rng.choice((2, 3))
+        seeds = []
+        while len(seeds) < k:
+            ray = [rng.choice(units) for _ in range(n)]
+            if ray != ["0"] * n:
+                seeds.append(span([ray]))
+        if rng.random() < 0.5:
+            seeds += [sub.orthocomplement(s) for s in seeds]
+        try:
+            lat = close_and_build(seeds, max_elements=10)
+        except ClosureCapError:
             continue
-        optimized = [b.assignment for b in search_bivaluations(lat, laws)]
-        assert optimized == naive_search(lat, laws)
+        for laws in ALL_LAW_SETS:
+            assert_search_matches_oracle(lat, laws)
+        closed += 1
+        if closed == 6:
+            break
+    assert closed == 6
 
 
 def test_search_law_validation(full_lattice):
@@ -280,6 +346,14 @@ def test_bivaluation_validation(full_lattice):
     assert b.ones() == (1,)
 
 
+def test_bivaluation_from_list_equals_tuple_twin(diamond):
+    listed = Bivaluation(diamond, [0, 1, 0, 0], CONVENTION_STANDARD)
+    twin = Bivaluation(diamond, (0, 1, 0, 0), CONVENTION_STANDARD)
+    assert listed.assignment == (0, 1, 0, 0)
+    assert listed == twin
+    assert hash(listed) == hash(twin)
+
+
 def test_state_valuation_examples():
     p = projector(ProjectorId(1, 1))
     assert state_valuation(p, vector([1, 1])) == 1
@@ -306,3 +380,10 @@ def test_subset_validation(full_lattice):
     assert ideal_complement(full_lattice, subset).sorted_members() == (
         1, 2, 4, 5, 6, 7,
     )
+
+
+def test_subset_from_generator(diamond):
+    subset = LatticeSubset(diamond, (i for i in range(4) if i != 1))
+    assert subset.sorted_members() == (0, 2, 3)
+    with pytest.raises(ValueError, match="member index 9 out of range"):
+        LatticeSubset(diamond, (i for i in (0, 9)))

@@ -6,10 +6,8 @@ from sublat.exactlin import ExactMatrix
 from sublat.qubit import (
     ContextSet,
     ProjectorId,
-    all_projector_ids,
     context,
     full_sigma,
-    negation,
     nontrivial_projectors,
     projector,
 )
@@ -39,13 +37,12 @@ def test_projector_ids_validate():
         ProjectorId(4, 1)
     with pytest.raises(ValueError, match="n"):
         ProjectorId(1, 3)
-    assert len(all_projector_ids()) == 8
+    assert len({ProjectorId(q, n) for q in range(4) for n in (1, 2)}) == 8
     assert str(ProjectorId(1, 2)) == "P(1,2)"
 
 
 def test_all_projectors_hermitian_idempotent():
-    for pid in all_projector_ids():
-        p = projector(pid)
+    for p in (projector(ProjectorId(q, n)) for q in range(4) for n in (1, 2)):
         assert p.is_hermitian()
         assert p.is_idempotent()
 
@@ -68,19 +65,13 @@ def test_nontrivial_images_are_six_distinct_lines():
 
 
 def test_negation():
-    zero = projector(ProjectorId(0, 1))
-    identity = projector(ProjectorId(0, 2))
-    assert negation(zero) == identity
-    assert negation(identity) == zero
-    for q in (1, 2, 3):
-        assert negation(projector(ProjectorId(q, 1))) == projector(ProjectorId(q, 2))
-        assert negation(negation(projector(ProjectorId(q, 1)))) == projector(
-            ProjectorId(q, 1)
-        )
-    with pytest.raises(ValueError, match="Hermitian idempotent"):
-        negation(M([[0, 1], [0, 0]]))
-    with pytest.raises(ValueError, match="Hermitian idempotent"):
-        negation(2 * identity)
+    # 1 - P swaps the two projectors of each (q, 1), (q, 2) pair
+    identity = ExactMatrix.identity(2)
+    for q in (0, 1, 2, 3):
+        first, second = projector(ProjectorId(q, 1)), projector(ProjectorId(q, 2))
+        assert identity - first == second
+        assert identity - second == first
+        assert identity - (identity - first) == first
 
 
 def test_contexts():
