@@ -754,18 +754,19 @@ def _cmd_demo(args: argparse.Namespace, out: Reporter) -> int:
         results == (1, 0, flt.INDETERMINATE),
     )
 
-    # Seeded random spot check of the De Morgan and dimension identities.
+    # Seeded random spot check of the De Morgan and dimension identities,
+    # read off the complement, meet and join tables.
     rng = random.Random(args.seed)
     pairs = 25
+    comp = lt.orthocomplement_indices(full_lattice)
+    meet, join = full_lattice.meet_table, full_lattice.join_table
+    dim = [e.dim for e in full_lattice.elements]
     spot_ok = True
     for _ in range(pairs):
-        s = full_lattice.elements[rng.randrange(len(full_lattice))]
-        t = full_lattice.elements[rng.randrange(len(full_lattice))]
-        joined = sub.join(s, t)
-        de_morgan = sub.orthocomplement(joined) == sub.meet(
-            sub.orthocomplement(s), sub.orthocomplement(t)
-        )
-        dims = sub.meet(s, t).dim + joined.dim == s.dim + t.dim
+        s = rng.randrange(len(full_lattice))
+        t = rng.randrange(len(full_lattice))
+        de_morgan = comp[join[s][t]] == meet[comp[s]][comp[t]]
+        dims = dim[meet[s][t]] + dim[join[s][t]] == dim[s] + dim[t]
         spot_ok = spot_ok and de_morgan and dims
     out(f"random spot check: {pairs} pairs at seed {args.seed}",
         "spot_check", pairs=pairs, seed=args.seed)

@@ -20,9 +20,7 @@ the reduced form, are the same. No floating point is used anywhere.
 
 Products run over Z[i] too: each factor is scaled once to Gaussian
 integers, the integer product is taken term by term, and Fractions are
-formed once per result entry. Matrices this package builds from
-GaussianRational entries it computed itself go through a trusted
-constructor that skips the per-entry coercion of the public one.
+formed once per result entry.
 """
 
 from __future__ import annotations
@@ -69,12 +67,13 @@ class GaussianRational:
     imag: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        # Fraction() normalizes to lowest terms with positive denominator; a
-        # part that is exactly a Fraction is in that form already.
+        # A part that is exactly a Fraction is in lowest terms with a positive
+        # denominator already; ints and other Fractions are converted, and
+        # anything else is refused, as _coerce refuses it.
         if type(self.real) is not Fraction:
-            object.__setattr__(self, "real", Fraction(self.real))
+            object.__setattr__(self, "real", _exact_part(self.real))
         if type(self.imag) is not Fraction:
-            object.__setattr__(self, "imag", Fraction(self.imag))
+            object.__setattr__(self, "imag", _exact_part(self.imag))
 
     def __repr__(self) -> str:
         return f"GaussianRational({format_scalar(self)!r})"
@@ -142,6 +141,12 @@ class GaussianRational:
 
     def sort_key(self) -> tuple[Fraction, Fraction]:
         return (self.real, self.imag)
+
+
+def _exact_part(part: object) -> Fraction:
+    if isinstance(part, (int, Fraction)):
+        return Fraction(part)
+    raise TypeError(f"cannot interpret {part!r} as an exact scalar")
 
 
 def _coerce(value: object) -> GaussianRational | None:
@@ -257,9 +262,17 @@ def format_scalar(value: ScalarLike) -> str:
     return f"{z.real}{sign}{body}i"
 
 
+_EXACT = {GaussianRational}
+
+
 @dataclass(frozen=True)
 class ExactMatrix:
-    """Immutable matrix of Gaussian rationals, row-major entries."""
+    """Immutable matrix of Gaussian rationals, row-major entries.
+
+    The constructor is the one gate into the type: entries may be any
+    iterable of ints, Fractions, scalar text or GaussianRationals, and a
+    tuple that holds only GaussianRationals is kept as it is.
+    """
 
     rows: int
     cols: int
@@ -268,32 +281,14 @@ class ExactMatrix:
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        object.__setattr__(self, "entries", tuple(as_scalar(e) for e in self.entries))
-        self._check_length()
-
-    @classmethod
-    def _trusted(
-        cls, rows: int, cols: int, entries: tuple[GaussianRational, ...]
-    ) -> "ExactMatrix":
-        """A matrix from entries that are GaussianRational already.
-
-        Only this module and the package's own modules call it, on tuples
-        they built from GaussianRational arithmetic, so the per-entry
-        coercion of the public constructor is skipped; the length is still
-        checked.
-        """
-        m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "entries", entries)
-        m._check_length()
-        return m
-
-    def _check_length(self) -> None:
-        if len(self.entries) != self.rows * self.cols:
+        entries = self.entries
+        if type(entries) is not tuple or not _EXACT.issuperset(map(type, entries)):
+            entries = tuple(as_scalar(e) for e in entries)
+            object.__setattr__(self, "entries", entries)
+        if len(entries) != self.rows * self.cols:
             raise ValueError(
                 f"expected {self.rows * self.cols} entries for a "
-                f"{self.rows}x{self.cols} matrix, got {len(self.entries)}"
+                f"{self.rows}x{self.cols} matrix, got {len(entries)}"
             )
 
     @classmethod
@@ -333,25 +328,25 @@ class ExactMatrix:
         flat: list[GaussianRational] = []
         for i in idx:
             flat.extend(self.row(i))
-        return ExactMatrix._trusted(len(idx), self.cols, tuple(flat))
+        return ExactMatrix(len(idx), self.cols, tuple(flat))
 
     def take_cols(self, indices: Iterable[int]) -> "ExactMatrix":
         idx = list(indices)
         flat = [self.entries[i * self.cols + j] for i in range(self.rows) for j in idx]
-        return ExactMatrix._trusted(self.rows, len(idx), tuple(flat))
+        return ExactMatrix(self.rows, len(idx), tuple(flat))
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix._trusted(self.rows, self.cols, tuple(-e for e in self.entries))
+        return ExactMatrix(self.rows, self.cols, tuple(-e for e in self.entries))
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._require_same_shape(other)
-        return ExactMatrix._trusted(
+        return ExactMatrix(
             self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries))
         )
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._require_same_shape(other)
-        return ExactMatrix._trusted(
+        return ExactMatrix(
             self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries))
         )
 
@@ -359,7 +354,7 @@ class ExactMatrix:
         z = _coerce(scalar)
         if z is None:
             return NotImplemented
-        return ExactMatrix._trusted(self.rows, self.cols, tuple(e * z for e in self.entries))
+        return ExactMatrix(self.rows, self.cols, tuple(e * z for e in self.entries))
 
     __rmul__ = __mul__
 
@@ -381,19 +376,17 @@ class ExactMatrix:
         a, da = _integer_row(self.entries)
         b, db = _integer_row(other.entries)
         product = _gaussian_product(a, b, self.rows, self.cols, other.cols)
-        return ExactMatrix._trusted(
-            self.rows, other.cols, tuple(_divided(product, (da * db, 0)))
-        )
+        return ExactMatrix(self.rows, other.cols, tuple(_divided(product, (da * db, 0))))
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix._trusted(
+        return ExactMatrix(
             self.cols,
             self.rows,
             tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)),
         )
 
     def conjugate_transpose(self) -> "ExactMatrix":
-        return ExactMatrix._trusted(
+        return ExactMatrix(
             self.cols,
             self.rows,
             tuple(
@@ -572,7 +565,7 @@ def rref(m: ExactMatrix) -> RrefResult:
     for row, c in zip(work, pivots):
         flat.extend(_divided(row, row[c]))
     flat.extend([ZERO] * ((m.rows - r) * m.cols))
-    return RrefResult(ExactMatrix._trusted(m.rows, m.cols, tuple(flat)), tuple(pivots), r)
+    return RrefResult(ExactMatrix(m.rows, m.cols, tuple(flat)), tuple(pivots), r)
 
 
 def rank(m: ExactMatrix) -> int:
@@ -594,7 +587,7 @@ def kernel_basis(m: ExactMatrix) -> ExactMatrix:
             else:
                 row_vals.append(ZERO)
         flat.extend(row_vals)
-    return ExactMatrix._trusted(m.cols, len(free), tuple(flat))
+    return ExactMatrix(m.cols, len(free), tuple(flat))
 
 
 def invert(m: ExactMatrix) -> ExactMatrix:
@@ -621,4 +614,4 @@ def hstack(*matrices: ExactMatrix) -> ExactMatrix:
         for m in matrices:
             flat.extend(m.row(i))
     total_cols = sum(m.cols for m in matrices)
-    return ExactMatrix._trusted(nrows, total_cols, tuple(flat))
+    return ExactMatrix(nrows, total_cols, tuple(flat))

@@ -270,10 +270,11 @@ def _bounds_and_complement(host: FiniteLattice, v, chosen, comp) -> bool:
 def satisfies_laws(
     host: FiniteLattice, assignment: tuple[int, ...], laws: Iterable[str]
 ) -> bool:
-    """Full check of a {0,1} assignment against the chosen law set."""
+    """Full check of a {0,1} assignment against the chosen law set;
+    ValueError, as from Bivaluation, when it is not one."""
     chosen = _check_law_tokens(laws)
     comp = orthocomplement_indices(host) if COMPLEMENT_LAW in chosen else None
-    v = assignment
+    v = Bivaluation(host, assignment, CONVENTION_STANDARD).assignment
     if not _bounds_and_complement(host, v, chosen, comp):
         return False
     meet_hom, join_hom = MEET_HOM in chosen, JOIN_HOM in chosen

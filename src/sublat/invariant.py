@@ -78,7 +78,7 @@ def _vectorized(mats: Sequence[ExactMatrix]) -> ExactMatrix:
         raise ValueError("need at least one matrix")
     width = mats[0].rows * mats[0].cols
     flat = tuple(e for m in mats for e in m.entries)
-    return ExactMatrix._trusted(len(mats), width, flat)
+    return ExactMatrix(len(mats), width, flat)
 
 
 def algebra_span(generators: Iterable[ExactMatrix]) -> AlgebraBasis:
@@ -133,7 +133,7 @@ def algebra_span(generators: Iterable[ExactMatrix]) -> AlgebraBasis:
             common = gcd(den, *itertools.chain.from_iterable(entries))
             entries = [(re // common, im // common) for re, im in entries]
             den //= common
-            m = ExactMatrix._trusted(n, n, tuple(_divided(entries, (den, 0))))
+            m = ExactMatrix(n, n, tuple(_divided(entries, (den, 0))))
         members.append((entries, den))
         basis.append(m)
 

@@ -210,6 +210,9 @@ def sublattice(lat: FiniteLattice, indices: Iterable[int]) -> FiniteLattice:
     is closed under meet and join, read off lat's tables with no subspace
     algebra; the full index set returns lat itself."""
     kept = sorted(set(indices))
+    for i in kept[:1] + kept[-1:]:  # the least and the greatest index
+        if not 0 <= i < len(lat):
+            raise ValueError(f"element index {i} out of range")
     if kept == list(range(len(lat))):
         return lat
     new = {old: k for k, old in enumerate(kept)}

@@ -17,7 +17,6 @@ from .exactlin import (
     ExactMatrix,
     GaussianRational,
     ScalarLike,
-    as_scalar,
     format_scalar,
     hstack,
     invert,
@@ -46,7 +45,7 @@ def _column_canonical(m: ExactMatrix) -> ExactMatrix:
     """Reduced column echelon basis: nonzero rows of rref(m^T), as columns."""
     reduced, _, r = rref(m.transpose())
     flat = tuple(reduced[j, i] for i in range(m.rows) for j in range(r))
-    return ExactMatrix._trusted(m.rows, r, flat)
+    return ExactMatrix(m.rows, r, flat)
 
 
 @dataclass(frozen=True)
@@ -127,7 +126,7 @@ class StateVector:
 
 
 def vector(values: Sequence[ScalarLike]) -> StateVector:
-    return StateVector(ExactMatrix.column([as_scalar(v) for v in values]))
+    return StateVector(ExactMatrix.column(values))
 
 
 def span(vectors: Sequence[Sequence[ScalarLike]], ambient_dim: int | None = None) -> Subspace:
@@ -139,7 +138,7 @@ def span(vectors: Sequence[Sequence[ScalarLike]], ambient_dim: int | None = None
     n = len(vectors[0])
     if ambient_dim is not None and ambient_dim != n:
         raise ValueError(f"vectors of length {n} do not live in C^{ambient_dim}")
-    columns = [[as_scalar(v[i]) for v in vectors] for i in range(n)]
+    columns = [[v[i] for v in vectors] for i in range(n)]
     return Subspace(n, ExactMatrix.from_rows(columns))
 
 

@@ -335,6 +335,19 @@ def test_satisfies_laws(full_lattice):
     assert not satisfies_laws(full_lattice, zero_map, {TOP_TO_ONE})
 
 
+@pytest.mark.parametrize("assignment,laws,message", [
+    ((0,), {MEET_HOM}, "length"),
+    ((0,) * 6, {MEET_HOM}, "length"),
+    ((0, 2, 0, 1), set(), "0 or 1"),
+])
+def test_satisfies_laws_validates_the_assignment(assignment, laws, message):
+    # the table scan would stop at the shorter side, and no law chosen here
+    # reads the stray value
+    axes = close_and_build([span([[1, 0]]), span([[0, 1]])])
+    with pytest.raises(ValueError, match=message):
+        satisfies_laws(axes, assignment, laws)
+
+
 def test_bivaluation_validation(full_lattice):
     with pytest.raises(ValueError, match="length"):
         Bivaluation(full_lattice, (0, 1), CONVENTION_PAPER)

@@ -278,6 +278,15 @@ def test_sublattice_restricts_tables(full_lattice):
         sublattice(full_lattice, [full_lattice.top])
 
 
+@pytest.mark.parametrize("indices,bad", [([0, 1, 2, 3, -1], -1), ([0, 3, 7], 7)])
+def test_sublattice_rejects_out_of_range_indices(indices, bad):
+    # -1 would otherwise index the last element, and 7 nothing at all
+    axes = close_and_build([span([[1, 0]]), span([[0, 1]])])
+    assert len(axes) == 4
+    with pytest.raises(ValueError, match=f"^element index {bad} out of range$"):
+        sublattice(axes, indices)
+
+
 def _reference_close_and_build(seeds, max_elements=256):
     """The former route: pair every two members in every round until a
     round adds nothing, then take the order table from exact containment

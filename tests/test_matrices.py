@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from sublat import subspace as sub
 from sublat.exactlin import (
     ONE,
     ExactMatrix,
@@ -212,6 +213,10 @@ def test_shape_errors():
         M([[1, 2], [3]])
     with pytest.raises(ValueError, match="entries"):
         ExactMatrix(2, 2, (ZERO,))
+    # the length is checked after coercion too
+    for entries in ((1, 2, 3), [1, 2, 3], iter("123")):
+        with pytest.raises(ValueError, match="expected 4 entries for a 2x2 matrix, got 3"):
+            ExactMatrix(2, 2, entries)
 
 
 def test_zero_width_edges():
@@ -290,10 +295,15 @@ def _assert_exact_entries(m: ExactMatrix) -> None:
 
 
 def test_internal_constructions_hold_exact_scalars(rng, random_matrix):
-    # Matrices the library builds itself skip per-entry coercion, so every
-    # entry they hold must already be a GaussianRational over Fractions.
+    # The constructor keeps a tuple of GaussianRationals as it is, so every
+    # matrix the library builds must hold GaussianRationals over Fractions.
     for a, b in _product_cases(rng, random_matrix):
         _assert_exact_entries(a @ b)
+    for n, j, k in ((2, 1, 1), (3, 2, 2), (3, 1, 2), (4, 3, 2), (4, 2, 3)):
+        s, t = sub.image(random_matrix(n, j)), sub.image(random_matrix(n, k))
+        for space in (sub.meet(s, t), sub.join(s, t), sub.orthocomplement(s)):
+            assert type(space.basis.entries) is tuple
+            _assert_exact_entries(space.basis)
     for m in _elimination_cases(rng, random_matrix)[:20]:
         reduced = rref(m).matrix
         results = [reduced, kernel_basis(m), m.transpose(), m.conjugate_transpose(),
@@ -303,4 +313,34 @@ def test_internal_constructions_hold_exact_scalars(rng, random_matrix):
         if m.is_square() and rank(m) == m.rows:
             results.append(invert(m))
         for result in results:
+            assert type(result.entries) is tuple
             _assert_exact_entries(result)
+
+
+_HALF = Fraction(1, 2)
+_EXPECTED_ROW = ExactMatrix(1, 3, (GaussianRational(Fraction(2)), GaussianRational(_HALF),
+                                   GaussianRational(Fraction(0), Fraction(-1))))
+
+
+@pytest.mark.parametrize("entries", [
+    (2, _HALF, "-i"),
+    ("2", "1/2", "-i"),
+    (GaussianRational(2), _HALF, "-i"),
+    [2, _HALF, "-i"],
+    list(_EXPECTED_ROW.entries),
+    (e for e in (2, _HALF, "-i")),
+])
+def test_constructor_coerces_every_exact_kind(entries):
+    # ints, Fractions and scalar text, in a tuple, a list or a generator,
+    # alone or next to GaussianRationals; a list of GaussianRationals too
+    m = ExactMatrix(1, 3, entries)
+    assert m == _EXPECTED_ROW
+    assert type(m.entries) is tuple
+    _assert_exact_entries(m)
+
+
+@pytest.mark.parametrize("entry", [0.1, None, 1j])
+def test_constructor_refuses_inexact_entries(entry):
+    for entries in ((entry,), [entry], (ONE, entry)):
+        with pytest.raises(TypeError, match="as an exact scalar"):
+            ExactMatrix(1, len(entries), entries)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -114,6 +115,31 @@ def test_mixed_arithmetic_with_ints_and_fractions():
     assert z * Fraction(1, 2) == gr(Fraction(1, 2), 1)
     assert 2 - z == gr(1, -2)
     assert as_scalar("1/2-i") == gr(Fraction(1, 2), -1)
+
+
+@pytest.mark.parametrize("real,imag,expected", [
+    (3, -1, (Fraction(3), Fraction(-1))),
+    (True, False, (Fraction(1), Fraction(0))),
+    (Fraction(2, 4), Fraction(-6, 3), (Fraction(1, 2), Fraction(-2))),
+    (Fraction(1, 3), 0, (Fraction(1, 3), Fraction(0))),
+])
+def test_parts_take_ints_bools_and_fractions(real, imag, expected):
+    z = GaussianRational(real, imag)
+    assert (z.real, z.imag) == expected
+    assert type(z.real) is Fraction and type(z.imag) is Fraction
+
+
+@pytest.mark.parametrize("part", [0.1, "1/2", None, 1j])
+def test_parts_refuse_inexact_values(part):
+    # the wording of as_scalar, which refuses the same values
+    message = f"^cannot interpret {re.escape(repr(part))} as an exact scalar$"
+    with pytest.raises(TypeError, match=message):
+        GaussianRational(part)
+    with pytest.raises(TypeError, match=message):
+        GaussianRational(Fraction(1), part)
+    if not isinstance(part, str):
+        with pytest.raises(TypeError, match=message):
+            as_scalar(part)
 
 
 fractions_st = st.fractions(min_value=-10, max_value=10, max_denominator=12)
