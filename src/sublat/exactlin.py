@@ -7,16 +7,19 @@ and row-major. Everything downstream rests on the four exact algorithms
 here: reduced row echelon form, kernel bases, conjugate transposition,
 and inversion, with kernels and inverses read off the reduced form.
 
-Elimination runs over the Gaussian integers Z[i]. Each row is scaled to
-Gaussian integers by the lcm of its denominators, and each pivot step is
-a fraction-free step of Bareiss (Math. Comp. 22, 1968) that divides
-exactly by the previous pivot, so every intermediate entry is a minor of
-the scaled matrix. Fractions are formed only when the reduced rows are
-divided by their pivots at the end. The pivot is the first nonzero entry
-scanning columns left to right and rows top to bottom, as in elimination
-over Q(i): every fraction-free row is a nonzero multiple of the row that
-elimination over Q(i) holds at the same step, so the pivots, and hence
-the reduced form, are the same. No floating point is used anywhere.
+Elimination runs over the Gaussian integers Z[i], in one loop,
+_gauss_jordan, which rref and the subspace layer share. It works on rows
+of (re, im) int pairs; rref scales each row to Gaussian integers by the
+lcm of its denominators first. Each pivot step is a fraction-free step
+of Bareiss (Math. Comp. 22, 1968) that divides exactly by the previous
+pivot, so every intermediate entry is a minor of the scaled matrix.
+rref forms Fractions only when the reduced rows are divided by their
+pivots at the end; the subspace layer keeps the reduced rows as Gaussian
+integers. The pivot is the first nonzero entry scanning columns left to
+right and rows top to bottom, as in elimination over Q(i): every
+fraction-free row is a nonzero multiple of the row that elimination over
+Q(i) holds at the same step, so the pivots, and hence the reduced form,
+are the same. No floating point is used anywhere.
 
 Products run over Z[i] too: each factor is scaled once to Gaussian
 integers, the integer product is taken term by term, and Fractions are
@@ -479,8 +482,8 @@ def _gaussian_product(
 
 
 def _eliminate(
-    row: list[GaussianInteger],
-    pivot_row: list[GaussianInteger],
+    row: Sequence[GaussianInteger],
+    pivot_row: Sequence[GaussianInteger],
     col: int,
     prev: GaussianInteger,
 ) -> list[GaussianInteger]:
@@ -509,7 +512,7 @@ def _eliminate(
     ]
 
 
-def _divided(row: list[GaussianInteger], d: GaussianInteger) -> list[GaussianRational]:
+def _divided(row: Sequence[GaussianInteger], d: GaussianInteger) -> list[GaussianRational]:
     """The row divided by the nonzero Gaussian integer d, as Gaussian rationals."""
     dr, di = d
     if di:
@@ -525,6 +528,37 @@ def _divided(row: list[GaussianInteger], d: GaussianInteger) -> list[GaussianRat
     ]
 
 
+def _gauss_jordan(work: list[Sequence[GaussianInteger]], cols: int) -> list[int]:
+    """Fraction-free Gauss-Jordan over Z[i] on the rows of work, in place.
+
+    The pivot is the first nonzero entry scanning columns left to right and
+    rows top to bottom; each pivot step is one Bareiss step on every other
+    row. Returns the pivot columns: afterwards row k of work has its pivot
+    at pivots[k] and every other row is 0 there, and the rows after the
+    last pivot row are 0. Each row stays a nonzero multiple of its
+    counterpart in elimination over Q(i), so dividing row k by its pivot
+    gives row k of the reduced row echelon form.
+    """
+    rows = len(work)
+    pivots: list[int] = []
+    prev: GaussianInteger = (1, 0)
+    r = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if work[i][c] != _GZERO), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        for i in range(rows):
+            if i != r:
+                work[i] = _eliminate(work[i], work[r], c, prev)
+        prev = work[r][c]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return pivots
+
+
 class RrefResult(NamedTuple):
     matrix: ExactMatrix
     pivots: tuple[int, ...]
@@ -538,34 +572,16 @@ def rref(m: ExactMatrix) -> RrefResult:
     right and rows top to bottom, so the result is unique for a given
     matrix and equality of rref forms is entry-wise equality.
 
-    The elimination is fraction-free Gauss-Jordan over Z[i]: the rows are
-    scaled to Gaussian integers, each pivot step is one Bareiss step on
-    every other row, and each pivot row is divided by its pivot once, at
-    the end. Each row stays a nonzero multiple of its counterpart in
-    elimination over Q(i), so the pivots are the same.
+    The rows are scaled to Gaussian integers and reduced by _gauss_jordan;
+    each pivot row is divided by its pivot once, at the end.
     """
     work = [_integer_row(m.row(i))[0] for i in range(m.rows)]
-    pivots: list[int] = []
-    prev: GaussianInteger = (1, 0)
-    r = 0
-    for c in range(m.cols):
-        pivot_row = next((i for i in range(r, m.rows) if work[i][c] != _GZERO), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        for i in range(m.rows):
-            if i != r:
-                work[i] = _eliminate(work[i], work[r], c, prev)
-        prev = work[r][c]
-        pivots.append(c)
-        r += 1
-        if r == m.rows:
-            break
+    pivots = _gauss_jordan(work, m.cols)
     flat: list[GaussianRational] = []
     for row, c in zip(work, pivots):
         flat.extend(_divided(row, row[c]))
-    flat.extend([ZERO] * ((m.rows - r) * m.cols))
-    return RrefResult(ExactMatrix(m.rows, m.cols, tuple(flat)), tuple(pivots), r)
+    flat.extend([ZERO] * ((m.rows - len(pivots)) * m.cols))
+    return RrefResult(ExactMatrix(m.rows, m.cols, tuple(flat)), tuple(pivots), len(pivots))
 
 
 def rank(m: ExactMatrix) -> int:

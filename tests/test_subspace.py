@@ -1,9 +1,19 @@
+import copy
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
 
-from sublat.exactlin import ExactMatrix, GaussianRational
+from sublat.exactlin import (
+    ExactMatrix,
+    GaussianRational,
+    format_scalar,
+    hstack,
+    kernel_basis,
+    rank,
+    rref,
+)
 from sublat.subspace import (
     StateVector,
     Subspace,
@@ -166,6 +176,25 @@ def test_span_validation():
         Subspace(3, ExactMatrix.identity(2))
 
 
+def test_span_rejects_vectors_of_unequal_length():
+    # The first vector's length used to set the ambient space: the longer
+    # vector was cut short, or a shorter one raised a bare IndexError.
+    with pytest.raises(ValueError, match=r"unequal lengths \[1, 2\]"):
+        span([[1], [1, 0]])
+    with pytest.raises(ValueError, match=r"unequal lengths \[1, 2\]"):
+        span([[1, 0], [1]])
+
+
+def test_subspaces_are_immutable_and_copy_by_basis():
+    s = span([["1", "i", "0"], [0, 1, "2/3"]])
+    with pytest.raises(AttributeError, match="immutable"):
+        s.ambient_dim = 4
+    with pytest.raises(AttributeError, match="immutable"):
+        del s.ambient_dim
+    for twin in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+        assert twin == s and hash(twin) == hash(s) and twin.basis == s.basis
+
+
 def test_sort_key_orders_catalogue():
     ordered = sorted(CATALOGUE, key=Subspace.sort_key)
     assert ordered[0] == Subspace.zero(2)
@@ -199,3 +228,141 @@ def test_join_matches_orthocomplement_identity(rng, n, pairs):
         s, t = _random_subspace(rng, n), _random_subspace(rng, n)
         expected = orthocomplement(meet(orthocomplement(s), orthocomplement(t)))
         assert join(s, t) == expected
+
+
+# The bodies below are the former ExactMatrix implementations of the
+# subspace operations, kept as references for the Gaussian-integer rows.
+# Each works on canonical basis matrices (one basis vector per column) and
+# returns a canonical basis matrix or a verdict.
+
+
+def _reference_column_canonical(m: ExactMatrix) -> ExactMatrix:
+    reduced, _, r = rref(m.transpose())
+    flat = tuple(reduced[j, i] for i in range(m.rows) for j in range(r))
+    return ExactMatrix(m.rows, r, flat)
+
+
+def _reference_leq(bs: ExactMatrix, bt: ExactMatrix) -> bool:
+    if bs.cols == 0:
+        return True
+    return rank(hstack(bt, bs)) == bt.cols
+
+
+def _reference_meet(bs: ExactMatrix, bt: ExactMatrix) -> ExactMatrix:
+    coeffs = kernel_basis(hstack(bs, bt))
+    x_part = coeffs.take_rows(range(bs.cols))
+    return _reference_column_canonical(bs @ x_part)
+
+
+def _reference_orthocomplement(bs: ExactMatrix) -> ExactMatrix:
+    return _reference_column_canonical(kernel_basis(bs.conjugate_transpose()))
+
+
+def _reference_join(bs: ExactMatrix, bt: ExactMatrix) -> ExactMatrix:
+    return _reference_column_canonical(hstack(bs, bt))
+
+
+def _reference_contains_vector(bs: ExactMatrix, psi: StateVector) -> bool:
+    return rank(hstack(bs, psi.components)) == bs.cols
+
+
+def _reference_maps_into(operator: ExactMatrix, bs: ExactMatrix) -> bool:
+    return rank(hstack(bs, operator @ bs)) == bs.cols
+
+
+def _reference_span_str(b: ExactMatrix) -> str:
+    if b.cols == 0:
+        return "{0}"
+    if b.cols == b.rows:
+        return f"C^{b.rows}"
+    columns = []
+    for j in range(b.cols):
+        body = ",".join(format_scalar(b[i, j]) for i in range(b.rows))
+        columns.append(f"[{body}]")
+    return "span{" + ",".join(columns) + "}"
+
+
+def _reference_sort_key(b: ExactMatrix):
+    return (b.cols, tuple(e.sort_key() for e in b.entries))
+
+
+def _small_scalar(rng):
+    # Mostly Gaussian integers, some with a denominator, so pivots are
+    # often non-real and rows need clearing.
+    den = rng.choice((1, 1, 1, 2, 3))
+    return GaussianRational(Fraction(rng.randint(-2, 2), den), Fraction(rng.randint(-2, 2), den))
+
+
+def _generator(rng, n, kind):
+    """A spanning matrix: of {0} for kind 0, of C^n for kind 1, else of 1
+    to n+1 random columns, sometimes with one column a combination of two
+    others."""
+    if kind == 0:
+        return ExactMatrix.zeros(n, rng.randint(0, 2))
+    cols = rng.randint(1, n + 1)
+    m = ExactMatrix(n, cols, tuple(_small_scalar(rng) for _ in range(n * cols)))
+    if kind == 1:
+        return hstack(m, ExactMatrix.identity(n) * GaussianRational(1, 1))
+    if cols > 1 and rng.random() < 0.3:
+        m = hstack(m, m.take_cols([0]) * _small_scalar(rng) + m.take_cols([1]))
+    return m
+
+
+def _random_column(rng, rows):
+    return ExactMatrix.column([_small_scalar(rng) for _ in range(rows)])
+
+
+def _assert_matches(got: Subspace, expected: ExactMatrix) -> None:
+    n = expected.rows
+    assert got.basis == expected, (got, expected)
+    assert all(type(e) is GaussianRational for e in got.basis.entries)
+    rebuilt = Subspace(n, expected)
+    assert got == rebuilt
+    assert hash(got) == hash(rebuilt)
+    assert got.dim == expected.cols
+    assert got.sort_key() == _reference_sort_key(expected)
+    assert got.span_str() == _reference_span_str(expected)
+    assert Subspace(n, got.basis) == got
+
+
+@pytest.mark.parametrize("n, cases", [(1, 15), (2, 40), (3, 40), (4, 25)])
+def test_operations_match_their_references(rng, n, cases):
+    verdicts = {"leq": set(), "contains_vector": set(), "maps_into": set()}
+    dims = set()
+    for case in range(cases):
+        gs, gt = _generator(rng, n, case % 10), _generator(rng, n, rng.randrange(10))
+        s, t = image(gs), image(gt)
+        bs, bt = _reference_column_canonical(gs), _reference_column_canonical(gt)
+        dims.add(s.dim)
+        _assert_matches(s, bs)
+        _assert_matches(meet(s, t), _reference_meet(bs, bt))
+        _assert_matches(join(s, t), _reference_join(bs, bt))
+        _assert_matches(orthocomplement(s), _reference_orthocomplement(bs))
+
+        joined, met = join(s, t), meet(s, t)
+        for a, b in ((s, t), (t, s), (s, joined), (met, s), (joined, t)):
+            got = leq(a, b)
+            assert got == _reference_leq(a.basis, b.basis)
+            verdicts["leq"].add(got)
+
+        vectors = [_random_column(rng, n)]
+        if bs.cols:
+            vectors.append(bs @ _random_column(rng, bs.cols))
+        for v in vectors:
+            if not v.is_zero():
+                got = contains_vector(s, StateVector(v))
+                assert got == _reference_contains_vector(bs, StateVector(v))
+                verdicts["contains_vector"].add(got)
+
+        # An operator whose image lies in s maps s into s.
+        random_op = ExactMatrix(n, n, tuple(_small_scalar(rng) for _ in range(n * n)))
+        into_s = bs @ ExactMatrix(bs.cols, n, tuple(
+            _small_scalar(rng) for _ in range(bs.cols * n)))
+        for op in (projector_of(t), random_op, into_s):
+            got = maps_into(op, s)
+            assert got == _reference_maps_into(op, bs)
+            verdicts["maps_into"].add(got)
+    assert dims == set(range(n + 1))
+    assert verdicts == {"leq": {True, False}, "contains_vector": {True, False},
+                        # in C^1 every operator maps {0} and C^1 into themselves
+                        "maps_into": {True, False} if n > 1 else {True}}
