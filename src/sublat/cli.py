@@ -538,10 +538,11 @@ def _cmd_contexts(args: argparse.Namespace, out: Reporter) -> int:
 
     for name, lat in contexts.items():
         _sublattice_line(out, f"context {name}", "context", lat, name=name)
-    union_elements = sorted(
-        {s for lat in contexts.values() for s in lat.elements},
-        key=Subspace.sort_key,
-    )
+    # The universe lists its elements in Subspace.sort_key order.
+    union_elements = [
+        universe.elements[i]
+        for i in sorted({universe.index_of(s) for lat in contexts.values() for s in lat.elements})
+    ]
     out("meet-defined matrix (within some registered lattice):")
     for x in union_elements:
         bits = "".join(
@@ -625,8 +626,9 @@ def _cmd_demo(args: argparse.Namespace, out: Reporter) -> int:
         out(f"check {name}: {'ok' if ok else 'FAILED'}", "check", name=name, ok=ok)
 
     # Catalogue: closure of the six nontrivial projector images.
-    images = [sub.image(p) for p in qubit.nontrivial_projectors()]
-    full_lattice = lt.close_and_build(images, ambient_dim=2)
+    sigma = list(qubit.nontrivial_projectors())
+    contexts = {w: qubit.context(w) for w in (1, 2, 3)}
+    full_lattice = lt.close_and_build([sub.image(p) for p in sigma], ambient_dim=2)
     out("subspace catalogue from the six nontrivial projectors:")
     _element_rows(out, full_lattice)
     check(
@@ -638,8 +640,7 @@ def _cmd_demo(args: argparse.Namespace, out: Reporter) -> int:
     # Context lattices.
     context_lattices: dict[int, FiniteLattice] = {}
     for w in (1, 2, 3):
-        members = list(qubit.context(w).members)
-        lat = inv.common_invariant_sublattice(members, full_lattice)
+        lat = inv.common_invariant_sublattice(contexts[w].members, full_lattice)
         context_lattices[w] = lat
         out(f"invariant lattice for context {w}: {', '.join(lat.spans())}",
             "context_lattice", w=w, spans=lat.spans())
@@ -649,9 +650,8 @@ def _cmd_demo(args: argparse.Namespace, out: Reporter) -> int:
         )
 
     # Algebra dimensions and irreducibility.
-    sigma = list(qubit.nontrivial_projectors())
     full_dim = inv.algebra_span(sigma).dim
-    single_dim = inv.algebra_span(list(qubit.context(1).members)).dim
+    single_dim = inv.algebra_span(contexts[1].members).dim
     common = inv.common_invariant_sublattice(sigma, full_lattice)
     out(f"algebra dimension: full family {full_dim} of 4, single context "
         f"{single_dim} of 4",

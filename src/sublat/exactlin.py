@@ -7,19 +7,21 @@ and row-major. Everything downstream rests on the four exact algorithms
 here: reduced row echelon form, kernel bases, conjugate transposition,
 and inversion, with kernels and inverses read off the reduced form.
 
-Elimination runs over the Gaussian integers Z[i], in one loop,
-_gauss_jordan, which rref and the subspace layer share. It works on rows
-of (re, im) int pairs; rref scales each row to Gaussian integers by the
-lcm of its denominators first. Each pivot step is a fraction-free step
-of Bareiss (Math. Comp. 22, 1968) that divides exactly by the previous
-pivot, so every intermediate entry is a minor of the scaled matrix.
-rref forms Fractions only when the reduced rows are divided by their
-pivots at the end; the subspace layer keeps the reduced rows as Gaussian
-integers. The pivot is the first nonzero entry scanning columns left to
-right and rows top to bottom, as in elimination over Q(i): every
-fraction-free row is a nonzero multiple of the row that elimination over
-Q(i) holds at the same step, so the pivots, and hence the reduced form,
-are the same. No floating point is used anywhere.
+Elimination runs over the Gaussian integers Z[i], in one routine,
+_insert_row, which rref, the subspace layer and the algebra span share.
+It grows a list of canonical rows one vector at a time. A canonical row
+holds (re, im) int pairs; it is primitive (its parts share no factor),
+has a positive integer at its pivot, its first nonzero entry, and is 0
+at every other row's pivot. It is the row of the reduced row echelon
+form times the one positive rational that makes it primitive, so the
+canonical rows of a span are unique, whatever the order of insertion.
+An insert clears each kept pivot c from the vector x with d*x - x[c]*row,
+d the row's pivot, which needs no division. A nonzero residual is made
+canonical, its pivot is cleared from the kept rows the same way, and it
+joins them. rref scales each matrix row to Gaussian integers by the lcm
+of its denominators before inserting it, and forms Fractions only when
+the canonical rows are divided by their pivots at the end. No floating
+point is used anywhere.
 
 Products run over Z[i] too: each factor is scaled once to Gaussian
 integers, the integer product is taken term by term, and Fractions are
@@ -28,9 +30,11 @@ formed once per result entry.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence, Union
 
 __all__ = [
@@ -379,7 +383,7 @@ class ExactMatrix:
         a, da = _integer_row(self.entries)
         b, db = _integer_row(other.entries)
         product = _gaussian_product(a, b, self.rows, self.cols, other.cols)
-        return ExactMatrix(self.rows, other.cols, tuple(_divided(product, (da * db, 0))))
+        return ExactMatrix(self.rows, other.cols, tuple(_divided(product, da * db)))
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(
@@ -481,82 +485,86 @@ def _gaussian_product(
     return out
 
 
-def _eliminate(
-    row: Sequence[GaussianInteger],
-    pivot_row: Sequence[GaussianInteger],
-    col: int,
-    prev: GaussianInteger,
-) -> list[GaussianInteger]:
-    """One Bareiss step, (p*row - row[col]*pivot_row) / prev with p = pivot_row[col].
-
-    prev is the pivot of the step before (1 for the first step). By
-    Sylvester's identity every entry of the result is a minor of the scaled
-    matrix, so the division is exact in Z[i]; it multiplies through by the
-    conjugate of prev and divides by its norm. The result is 0 at col.
-    """
-    pr, pi = pivot_row[col]
-    fr, fi = row[col]
-    qr, qi = prev
-    if qi:
-        norm = qr * qr + qi * qi
-        pr, pi = pr * qr + pi * qi, pi * qr - pr * qi
-        fr, fi = fr * qr + fi * qi, fi * qr - fr * qi
-    else:
-        norm = qr
-    return [
-        (
-            (pr * xr - pi * xi - fr * yr + fi * yi) // norm,
-            (pr * xi + pi * xr - fr * yi - fi * yr) // norm,
-        )
-        for (xr, xi), (yr, yi) in zip(row, pivot_row)
-    ]
-
-
-def _divided(row: Sequence[GaussianInteger], d: GaussianInteger) -> list[GaussianRational]:
-    """The row divided by the nonzero Gaussian integer d, as Gaussian rationals."""
-    dr, di = d
-    if di:
-        norm = dr * dr + di * di
-        row = [(xr * dr + xi * di, xi * dr - xr * di) for xr, xi in row]
-    else:
-        norm = dr
-    one = (norm, 0)
+def _divided(row: Sequence[GaussianInteger], d: int) -> list[GaussianRational]:
+    """The row divided by the positive integer d, as Gaussian rationals."""
+    one = (d, 0)
     return [
         ONE if x == one else ZERO if x == _GZERO
-        else GaussianRational(Fraction(x[0], norm), Fraction(x[1], norm))
+        else GaussianRational(Fraction(x[0], d), Fraction(x[1], d))
         for x in row
     ]
 
 
-def _gauss_jordan(work: list[Sequence[GaussianInteger]], cols: int) -> list[int]:
-    """Fraction-free Gauss-Jordan over Z[i] on the rows of work, in place.
+# A canonical row: primitive Gaussian-integer entries with a positive
+# integer at the pivot, the first nonzero entry.
+Row = tuple[GaussianInteger, ...]
 
-    The pivot is the first nonzero entry scanning columns left to right and
-    rows top to bottom; each pivot step is one Bareiss step on every other
-    row. Returns the pivot columns: afterwards row k of work has its pivot
-    at pivots[k] and every other row is 0 there, and the rows after the
-    last pivot row are 0. Each row stays a nonzero multiple of its
-    counterpart in elimination over Q(i), so dividing row k by its pivot
-    gives row k of the reduced row echelon form.
+
+def _canonical_row(row: Sequence[GaussianInteger], pivot: int) -> Row:
+    """The one primitive multiple of the row with a positive integer at
+    pivot, its first nonzero entry.
+
+    The row times conj(p), p its pivot entry, has the positive pivot
+    |p|^2; dividing out the gcd of all its parts leaves that multiple.
     """
-    rows = len(work)
+    pr, pi = row[pivot]
+    if pi or pr < 0:
+        row = [(xr * pr + xi * pi, xi * pr - xr * pi) for xr, xi in row]
+    g = gcd(*chain.from_iterable(row))
+    return tuple((xr // g, xi // g) for xr, xi in row) if g > 1 else tuple(row)
+
+
+def _residual(
+    rows: Sequence[Row], pivots: Sequence[int], x: Sequence[GaussianInteger]
+) -> Sequence[GaussianInteger]:
+    """x with every pivot of the canonical rows cleared, each by
+    d*x - x[c]*row, d the row's pivot entry and c its column.
+
+    Each row is 0 at the other rows' pivots, so one pass clears them all,
+    and the residual is 0 exactly when x lies in the span of the rows.
+    """
+    for row, c in zip(rows, pivots):
+        fr, fi = x[c]
+        if fr or fi:
+            d = row[c][0]
+            x = [
+                (d * xr - fr * yr + fi * yi, d * xi - fr * yi - fi * yr)
+                for (xr, xi), (yr, yi) in zip(x, row)
+            ]
+    return x
+
+
+def _insert_row(rows: list[Row], pivots: list[int], x: Sequence[GaussianInteger]) -> bool:
+    """Insert the Gaussian-integer vector x into the canonical rows, kept
+    in pivot order next to their pivot columns; True when x was
+    independent of them.
+
+    A nonzero residual of x is made canonical, its pivot is cleared from
+    every kept row, which is made canonical again, and it takes its place
+    among the rows by pivot.
+    """
+    x = _residual(rows, pivots, x)
+    p = next((c for c, e in enumerate(x) if e != _GZERO), None)
+    if p is None:
+        return False
+    new = _canonical_row(x, p)
+    for k, (row, c) in enumerate(zip(rows, pivots)):
+        if row[p] != _GZERO:
+            rows[k] = _canonical_row(_residual((new,), (p,), row), c)
+    k = bisect(pivots, p)
+    rows.insert(k, new)
+    pivots.insert(k, p)
+    return True
+
+
+def _reduced_rows(vectors: Iterable[Sequence[GaussianInteger]]) -> tuple[list[Row], list[int]]:
+    """The canonical rows of the span of the vectors, in pivot order, and
+    their pivot columns."""
+    rows: list[Row] = []
     pivots: list[int] = []
-    prev: GaussianInteger = (1, 0)
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if work[i][c] != _GZERO), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        for i in range(rows):
-            if i != r:
-                work[i] = _eliminate(work[i], work[r], c, prev)
-        prev = work[r][c]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return pivots
+    for x in vectors:
+        _insert_row(rows, pivots, x)
+    return rows, pivots
 
 
 class RrefResult(NamedTuple):
@@ -568,18 +576,18 @@ class RrefResult(NamedTuple):
 def rref(m: ExactMatrix) -> RrefResult:
     """Reduced row echelon form with pivot columns and rank.
 
-    Pivots are chosen as the first nonzero entry scanning columns left to
-    right and rows top to bottom, so the result is unique for a given
-    matrix and equality of rref forms is entry-wise equality.
+    The reduced form of a matrix depends only on its row space, so it is
+    unique, and equality of rref forms is entry-wise equality.
 
-    The rows are scaled to Gaussian integers and reduced by _gauss_jordan;
-    each pivot row is divided by its pivot once, at the end.
+    The rows are scaled to Gaussian integers and inserted one at a time
+    with _insert_row; as the canonical rows of a span are unique, the order
+    of insertion does not matter. Each canonical row is divided by its
+    pivot once, at the end, and zero rows fill the rank deficit.
     """
-    work = [_integer_row(m.row(i))[0] for i in range(m.rows)]
-    pivots = _gauss_jordan(work, m.cols)
+    rows, pivots = _reduced_rows(_integer_row(m.row(i))[0] for i in range(m.rows))
     flat: list[GaussianRational] = []
-    for row, c in zip(work, pivots):
-        flat.extend(_divided(row, row[c]))
+    for row, c in zip(rows, pivots):
+        flat.extend(_divided(row, row[c][0]))
     flat.extend([ZERO] * ((m.rows - len(pivots)) * m.cols))
     return RrefResult(ExactMatrix(m.rows, m.cols, tuple(flat)), tuple(pivots), len(pivots))
 

@@ -26,7 +26,7 @@ from typing import Iterable, Optional
 
 from .exactlin import ExactMatrix
 from .lattice import FiniteLattice, atoms, orthocomplement_indices
-from .subspace import StateVector, contains_vector, image
+from .subspace import StateVector, contains_vector, image, orthocomplement
 
 __all__ = [
     "CONVENTION_PAPER",
@@ -341,8 +341,9 @@ def state_valuation(p: ExactMatrix, psi: StateVector):
     """Three-valued truth of a projector on a state: 1, 0, or INDETERMINATE.
 
     1 when psi lies in ran(p), 0 when psi lies in ran(1 - p), and
-    INDETERMINATE otherwise. Raises ValueError if p is not a projector or
-    the dimensions do not match.
+    INDETERMINATE otherwise. For an orthogonal projector, ran(1 - p) is
+    the orthocomplement of ran(p). Raises ValueError if p is not a
+    projector or the dimensions do not match.
     """
     if not p.is_projector():
         raise ValueError("state valuation requires a Hermitian idempotent matrix")
@@ -350,9 +351,9 @@ def state_valuation(p: ExactMatrix, psi: StateVector):
         raise ValueError(
             f"ambient dimensions differ: {p.rows} vs {psi.ambient_dim}"
         )
-    if contains_vector(image(p), psi):
+    ran = image(p)
+    if contains_vector(ran, psi):
         return 1
-    negated = ExactMatrix.identity(p.rows) - p
-    if contains_vector(image(negated), psi):
+    if contains_vector(orthocomplement(ran), psi):
         return 0
     return INDETERMINATE

@@ -6,8 +6,10 @@ maps into themselves; families of operators share the intersection of
 their invariant sublattices. Invariant subspaces are closed under
 intersection and sum, so both are restrictions of the universe's tables.
 The generated unital algebra is spanned by closing {identity, generators}
-under left multiplication by the generators, one reduced product at a
-time, and stopping at n^2 members. Irreducibility is decided by its
+under left multiplication by the generators, one product at a time, and
+stopping at n^2 members; a product is kept when inserting it into the
+canonical rows of the members so far, exactlin's one elimination
+routine, finds it independent. Irreducibility is decided by its
 dimension: by Burnside's theorem it is the full matrix algebra, of
 dimension n^2, exactly when no nontrivial subspace is invariant.
 
@@ -21,8 +23,8 @@ restriction of the universe's tables too.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from . import filters as flt
@@ -31,9 +33,10 @@ from . import subspace as sub
 from .exactlin import (
     ExactMatrix,
     GaussianInteger,
+    Row,
     _divided,
-    _eliminate,
     _gaussian_product,
+    _insert_row,
     _integer_row,
     rank,
 )
@@ -41,6 +44,7 @@ from .lattice import FiniteLattice
 from .subspace import Subspace
 
 __all__ = [
+    "CONSISTENT_CAP",
     "AlgebraBasis",
     "LatticeValuationSummary",
     "ContextualValuationReport",
@@ -51,6 +55,10 @@ __all__ = [
     "meet_defined",
     "contextual_valuation_report",
 ]
+
+# The most assignments the contexts report lists, as many as the valuation
+# search's free-bit cap allows it to try.
+CONSISTENT_CAP = 2 ** flt.SEARCH_FREE_BIT_CAP
 
 
 @dataclass(frozen=True)
@@ -95,12 +103,11 @@ def algebra_span(generators: Iterable[ExactMatrix]) -> AlgebraBasis:
     Everything in the walk runs over Z[i]. Each generator is scaled once to
     Gaussian integers, and each member is kept as Gaussian-integer entries
     over one denominator, with their common factor divided out; a candidate
-    g @ b is the integer product of the two. Independence is decided by
-    reducing the candidate against an echelon form of the members: one
-    fraction-free row per member, kept as its own reduction left it, with
-    the pivot at its first nonzero entry. A nonzero scale changes no
-    independence, so only the accepted products, at most n^2, are turned
-    into Gaussian-rational matrices.
+    g @ b is the integer product of the two. A candidate is a member when
+    exactlin's _insert_row finds it independent of the canonical rows of
+    the members so far; a nonzero scale changes no independence. The
+    members, at most n^2, are turned into Gaussian-rational matrices once,
+    at the end.
     """
     gens = list(generators)
     if not gens:
@@ -112,44 +119,28 @@ def algebra_span(generators: Iterable[ExactMatrix]) -> AlgebraBasis:
 
     full = n * n
     scaled = [_integer_row(g.entries) for g in gens]
-    basis: list[ExactMatrix] = []
     members: list[tuple[list[GaussianInteger], int]] = []
-    echelon: list[tuple[int, list[GaussianInteger]]] = []
+    rows: list[Row] = []
+    pivots: list[int] = []
 
-    def try_add(entries: list[GaussianInteger], den: int, m: ExactMatrix | None = None) -> None:
-        # Forward Bareiss, one kept row at a time: each kept row is 0 at every
-        # earlier pivot, so one pass in insertion order clears all of them,
-        # each step dividing exactly by the previous kept row's pivot.
-        row = entries
-        prev: GaussianInteger = (1, 0)
-        for pivot, kept in echelon:
-            row = _eliminate(row, kept, pivot, prev)
-            prev = kept[pivot]
-        pivot = next((c for c, e in enumerate(row) if e != (0, 0)), None)
-        if pivot is None:
-            return
-        echelon.append((pivot, row))
-        if m is None:
-            common = gcd(den, *itertools.chain.from_iterable(entries))
-            entries = [(re // common, im // common) for re, im in entries]
-            den //= common
-            m = ExactMatrix(n, n, tuple(_divided(entries, (den, 0))))
-        members.append((entries, den))
-        basis.append(m)
+    def try_add(entries: list[GaussianInteger], den: int) -> None:
+        if _insert_row(rows, pivots, entries):
+            common = math.gcd(den, *itertools.chain.from_iterable(entries))
+            members.append(([(re // common, im // common) for re, im in entries], den // common))
 
-    identity = ExactMatrix.identity(n)
-    try_add(*_integer_row(identity.entries), identity)
-    for g, (entries, den) in zip(gens, scaled):
-        try_add(entries, den, g)
+    try_add(*_integer_row(ExactMatrix.identity(n).entries))
+    for entries, den in scaled:
+        try_add(entries, den)
     queued = 0
-    while queued < len(basis) < full:
+    while queued < len(members) < full:
         b, b_den = members[queued]
         queued += 1
         for g, g_den in scaled:
             try_add(_gaussian_product(g, b, n, n, n), g_den * b_den)
-            if len(basis) == full:
+            if len(members) == full:
                 break
-    return AlgebraBasis(n, tuple(basis))
+    basis = tuple(ExactMatrix(n, n, tuple(_divided(entries, den))) for entries, den in members)
+    return AlgebraBasis(n, basis)
 
 
 def invariant_sublattice(operator: ExactMatrix, universe: FiniteLattice) -> FiniteLattice:
@@ -234,7 +225,9 @@ def contextual_valuation_report(
     order; their union lattice is read off the universe's tables. Requires
     every pair of contexts to intersect exactly in {bottom, top}, and every
     context element to be the bottom, the top, or an atom of the union
-    lattice; a context that is just {bottom, top} is rejected.
+    lattice; a context that is just {bottom, top} is rejected. Raises
+    ValueError, before listing any, when more than CONSISTENT_CAP
+    assignments are consistent with every context separately.
     """
     if not contexts:
         raise ValueError("the contexts mapping is empty")
@@ -322,7 +315,8 @@ def contextual_valuation_report(
     # Reading (a): one bit per union atom, laws checked inside each context
     # separately. The contexts' atoms are disjoint, so a consistent
     # assignment picks one standard valuation per context and either bit on
-    # each union atom that lies in no context.
+    # each union atom that lies in no context; they are counted before any
+    # is listed.
     parts = [
         [{s: bits[lat.index_of(s)] for s in owned[name]}
          for bits in summary.standard_valuations]
@@ -330,6 +324,13 @@ def contextual_valuation_report(
     ]
     in_contexts = {s for own in owned.values() for s in own}
     parts += [[{s: 0}, {s: 1}] for s in union_atom_subspaces if s not in in_contexts]
+    count = math.prod(map(len, parts))
+    if count > CONSISTENT_CAP:
+        raise ValueError(
+            f"{count} atom assignments are consistent with every context "
+            f"separately; the report lists at most {CONSISTENT_CAP} "
+            f"(2^{flt.SEARCH_FREE_BIT_CAP}, the valuation search's free-bit cap)"
+        )
     consistent = []
     for pick in itertools.product(*parts):
         chosen = {s: bit for part in pick for s, bit in part.items()}

@@ -126,13 +126,8 @@ def close_and_build(
         )
     index = {s: k for k, s in enumerate(found)}
 
-    def locate(x: Subspace, i: int, k: int) -> int:
-        """Discovery index of x, a result for the pair (i, k); x is appended
-        when new. The pair's own elements and the bounds are matched by
-        identity, which spares hashing a basis."""
-        for d in (i, k, 0, 1):
-            if found[d] is x:
-                return d
+    def locate(x: Subspace) -> int:
+        """Discovery index of x; x is appended when new."""
         d = index.get(x)
         if d is None:
             d = index[x] = len(found)
@@ -151,7 +146,7 @@ def close_and_build(
         row = []
         for i, s in enumerate(found[:k]):
             m, j = _settle(s, t, zero, full)
-            row.append((locate(m, i, k), locate(j, i, k)))
+            row.append((locate(m), locate(j)))
         pairs.append(row)
 
     size = len(found)
@@ -193,9 +188,6 @@ def _settle(
     if s.dim == n - 1:
         # two distinct hyperplanes span the whole space
         return (zero if n == 2 else sub.meet(s, t)), full
-    if t.dim == 1:
-        # two distinct lines
-        return zero, sub.join(s, t)
     j = sub.join(s, t)
     if j.dim == t.dim:
         # t <= j, so j = t and s <= t

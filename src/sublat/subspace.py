@@ -11,35 +11,38 @@ first use.
 
 A Subspace built from an ExactMatrix (the constructor, `image`, `span`)
 is canonicalized once, through exactlin.rref. The operations work on the
-int rows and reduce with exactlin's one fraction-free Gauss-Jordan
-kernel, with no Gaussian rationals in between:
-- a join reduces the rows of both subspaces together;
-- a meet reduces the Zassenhaus rows [r | r] of s and [r | 0] of t; the
-  rows whose left half vanishes span s ^ t, already reduced;
+int rows, which are exactlin's canonical rows, and reduce with its one
+insert routine, with no Gaussian rationals in between:
+- a join inserts the rows of one subspace into those of the other;
+- a meet inserts the Zassenhaus rows [r | 0] of t into the rows [r | r]
+  of s; the rows whose pivot falls in the right half span s ^ t, already
+  canonical;
 - an orthocomplement writes down the kernel of the conjugated rows,
   which are already reduced, and canonicalizes it;
-- containment, membership and invariance reduce vectors against the
-  canonical rows, one Bareiss step per pivot.
+- containment, membership and invariance clear a vector's entries at
+  the canonical rows' pivots and read the residual.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from math import gcd, lcm
+from math import lcm
 from typing import Sequence
 
 from .exactlin import (
     _GZERO,
     ExactMatrix,
     GaussianInteger,
+    Row,
     ScalarLike,
     _divided,
-    _eliminate,
-    _gauss_jordan,
     _gaussian_product,
+    _insert_row,
     _integer_row,
+    _reduced_rows,
+    _residual,
     format_scalar,
     invert,
     rank,  # noqa: F401 -- kept bound here: perfbench's tracer wraps subspace.rank
@@ -60,11 +63,6 @@ __all__ = [
     "contains_vector",
     "maps_into",
 ]
-
-# A canonical row: Gaussian-integer entries over the positive denominator
-# held at its pivot, the first nonzero entry; the entries and the
-# denominator share no factor.
-Row = tuple[GaussianInteger, ...]
 
 _GONE: GaussianInteger = (1, 0)
 
@@ -132,7 +130,7 @@ class Subspace:
         column echelon form, with each pivot entry 1."""
         if self._basis is None:
             n, r = self.ambient_dim, self.dim
-            columns = [_divided(row, row[c]) for row, c in zip(self._rows, self._pivots)]
+            columns = [_divided(row, row[c][0]) for row, c in zip(self._rows, self._pivots)]
             flat = tuple(columns[j][i] for i in range(n) for j in range(r))
             object.__setattr__(self, "_basis", ExactMatrix(n, r, flat))
         return self._basis
@@ -155,10 +153,11 @@ class Subspace:
         return (self.dim, tuple(e.sort_key() for e in self.basis.entries))
 
 
-def _subspace(n: int, rows: tuple[Row, ...], pivots: Sequence[int]) -> Subspace:
+def _subspace(n: int, rows: Sequence[Row], pivots: Sequence[int]) -> Subspace:
     """A Subspace of C^n from its canonical rows and their pivot columns."""
     s = object.__new__(Subspace)
     put = object.__setattr__
+    rows = tuple(rows)
     put(s, "ambient_dim", n)
     put(s, "dim", len(rows))
     put(s, "_rows", rows)
@@ -168,38 +167,10 @@ def _subspace(n: int, rows: tuple[Row, ...], pivots: Sequence[int]) -> Subspace:
     return s
 
 
-def _canonical_row(row: Sequence[GaussianInteger], pivot: int) -> Row:
-    """The row scaled to its canonical form: the row divided by its pivot
-    entry p, as int pairs over a positive denominator in lowest terms.
-
-    A row times conj(p) has the positive pivot |p|^2; dividing out the gcd
-    of all its parts leaves the one primitive multiple with a positive
-    pivot, which is the lcm-scaled reduced row.
-    """
-    pr, pi = row[pivot]
-    if pi or pr < 0:
-        row = [(xr * pr + xi * pi, xi * pr - xr * pi) for xr, xi in row]
-    g = gcd(*chain.from_iterable(row))
-    return tuple((xr // g, xi // g) for xr, xi in row) if g > 1 else tuple(row)
-
-
-def _reduced(n: int, work: list[Sequence[GaussianInteger]]) -> Subspace:
-    """The subspace of C^n spanned by the Gaussian-integer rows of work."""
-    pivots = _gauss_jordan(work, n)
-    return _subspace(n, tuple(_canonical_row(work[k], c) for k, c in enumerate(pivots)), pivots)
-
-
 def _in_span(vec: Sequence[GaussianInteger], s: Subspace) -> bool:
-    """True when the Gaussian-integer vector lies in s.
-
-    Each canonical row is 0 at the other rows' pivots, so one Bareiss step
-    per row clears vec at every pivot; what is left is 0 exactly when vec
-    is a combination of the rows.
-    """
-    for row, c in zip(s._rows, s._pivots):
-        if vec[c] != _GZERO:
-            vec = _eliminate(vec, row, c, _GONE)
-    return all(x == _GZERO for x in vec)
+    """True when the Gaussian-integer vector lies in s: its residual
+    against the canonical rows is 0."""
+    return all(x == _GZERO for x in _residual(s._rows, s._pivots, vec))
 
 
 @dataclass(frozen=True)
@@ -265,17 +236,19 @@ def leq(s: Subspace, t: Subspace) -> bool:
 
 
 def meet(s: Subspace, t: Subspace) -> Subspace:
-    """Intersection, by Zassenhaus's method: reduce the rows [r | r] for
-    the rows r of s and [r | 0] for those of t. A reduced row whose left
-    half is 0 has a right half in both, and those right halves, already
-    reduced among themselves, span s ^ t."""
+    """Intersection, by Zassenhaus's method: insert the rows [r | 0] for
+    the rows r of t into the rows [r | r] for those of s, which are
+    canonical already. A row whose pivot lies in the right half is 0 on
+    the left, so its right half lies in both; those right halves are the
+    canonical rows of s ^ t."""
     _require_same_ambient(s, t)
     n = s.ambient_dim
     zeros = (_GZERO,) * n
-    work = [row + row for row in s._rows] + [row + zeros for row in t._rows]
-    pivots = _gauss_jordan(work, 2 * n)
-    rows = tuple(_canonical_row(work[k][n:], c - n) for k, c in enumerate(pivots) if c >= n)
-    return _subspace(n, rows, [c - n for c in pivots if c >= n])
+    rows, pivots = [row + row for row in s._rows], list(s._pivots)
+    for row in t._rows:
+        _insert_row(rows, pivots, row + zeros)
+    k = bisect_left(pivots, n)
+    return _subspace(n, [row[n:] for row in rows[k:]], [c - n for c in pivots[k:]])
 
 
 def orthocomplement(s: Subspace) -> Subspace:
@@ -295,13 +268,18 @@ def orthocomplement(s: Subspace) -> Subspace:
             q = scale // row[c][0]
             x[c] = (-row[f][0] * q, row[f][1] * q)
         work.append(x)
-    return _reduced(n, work)
+    return _subspace(n, *_reduced_rows(work))
 
 
 def join(s: Subspace, t: Subspace) -> Subspace:
     """Closed join: the span of both bases (every subspace of C^n is closed)."""
     _require_same_ambient(s, t)
-    return _reduced(s.ambient_dim, [*s._rows, *t._rows])
+    if s.dim < t.dim:
+        s, t = t, s
+    rows, pivots = list(s._rows), list(s._pivots)
+    for row in t._rows:
+        _insert_row(rows, pivots, row)
+    return _subspace(s.ambient_dim, rows, pivots)
 
 
 def projector_of(s: Subspace) -> ExactMatrix:

@@ -292,6 +292,35 @@ def test_contexts_rejection_leaves_stdout_empty(tmp_path, capsys, text, error, f
     assert captured.err == error
 
 
+def _orthogonal_pair_contexts(count):
+    """A C^2 file with count contexts, the projector pairs onto [1, k] and
+    [k, -1] for k = 1..count; each context has two standard valuations, so
+    2^count assignments are consistent with every context separately."""
+    lines = ["dim 2"]
+    for k in range(1, count + 1):
+        d = 1 + k * k
+        lines += [
+            f"proj p{k} = [[1/{d}, {k}/{d}], [{k}/{d}, {k * k}/{d}]]",
+            f"proj q{k} = [[{k * k}/{d}, -{k}/{d}], [-{k}/{d}, 1/{d}]]",
+            f"context c{k:02d} = p{k}, q{k}",
+        ]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "records"])
+def test_contexts_over_the_assignment_cap_leaves_stdout_empty(tmp_path, capsys, fmt):
+    path = tmp_path / "many.sublat"
+    path.write_text(_orthogonal_pair_contexts(17))
+    assert main(["contexts", str(path), "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: 131072 atom assignments are consistent with every context "
+        "separately; the report lists at most 65536 (2^16, the valuation "
+        "search's free-bit cap)\n"
+    )
+
+
 def test_dot_command(tmp_path, capsys):
     assert main(["dot", str(DATA)]) == 0
     out = capsys.readouterr().out

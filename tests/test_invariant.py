@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from sublat import invariant
 from sublat.exactlin import (
     ZERO,
     ExactMatrix,
     GaussianInteger,
     GaussianRational,
-    _eliminate,
     _integer_row,
     invert,
     rank,
@@ -312,6 +312,16 @@ def test_contextual_report_matches_enumeration_reference(
         union_size, consistent, global_count)
 
 
+def test_contextual_report_cap_is_inclusive(monkeypatch):
+    # five orthogonal pairs: 2^5 = 32 consistent assignments
+    universe, contexts = _pairs_case(5)
+    monkeypatch.setattr(invariant, "CONSISTENT_CAP", 32)
+    assert len(contextual_valuation_report(universe, contexts).per_lattice_consistent) == 32
+    monkeypatch.setattr(invariant, "CONSISTENT_CAP", 31)
+    with pytest.raises(ValueError, match="^32 atom assignments .* at most 31 "):
+        contextual_valuation_report(universe, contexts)
+
+
 def test_irreducibility_cross_check_runs(universe):
     # the dual route: full algebra dimension and trivial common invariants
     sigma = list(nontrivial_projectors())
@@ -454,6 +464,34 @@ def test_algebra_span_matches_product_closure_reference(rng, random_matrix):
         assert rank(_vectorized(list(got) + products)) == len(got)
 
 
+def _bareiss_step(row, pivot_row, col, prev):
+    """One Bareiss step over Z[i], the elimination step algebra_span used
+    to run: (p*row - row[col]*pivot_row) / prev with p = pivot_row[col].
+
+    prev is the pivot of the step before (1 for the first step). By
+    Sylvester's identity every entry of the result is a minor of the
+    scaled matrix, so the division is exact in Z[i]; it multiplies through
+    by the conjugate of prev and divides by its norm. The oracle keeps
+    this step so that it shares no elimination code with algebra_span.
+    """
+    pr, pi = pivot_row[col]
+    fr, fi = row[col]
+    qr, qi = prev
+    if qi:
+        norm = qr * qr + qi * qi
+        pr, pi = pr * qr + pi * qi, pi * qr - pr * qi
+        fr, fi = fr * qr + fi * qi, fi * qr - fr * qi
+    else:
+        norm = qr
+    return [
+        (
+            (pr * xr - pi * xi - fr * yr + fi * yi) // norm,
+            (pr * xi + pi * xr - fr * yi - fi * yr) // norm,
+        )
+        for (xr, xi), (yr, yi) in zip(row, pivot_row)
+    ]
+
+
 def _reference_algebra_span(generators):
     """The former body of algebra_span: each product g @ b is formed in
     GaussianRational arithmetic and then scaled to Gaussian integers."""
@@ -476,7 +514,7 @@ def _reference_algebra_span(generators):
         row, _ = _integer_row(m.entries)
         prev: GaussianInteger = (1, 0)
         for pivot, kept in echelon:
-            row = _eliminate(row, kept, pivot, prev)
+            row = _bareiss_step(row, kept, pivot, prev)
             prev = kept[pivot]
         pivot = next((c for c, e in enumerate(row) if e != (0, 0)), None)
         if pivot is None:

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 
 import pytest
 
@@ -9,6 +11,9 @@ from sublat.exactlin import (
     GaussianRational,
     RrefResult,
     ZERO,
+    _insert_row,
+    _integer_row,
+    _reduced_rows,
     hstack,
     invert,
     kernel_basis,
@@ -97,7 +102,8 @@ def test_rref_pivot_normalization():
 
 def _elimination_cases(rng, random_matrix):
     """Matrices up to 12x12, most with non-unit denominators and nonzero
-    imaginary parts, so the fraction-free pivots are non-real."""
+    imaginary parts, so most residuals have non-real pivots before they
+    are made canonical."""
     cases = [random_matrix(1, 1), ExactMatrix.zeros(1, 1)]
     # dense square, wide and tall
     cases += [random_matrix(n, n) for n in (2, 3, 4, 8, 12)]
@@ -132,6 +138,62 @@ def test_rref_matches_reference(rng, random_matrix):
         elif m.is_square():
             with pytest.raises(ValueError, match="singular"):
                 invert(m)
+
+
+def _assert_canonical(rows, pivots, n):
+    """Each row is primitive, has a positive integer at its pivot, its
+    first nonzero entry, and is 0 at every other row's pivot; the pivots
+    increase."""
+    assert list(pivots) == sorted(set(pivots))
+    for row, c in zip(rows, pivots):
+        assert len(row) == n
+        assert all(x == (0, 0) for x in row[:c])
+        assert row[c][0] > 0 and row[c][1] == 0
+        assert gcd(*chain.from_iterable(row)) == 1
+        assert all(row[other] == (0, 0) for other in pivots if other != c)
+
+
+def _insertion_case(rng, random_scalar, n):
+    """Vectors in C^n with non-real and fractional entries: independent
+    ones, combinations of them with Gaussian-rational coefficients, zero
+    vectors, and vectors with zero entries."""
+    small = [GaussianRational(a, b) for a in (-1, 0, 1, Fraction(1, 2)) for b in (-1, 0, 1)]
+    independent = [[random_scalar() for _ in range(n)] for _ in range(rng.randint(1, n))]
+    vectors = list(independent)
+    for _ in range(rng.randint(0, 3)):
+        coefficients = [rng.choice(small) for _ in independent]
+        vectors.append([sum((a * v[j] for a, v in zip(coefficients, independent)), ZERO)
+                        for j in range(n)])
+    if rng.random() < 0.3:
+        vectors.append([ZERO] * n)
+    if rng.random() < 0.5:
+        gaps = {rng.randrange(n) for _ in range(n // 2)}
+        vectors.append([ZERO if j in gaps else random_scalar() for j in range(n)])
+    rng.shuffle(vectors)
+    return vectors
+
+
+def test_insert_row_keeps_canonical_rows_in_any_order(rng, random_scalar):
+    for n in range(1, 17):
+        vectors = _insertion_case(rng, random_scalar, n)
+        scaled = [_integer_row(v)[0] for v in vectors]
+        rows, pivots = [], []
+        added = [_insert_row(rows, pivots, x) for x in scaled]
+        _assert_canonical(rows, pivots, n)
+        assert sum(added) == len(rows)
+        for _ in range(3):
+            assert _reduced_rows(rng.sample(scaled, len(scaled))) == (rows, pivots)
+        # a combination of the rows is dependent and changes nothing
+        combination = [(0, 0)] * n
+        for row in rows:
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            combination = [(xr + a * yr - b * yi, xi + a * yi + b * yr)
+                           for (xr, xi), (yr, yi) in zip(combination, row)]
+        kept = (list(rows), list(pivots))
+        assert not _insert_row(rows, pivots, combination)
+        assert (rows, pivots) == kept
+        m = ExactMatrix(len(vectors), n, tuple(chain.from_iterable(vectors)))
+        assert rref(m) == _reference_rref(m), str(m)
 
 
 def test_kernel_examples():
