@@ -21,8 +21,8 @@ stdout empty; `burnside` prints its verdict before closing the declared
 subspaces, which can exceed the closure cap.
 
 Exit codes: 0 success, 1 input, parse or usage error (a negative
---limit or --assert-count included), 2 a demo-qubit check or an --assert
-expectation failed.
+--limit or --assert-count and a dot --name that is no DOT identifier
+included), 2 a demo-qubit check or an --assert expectation failed.
 """
 
 from __future__ import annotations
@@ -802,6 +802,17 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+_DOT_KEYWORDS = {"node", "edge", "graph", "digraph", "subgraph", "strict"}  # any case
+
+
+def _dot_name(text: str) -> str:
+    """argparse type for a DOT graph name: a declaration name that is no DOT
+    keyword, so DOT reads it as an identifier."""
+    if not _NAME_RE.fullmatch(text) or text.lower() in _DOT_KEYWORDS:
+        raise argparse.ArgumentTypeError(f"not a DOT identifier: {text!r}")
+    return text
+
+
 @functools.cache
 def _build_parser() -> _ArgumentParser:
     """Build the parser on the first `main` call; later calls reuse it.
@@ -887,7 +898,8 @@ def _build_parser() -> _ArgumentParser:
 
     p = command("dot", "Hasse diagram in DOT form", _cmd_dot)
     p.add_argument("--out", default=None, help="write to a file instead of stdout")
-    p.add_argument("--name", default="lattice", help="DOT graph name")
+    p.add_argument("--name", type=_dot_name, default="lattice",
+                   help="DOT graph name: letters, digits and _; no leading digit or keyword")
 
     p = command(
         "demo-qubit", "self-checking tour of the qubit construction", _cmd_demo,

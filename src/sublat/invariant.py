@@ -4,7 +4,8 @@ contextual valuation reports over sets of contexts.
 The invariant sublattice of an operator collects the universe elements it
 maps into themselves; families of operators share the intersection of
 their invariant sublattices. Invariant subspaces are closed under
-intersection and sum, so both are restrictions of the universe's tables.
+intersection and sum, so the sublattice these elements generate in the
+universe holds them and nothing more.
 The generated unital algebra is spanned by closing {identity, generators}
 under left multiplication by the generators, one product at a time, and
 stopping at n^2 members; a product is kept when inserting it into the
@@ -16,8 +17,8 @@ dimension n^2, exactly when no nontrivial subspace is invariant.
 Contexts are named sublattices of one universe lattice whose pairwise
 overlaps are trivial; meets between elements of different contexts are
 then undefined, and the contextual report spells out what each
-per-context valuation can and cannot see. Their union lattice is a
-restriction of the universe's tables too.
+per-context valuation can and cannot see. Their union lattice is the
+sublattice of the universe that the contexts' elements generate.
 """
 
 from __future__ import annotations
@@ -222,7 +223,8 @@ def contextual_valuation_report(
     """Per-context valuations plus the two union-level readings.
 
     The contexts are sublattices of universe, reported in sorted name
-    order; their union lattice is read off the universe's tables. Requires
+    order; their union lattice is the sublattice of universe that their
+    elements generate, read off its tables. Requires
     every pair of contexts to intersect exactly in {bottom, top}, and every
     context element to be the bottom, the top, or an atom of the union
     lattice; a context that is just {bottom, top} is rejected. Raises
@@ -252,19 +254,9 @@ def contextual_valuation_report(
                 "the bottom and the top"
             )
 
-    kept = {universe.bottom, universe.top}
-    kept.update(universe.index_of(s) for _, lat in items for s in lat.elements)
-    while True:
-        grown = kept | {
-            table[i][j]
-            for table in (universe.meet_table, universe.join_table)
-            for i in kept
-            for j in kept
-        }
-        if grown == kept:
-            break
-        kept = grown
-    union = lt.sublattice(universe, kept)
+    union = lt.sublattice(
+        universe, [universe.index_of(s) for _, lat in items for s in lat.elements]
+    )
     union_atom_subspaces = [union.elements[i] for i in lt.atoms(union)]
     allowed = trivial | set(union_atom_subspaces)
     for name, lat in items:

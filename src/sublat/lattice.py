@@ -7,10 +7,11 @@ and the last index is the full space, and rebuilding from the same family
 reproduces the same object. Closure is a worklist that settles each
 pair of elements once: dimension alone settles pairs that involve the
 bottom or the top, pairs of hyperplanes of C^2 and the zero meets that
-Grassmann's formula shows, and exact meet or join does the rest. All
-three tables are read off those pair results, and sublattices of a built
-lattice are taken by restricting its tables. Atoms, covers and law
-reports are counted off the tables too, with no subspace algebra.
+Grassmann's formula shows, and exact meet or join does the rest. The
+sublattice some elements of a built lattice generate is their closure
+under its tables. Both relabel a parent's meet and join tables onto the
+kept indices and read the order table off the meets. Atoms, covers and
+law reports are counted off the tables too, with no subspace algebra.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from . import subspace as sub
 from .subspace import Subspace
@@ -39,7 +40,9 @@ __all__ = [
     "to_dot",
 ]
 
-DEFAULT_MAX_ELEMENTS = 256
+# The most elements close_and_build lets a closure reach, read at each call.
+MAX_ELEMENTS = 256
+Table = Sequence[Sequence[int]]
 
 
 class ClosureCapError(ValueError):
@@ -88,21 +91,18 @@ class FiniteLattice:
 
 
 def close_and_build(
-    seeds: Iterable[Subspace],
-    *,
-    ambient_dim: int | None = None,
-    max_elements: int = DEFAULT_MAX_ELEMENTS,
+    seeds: Iterable[Subspace], *, ambient_dim: int | None = None
 ) -> FiniteLattice:
     """Close seeds under meet and join, adjoin bottom and top, build tables.
 
     The closure runs as a worklist: each element is paired once with every
     element found before it, so each unordered pair is settled exactly
     once, and dimension settles most pairs without exact algebra (see
-    `_settle`). The meet and join tables are read off those pair results,
-    and the order table off the meet table.
+    `_settle`). The meet and join tables are filled in discovery order off
+    those pair results, then relabelled in sorted order.
 
     Rebuilding from a lattice's own elements returns an equal lattice.
-    Raises ClosureCapError if closure would exceed max_elements and
+    Raises ClosureCapError if closure would exceed MAX_ELEMENTS and
     ValueError on an ambient-dimension mismatch (or when no dimension can
     be inferred from empty seeds).
     """
@@ -120,9 +120,9 @@ def close_and_build(
 
     zero, full = Subspace.zero(n), Subspace.full(n)
     found = list(dict.fromkeys([zero, full, *seed_list]))
-    if len(found) > max_elements:
+    if len(found) > MAX_ELEMENTS:
         raise ClosureCapError(
-            f"{len(found)} seed elements exceed the cap of {max_elements}"
+            f"{len(found)} seed elements exceed the cap of {MAX_ELEMENTS}"
         )
     index = {s: k for k, s in enumerate(found)}
 
@@ -132,9 +132,9 @@ def close_and_build(
         if d is None:
             d = index[x] = len(found)
             found.append(x)
-            if len(found) > max_elements:
+            if len(found) > MAX_ELEMENTS:
                 raise ClosureCapError(
-                    f"meet/join closure exceeds the cap of {max_elements} elements"
+                    f"meet/join closure exceeds the cap of {MAX_ELEMENTS} elements"
                 )
         return d
 
@@ -150,26 +150,33 @@ def close_and_build(
         pairs.append(row)
 
     size = len(found)
-    ranked = sorted(range(size), key=lambda k: found[k].sort_key())
-    rank = [0] * size
-    for r, k in enumerate(ranked):
-        rank[k] = r
-    meets = [[r] * size for r in range(size)]
-    joins = [[r] * size for r in range(size)]
+    meets = [[k] * size for k in range(size)]
+    joins = [[k] * size for k in range(size)]
     for k, row in enumerate(pairs):
         for i, (m, j) in enumerate(row):
-            a, b = rank[k], rank[i]
-            meets[a][b] = meets[b][a] = rank[m]
-            joins[a][b] = joins[b][a] = rank[j]
-    return FiniteLattice(
-        ambient_dim=n,
-        elements=tuple(found[k] for k in ranked),
-        order=tuple(tuple(m == i for m in meets[i]) for i in range(size)),
-        meet_table=tuple(map(tuple, meets)),
-        join_table=tuple(map(tuple, joins)),
-        bottom=0,
-        top=size - 1,
-    )
+            meets[k][i] = meets[i][k] = m
+            joins[k][i] = joins[i][k] = j
+    # found[0] is the zero subspace and found[1] the full space
+    ranked = sorted(range(size), key=lambda k: found[k].sort_key())
+    return _relabelled(n, found, meets, joins, 0, 1, ranked)
+
+
+def _relabelled(n: int, elements: Sequence[Subspace], meets: Table, joins: Table,
+                bottom: int, top: int, kept: Sequence[int]) -> FiniteLattice:
+    """The lattice on the kept indices of a parent's tables, numbered in the
+    order of kept, which must be closed under both tables: the tables are
+    renumbered, i <= j is read off as i ^ j = i, and the bottom and the top
+    are mapped."""
+    new = dict(zip(kept, range(len(kept))))
+
+    def renumber(table: Table) -> tuple[tuple[int, ...], ...]:
+        rows = map(table.__getitem__, kept)
+        return tuple(tuple([new[row[j]] for j in kept]) for row in rows)
+
+    meet_table = renumber(meets)
+    order = tuple(tuple([m == i for m in row]) for i, row in enumerate(meet_table))
+    return FiniteLattice(n, tuple(elements[i] for i in kept), order, meet_table,
+                         renumber(joins), new[bottom], new[top])
 
 
 def _settle(
@@ -198,34 +205,21 @@ def _settle(
 
 
 def sublattice(lat: FiniteLattice, indices: Iterable[int]) -> FiniteLattice:
-    """The lattice on an index subset that holds the bottom and the top and
-    is closed under meet and join, read off lat's tables with no subspace
-    algebra; the full index set returns lat itself."""
-    kept = sorted(set(indices))
-    for i in kept[:1] + kept[-1:]:  # the least and the greatest index
+    """The sublattice that the indices, the bottom and the top generate: their
+    closure under lat's tables, with no subspace algebra, in lat's order;
+    when that is every index, lat itself."""
+    picks = sorted(set(indices))
+    for i in picks[:1] + picks[-1:]:  # the least and the greatest index
         if not 0 <= i < len(lat):
             raise ValueError(f"element index {i} out of range")
-    if kept == list(range(len(lat))):
+    kept = {lat.bottom, lat.top, *picks}
+    tables = (lat.meet_table, lat.join_table)
+    while (grown := {t[i][j] for t in tables for i in kept for j in kept}) != kept:
+        kept = grown
+    if len(kept) == len(lat):
         return lat
-    new = {old: k for k, old in enumerate(kept)}
-
-    def restrict(table):
-        return tuple(tuple(table[i][j] for j in kept) for i in kept)
-
-    def renumber(table):
-        return tuple(tuple(new[k] for k in row) for row in restrict(table))
-
-    try:
-        return FiniteLattice(
-            lat.ambient_dim, tuple(lat.elements[i] for i in kept), restrict(lat.order),
-            renumber(lat.meet_table), renumber(lat.join_table),
-            new[lat.bottom], new[lat.top],
-        )
-    except KeyError:
-        raise ValueError(
-            "index subset is not closed under meet and join "
-            "or misses the bottom or the top"
-        ) from None
+    return _relabelled(lat.ambient_dim, lat.elements, *tables,
+                       lat.bottom, lat.top, sorted(kept))
 
 
 def atoms(lat: FiniteLattice) -> tuple[int, ...]:

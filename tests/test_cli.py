@@ -151,6 +151,54 @@ def test_laws_assert_exit_codes(capsys):
     assert "assertion failed: distributive" in out
 
 
+# e1 and e2 are coordinate projectors; the complement of span{e2} is the
+# plane of e1 and e3, which closing e1, e2 and r never reaches.
+_NO_COMPLEMENT_DOC = """\
+dim 3
+proj e1 = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
+proj e2 = [[0, 0, 0], [0, 1, 0], [0, 0, 0]]
+ray r = [1, 1, 0]
+"""
+
+_LAWS_SKIPPED = {
+    "text": (
+        "modular: holds\n"
+        "orthomodular: skipped (orthocomplement span{[1,0,0],[0,0,1]} of "
+        "span{[0,1,0]} is not a lattice element)\n"
+    ),
+    "records": (
+        "law name=modular status=checked holds=true violations=0 shown=0\n"
+        "law name=orthomodular status=skipped reason=orthocomplement_"
+        "span{[1,0,0],[0,0,1]}_of_span{[0,1,0]}_is_not_a_lattice_element\n"
+    ),
+}
+_LAWS_ASSERTION_FAILED = {
+    "text": "assertion failed: orthomodular does not hold\n",
+    "records": "assertion law=orthomodular ok=false\n",
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "records"])
+def test_laws_skips_orthomodular_without_complements(tmp_path, capsys, fmt):
+    path = tmp_path / "no_complement.sublat"
+    path.write_text(_NO_COMPLEMENT_DOC)
+    argv = ["laws", str(path), "--format", fmt, "--limit", "0"]
+    assert main(argv) == 0
+    distributive = {
+        "text": "distributive: fails (6 violations, showing 0)\n",
+        "records": "law name=distributive status=checked holds=false "
+                   "violations=6 shown=0\n",
+    }[fmt]
+    captured = capsys.readouterr()
+    assert captured.out == distributive + _LAWS_SKIPPED[fmt]
+    assert captured.err == ""
+    # a skipped law is not a law that holds
+    assert main(argv + ["--assert", "orthomodular"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == distributive + _LAWS_SKIPPED[fmt] + _LAWS_ASSERTION_FAILED[fmt]
+    assert main(argv + ["--assert", "modular"]) == 0
+
+
 def test_filters_command(capsys):
     assert main(["filters", str(DATA), "--remove", "plus"]) == 0
     out = capsys.readouterr().out
@@ -332,6 +380,31 @@ def test_dot_command(tmp_path, capsys):
     text = target.read_text()
     assert text.startswith("digraph qubit {")
     assert text.count("label=") == 8
+
+
+@pytest.mark.parametrize("fmt", ["text", "records"])
+@pytest.mark.parametrize(
+    "name", ["my lattice", 'a"];x[', "9lives", "Node", ""],
+    ids=["space", "injection", "leading-digit", "keyword", "empty"],
+)
+def test_dot_rejects_a_name_that_is_no_identifier(capsys, name, fmt):
+    # a space, quotes or brackets would break or inject into the DOT text,
+    # and DOT reads a keyword such as node as syntax
+    with pytest.raises(SystemExit) as exc:
+        main(["dot", str(DATA), "--name", name, "--format", fmt])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --name: not a DOT identifier: {name!r}" in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["text", "records"])
+def test_dot_name_replaces_only_the_graph_name(capsys, fmt):
+    assert main(["dot", str(DATA), "--name", "qubit", "--format", fmt]) == 0
+    named = capsys.readouterr().out
+    golden = (DATA.parent / "golden" / "dot.txt").read_text(encoding="utf-8")
+    assert named == golden.replace("digraph lattice {", "digraph qubit {", 1)
+    assert named != golden
 
 
 def test_demo_qubit(capsys):

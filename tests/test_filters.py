@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from sublat import lattice
 from sublat import subspace as sub
 from sublat.exactlin import ExactMatrix
 from sublat.filters import (
@@ -220,6 +221,43 @@ def test_homomorphism_from_filter(full_lattice):
         homomorphism_from_filter(lat, not_a_filter)
 
 
+def test_homomorphism_from_filter_rejections(full_lattice, diamond, non_atomistic_chain):
+    # the single removed element must be a nontrivial atom
+    lat = full_lattice
+    for w in (lat.bottom, lat.top):
+        no_atom = LatticeSubset(lat, frozenset(range(len(lat))) - {w})
+        with pytest.raises(ValueError, match="^filter does not come from removing a nontrivial atom$"):
+            homomorphism_from_filter(lat, no_atom)
+    chain = non_atomistic_chain
+    plane = chain.index_of(span([[1, 0, 0], [0, 1, 0]]))
+    no_plane = LatticeSubset(chain, frozenset(range(len(chain))) - {plane})
+    with pytest.raises(ValueError, match="^filter does not come from removing a nontrivial atom$"):
+        homomorphism_from_filter(chain, no_plane)
+    # and the filter must live on the host lattice, or an equal one
+    a = atoms(diamond)[0]
+    foreign = coatom_complement_filter(diamond, a)
+    with pytest.raises(ValueError, match="^filter belongs to a different lattice$"):
+        homomorphism_from_filter(lat, foreign)
+    rebuilt = close_and_build(diamond.elements)
+    assert rebuilt is not diamond
+    assert homomorphism_from_filter(rebuilt, foreign).ones() == (a,)
+
+
+def test_is_prime_paper_false_on_the_top_alone(full_lattice):
+    # two distinct atoms lie outside and join to the top, which is inside
+    lat = full_lattice
+    assert is_prime_paper(LatticeSubset(lat, frozenset({lat.top}))) is False
+    two_removed = LatticeSubset(lat, frozenset(range(len(lat))) - {1, 2})
+    assert is_prime_paper(two_removed) is False
+    assert is_prime_paper(coatom_complement_filter(lat, 1)) is True
+
+
+def test_ideal_complement_rejects_a_foreign_subset(full_lattice, diamond):
+    foreign = coatom_complement_filter(diamond, atoms(diamond)[0])
+    with pytest.raises(ValueError, match="^subset belongs to a different lattice$"):
+        ideal_complement(full_lattice, foreign)
+
+
 def test_complement_law_pairs(full_lattice):
     # v(x) + v(x') = 1 holds exactly on the removed atom and its complement
     lat = full_lattice
@@ -276,9 +314,10 @@ def test_search_matches_naive_oracle(
         assert_search_matches_oracle(lat, laws)
 
 
-def test_search_matches_naive_oracle_on_random_rays(rng):
+def test_search_matches_naive_oracle_on_random_rays(rng, monkeypatch):
     # rays with entries in {0, +-1, +-i} in C^2 and C^3, sometimes with
     # their orthocomplements, kept when they close to at most 10 elements
+    monkeypatch.setattr(lattice, "MAX_ELEMENTS", 10)
     units = ("0", "1", "-1", "i", "-i")
     closed = 0
     for _ in range(60):
@@ -291,7 +330,7 @@ def test_search_matches_naive_oracle_on_random_rays(rng):
         if rng.random() < 0.5:
             seeds += [sub.orthocomplement(s) for s in seeds]
         try:
-            lat = close_and_build(seeds, max_elements=10)
+            lat = close_and_build(seeds)
         except ClosureCapError:
             continue
         for laws in ALL_LAW_SETS:
@@ -333,6 +372,14 @@ def test_satisfies_laws(full_lattice):
     zero_map = tuple(0 for _ in range(len(full_lattice)))
     assert satisfies_laws(full_lattice, zero_map, {MEET_HOM, JOIN_HOM, BOTTOM_TO_ZERO})
     assert not satisfies_laws(full_lattice, zero_map, {TOP_TO_ONE})
+    # 0 on the bottom and 1 elsewhere keeps both bounds, and with no
+    # homomorphism law chosen nothing more is checked; the meet law sees two
+    # atoms meet in the bottom, the complement law an atom and its complement
+    bounds_only = (0,) + (1,) * (len(full_lattice) - 1)
+    for laws in (set(), {BOTTOM_TO_ZERO}, {BOTTOM_TO_ZERO, TOP_TO_ONE}, {JOIN_HOM}):
+        assert satisfies_laws(full_lattice, bounds_only, laws)
+    for laws in ({MEET_HOM}, {COMPLEMENT_LAW}):
+        assert not satisfies_laws(full_lattice, bounds_only, laws)
 
 
 @pytest.mark.parametrize("assignment,laws,message", [

@@ -374,6 +374,25 @@ def test_invariant_sublattice_matches_closure_reference(universe, rng):
         assert invariant_sublattice(op, lat) == _reference_sublattice([op], lat)
 
 
+def test_invariant_elements_are_closed_under_meet_and_join(universe, rng):
+    # Invariant subspaces are closed under intersection and sum, so the
+    # sublattice they generate adds nothing: it holds exactly the elements
+    # every operator maps into themselves. (_reference_sublattice re-closes
+    # its kept elements and would not see a set that is not closed.)
+    qubit_ops = list(nontrivial_projectors())
+    cases = [([op], universe) for op in qubit_ops]
+    cases.append((qubit_ops, universe))
+    for gens, _ in (_block_family(rng, 1), _block_family(rng, 2)):
+        lat = _generated_universe(gens)
+        cases += [([g], lat) for g in gens] + [(gens, lat)]
+    proper = 0
+    for ops, lat in cases:
+        kept = tuple(s for s in lat.elements if all(maps_into(op, s) for op in ops))
+        assert common_invariant_sublattice(ops, lat).elements == kept
+        proper += 2 < len(kept) < len(lat)
+    assert proper > 0
+
+
 def test_full_and_block_families(rng):
     gens = _full_family(rng)
     assert is_irreducible(gens)

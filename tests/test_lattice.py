@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from sublat import lattice
 from sublat import subspace as sub
 from sublat.exactlin import GaussianRational, as_scalar
 from sublat.lattice import (
@@ -67,20 +68,19 @@ def test_close_and_build_idempotent(full_lattice, diamond):
     assert close_and_build(diamond.elements) == diamond
 
 
-def test_close_and_build_errors():
+def test_close_and_build_errors(monkeypatch):
     with pytest.raises(ValueError, match="ambient_dim"):
         close_and_build([])
     with pytest.raises(ValueError, match="ambient"):
         close_and_build([Subspace.zero(2), Subspace.zero(3)])
-    with pytest.raises(ClosureCapError, match="cap"):
-        close_and_build(
-            [image(p) for p in nontrivial_projectors()], max_elements=4
-        )
-    # closure itself can overflow: two planes of C^3 generate their join
-    with pytest.raises(ClosureCapError, match="cap"):
-        close_and_build(
-            [span([[1, 0, 0]]), span([[0, 1, 0]])], max_elements=4
-        )
+    monkeypatch.setattr(lattice, "MAX_ELEMENTS", 4)
+    with pytest.raises(ClosureCapError, match="^8 seed elements exceed the cap of 4$"):
+        close_and_build([image(p) for p in nontrivial_projectors()])
+    # closure itself can overflow: two lines of C^3 generate their join
+    with pytest.raises(
+        ClosureCapError, match="^meet/join closure exceeds the cap of 4 elements$"
+    ):
+        close_and_build([span([[1, 0, 0]]), span([[0, 1, 0]])])
 
 
 def test_index_and_membership(full_lattice):
@@ -271,11 +271,12 @@ def test_sublattice_restricts_tables(full_lattice):
     context = sublattice(full_lattice, [full_lattice.top, m, k, full_lattice.bottom])
     assert context == close_and_build([span([[1, 1]]), span([[1, -1]])])
     assert sublattice(full_lattice, range(len(full_lattice))) is full_lattice
-    # two atoms without the top miss their join; the top alone misses the bottom
-    with pytest.raises(ValueError, match="not closed"):
-        sublattice(full_lattice, [full_lattice.bottom, k, m])
-    with pytest.raises(ValueError, match="bottom or the top"):
-        sublattice(full_lattice, [full_lattice.top])
+    # two atoms without the top generate their join, C^2; the top alone
+    # generates the bottom too
+    assert sublattice(full_lattice, [full_lattice.bottom, k, m]) == context
+    assert context.spans() == ("{0}", "span{[1,-1]}", "span{[1,1]}", "C^2")
+    assert sublattice(full_lattice, [full_lattice.top]) == close_and_build([], ambient_dim=2)
+    assert sublattice(full_lattice, [full_lattice.top]).spans() == ("{0}", "C^2")
 
 
 @pytest.mark.parametrize("indices,bad", [([0, 1, 2, 3, -1], -1), ([0, 3, 7], 7)])
@@ -387,9 +388,10 @@ def test_close_and_build_matches_round_reference(rng):
     assert sizes["MO_2+MO_3"] == 20
 
 
-def test_close_and_build_matches_round_reference_on_unit_rays(rng):
+def test_close_and_build_matches_round_reference_on_unit_rays(rng, monkeypatch):
     # Rays with entries in {0, +-1, +-i} in C^3; both routes must agree on
     # the lattice, or both hit the cap.
+    monkeypatch.setattr(lattice, "MAX_ELEMENTS", 24)
     closed = 0
     for _ in range(40):
         seeds = []
@@ -401,9 +403,9 @@ def test_close_and_build_matches_round_reference_on_unit_rays(rng):
             expected = _reference_close_and_build(seeds, max_elements=24)
         except ClosureCapError as exc:
             with pytest.raises(ClosureCapError, match=str(exc)):
-                close_and_build(seeds, max_elements=24)
+                close_and_build(seeds)
             continue
-        assert _tables(close_and_build(seeds, max_elements=24)) == expected
+        assert _tables(close_and_build(seeds)) == expected
         closed += 1
         if closed == 4:
             break
@@ -541,6 +543,26 @@ def _generated(lat, picks):
         if more <= kept:
             return kept
         kept |= more
+
+
+def test_sublattice_matches_exact_reclosure(rng):
+    # The generated sublattice, read off the tables, equals closing the
+    # picked elements again with exact algebra, and holds the index set
+    # that _generated finds.
+    whole = proper = 0
+    for label, seeds in _closure_cases(rng).items():
+        lat = close_and_build(seeds)
+        for _ in range(25):
+            picks = rng.sample(range(len(lat)), rng.randint(0, min(4, len(lat))))
+            got = sublattice(lat, picks)
+            expected = close_and_build(
+                [lat.elements[i] for i in picks], ambient_dim=lat.ambient_dim
+            )
+            assert got == expected, (label, picks)
+            assert set(got.elements) == {lat.elements[i] for i in _generated(lat, picks)}
+            whole += got is lat
+            proper += 2 < len(got) < len(lat)
+    assert whole > 0 and proper > 0
 
 
 def _outcome(check, lat, limit):
