@@ -88,7 +88,7 @@ class InputDocument:
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _DIM_RE = re.compile(r"(\s*dim\s+)(\S+)\s*")
 # `<keyword> <name> = <body>`; the keyword is the line's first token.
-_DECL_RE = re.compile(r"\s*\S+\s+([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(\S.*?)\s*")
+_DECL_RE = re.compile(rf"\s*\S+\s+({_NAME_RE.pattern})\s*=\s*(\S.*?)\s*")
 
 
 def _split_top_level(text: str, base: int, line: int) -> list[tuple[str, int]]:
@@ -384,16 +384,18 @@ def _cmd_laws(args: argparse.Namespace, out: Reporter) -> int:
     def span(e: int) -> str:
         return lat.elements[e].span_str()
 
-    verdicts: dict[str, bool | None] = {}
+    # law name -> (why an assertion of it fails, extra record fields)
+    failures: dict[str, tuple[str, dict[str, str]]] = {}
     for law_name, check in _LAW_CHECKS:
         try:
             report = check(lat, limit=args.limit)
         except ValueError as exc:
-            verdicts[law_name] = None
+            failures[law_name] = ("was not checked", {"status": "skipped"})
             out(f"{law_name}: skipped ({exc})",
                 "law", name=law_name, status="skipped", reason=str(exc))
             continue
-        verdicts[law_name] = report.holds
+        if not report.holds:
+            failures[law_name] = ("does not hold", {})
         shown = len(report.violations)
         verdict = ("holds" if report.holds else
                    f"fails ({report.total_violations} violations, showing {shown})")
@@ -404,9 +406,10 @@ def _cmd_laws(args: argparse.Namespace, out: Reporter) -> int:
             out(f"  {names}: lhs={span(v.lhs)} rhs={span(v.rhs)}",
                 "violation", law=law_name, elements=v.elements, lhs=v.lhs, rhs=v.rhs)
     for asserted in args.asserts or []:
-        if verdicts.get(asserted) is not True:
-            out(f"assertion failed: {asserted} does not hold",
-                "assertion", law=asserted, ok=False)
+        if asserted in failures:
+            why, extra = failures[asserted]
+            out(f"assertion failed: {asserted} {why}",
+                "assertion", law=asserted, ok=False, **extra)
             return 2
     return 0
 

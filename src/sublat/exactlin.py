@@ -1,11 +1,15 @@
 """Exact arithmetic over the Gaussian rationals.
 
 Scalars are complex numbers whose real and imaginary parts are rationals
-in lowest terms, backed by fractions.Fraction; they are the entries of
-every matrix that crosses this module's boundary. Matrices are immutable
-and row-major. Everything downstream rests on the four exact algorithms
-here: reduced row echelon form, kernel bases, conjugate transposition,
-and inversion, with kernels and inverses read off the reduced form.
+in lowest terms, backed by fractions.Fraction. Matrices are immutable and
+row-major, and this module alone knows how they are stored: as
+Gaussian-integer (re, im) int pairs over one positive denominator, in
+lowest terms. The form is unique, so equality and hashing compare ints,
+and every operation works on them; a matrix's GaussianRational entries
+are formed on first use. Everything downstream rests on the four exact
+algorithms here: reduced row echelon form, kernel bases, conjugate
+transposition, and inversion, with kernels and inverses read off the
+reduced form.
 
 Elimination runs over the Gaussian integers Z[i], in one routine,
 _insert_row, which rref, the subspace layer and the algebra span share.
@@ -18,14 +22,9 @@ canonical rows of a span are unique, whatever the order of insertion.
 An insert clears each kept pivot c from the vector x with d*x - x[c]*row,
 d the row's pivot, which needs no division. A nonzero residual is made
 canonical, its pivot is cleared from the kept rows the same way, and it
-joins them. rref scales each matrix row to Gaussian integers by the lcm
-of its denominators before inserting it, and forms Fractions only when
-the canonical rows are divided by their pivots at the end. No floating
-point is used anywhere.
-
-Products run over Z[i] too: each factor is scaled once to Gaussian
-integers, the integer product is taken term by term, and Fractions are
-formed once per result entry.
+joins them. rref inserts a matrix's integer rows and puts the canonical
+rows over the lcm of their pivots; kernels are written down from the
+canonical rows. No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -269,34 +268,75 @@ def format_scalar(value: ScalarLike) -> str:
     return f"{z.real}{sign}{body}i"
 
 
-_EXACT = {GaussianRational}
+# A Gaussian integer a+bi as the int pair (a, b).
+GaussianInteger = tuple[int, int]
+_GZERO: GaussianInteger = (0, 0)
 
 
-@dataclass(frozen=True)
 class ExactMatrix:
-    """Immutable matrix of Gaussian rationals, row-major entries.
+    """Immutable matrix of Gaussian rationals, row-major.
 
     The constructor is the one gate into the type: entries may be any
-    iterable of ints, Fractions, scalar text or GaussianRationals, and a
-    tuple that holds only GaussianRationals is kept as it is.
+    iterable of ints, Fractions, scalar text or GaussianRationals. A matrix
+    keeps them as Gaussian-integer (re, im) pairs, `ints`, over one
+    positive denominator, `den`, in lowest terms. That form is unique, so
+    equality and the hash compare ints; `entries`, the GaussianRationals,
+    is built on first use.
     """
 
-    rows: int
-    cols: int
-    entries: tuple[GaussianRational, ...]
+    __slots__ = ("rows", "cols", "ints", "den", "_entries")
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __new__(cls, rows: int, cols: int, entries: Iterable[ScalarLike]) -> "ExactMatrix":
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        entries = self.entries
-        if type(entries) is not tuple or not _EXACT.issuperset(map(type, entries)):
-            entries = tuple(as_scalar(e) for e in entries)
-            object.__setattr__(self, "entries", entries)
-        if len(entries) != self.rows * self.cols:
+        entries = tuple(e if type(e) is GaussianRational else as_scalar(e) for e in entries)
+        if len(entries) != rows * cols:
             raise ValueError(
-                f"expected {self.rows * self.cols} entries for a "
-                f"{self.rows}x{self.cols} matrix, got {len(entries)}"
+                f"expected {rows * cols} entries for a "
+                f"{rows}x{cols} matrix, got {len(entries)}"
             )
+        # Over the lcm of the denominators the entries are in lowest terms: a
+        # part whose denominator holds the most factors p of it stays prime to p.
+        den = lcm(*(p.denominator for e in entries for p in (e.real, e.imag)))
+        m = _matrix(rows, cols, tuple(
+            (e.real.numerator * (den // e.real.denominator),
+             e.imag.numerator * (den // e.imag.denominator))
+            for e in entries
+        ), den)
+        object.__setattr__(m, "_entries", entries)
+        return m
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot set or delete {name!r}: ExactMatrix is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return (_matrix, (self.rows, self.cols, self.ints, self.den))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
+        return (self.rows, self.cols, self.den, self.ints) == (
+            other.rows, other.cols, other.den, other.ints)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.den, self.ints))
+
+    def __repr__(self) -> str:
+        return f"ExactMatrix({self.rows}, {self.cols}, {self.entries!r})"
+
+    @property
+    def entries(self) -> tuple[GaussianRational, ...]:
+        """The row-major entries as GaussianRationals."""
+        if self._entries is None:
+            d = self.den
+            object.__setattr__(self, "_entries", tuple(
+                ONE if x == (d, 0) else ZERO if x == _GZERO
+                else GaussianRational(Fraction(x[0], d), Fraction(x[1], d))
+                for x in self.ints
+            ))
+        return self._entries
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[ScalarLike]]) -> "ExactMatrix":
@@ -331,48 +371,43 @@ class ExactMatrix:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def take_rows(self, indices: Iterable[int]) -> "ExactMatrix":
-        idx = list(indices)
-        flat: list[GaussianRational] = []
-        for i in idx:
-            flat.extend(self.row(i))
-        return ExactMatrix(len(idx), self.cols, tuple(flat))
+        idx, c = list(indices), self.cols
+        return _lowest(len(idx), c, [self.ints[i * c + j] for i in idx for j in range(c)], self.den)
 
     def take_cols(self, indices: Iterable[int]) -> "ExactMatrix":
-        idx = list(indices)
-        flat = [self.entries[i * self.cols + j] for i in range(self.rows) for j in idx]
-        return ExactMatrix(self.rows, len(idx), tuple(flat))
+        idx, c = list(indices), self.cols
+        return _lowest(self.rows, len(idx),
+                       [self.ints[i * c + j] for i in range(self.rows) for j in idx], self.den)
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols, tuple(-e for e in self.entries))
+        return _matrix(self.rows, self.cols, tuple((-re, -im) for re, im in self.ints), self.den)
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._require_same_shape(other)
-        return ExactMatrix(
-            self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries))
-        )
+        d = lcm(self.den, other.den)
+        p, q = d // self.den, d // other.den
+        return _lowest(self.rows, self.cols, [
+            (ar * p + br * q, ai * p + bi * q)
+            for (ar, ai), (br, bi) in zip(self.ints, other.ints)
+        ], d)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._require_same_shape(other)
-        return ExactMatrix(
-            self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries))
-        )
+        return self + -other
 
     def __mul__(self, scalar: ScalarLike) -> "ExactMatrix":
         z = _coerce(scalar)
         if z is None:
             return NotImplemented
-        return ExactMatrix(self.rows, self.cols, tuple(e * z for e in self.entries))
+        # The entries as a column times the 1x1 matrix z.
+        s = ExactMatrix(1, 1, (z,))
+        product = _gaussian_product(self.ints, s.ints, len(self.ints), 1, 1)
+        return _lowest(self.rows, self.cols, product, self.den * s.den)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        """The matrix product, taken over Z[i].
-
-        Each factor is scaled once to Gaussian integers by the lcm of its
-        denominators; the integer product is divided by the two scales'
-        product, so a Fraction is formed once per result entry, not once
-        per term.
-        """
+        """The matrix product: the product of the Gaussian-integer parts over
+        the product of the denominators."""
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if self.cols != other.rows:
@@ -380,31 +415,21 @@ class ExactMatrix:
                 f"shapes {self.rows}x{self.cols} and {other.rows}x{other.cols} "
                 "are not conformable"
             )
-        a, da = _integer_row(self.entries)
-        b, db = _integer_row(other.entries)
-        product = _gaussian_product(a, b, self.rows, self.cols, other.cols)
-        return ExactMatrix(self.rows, other.cols, tuple(_divided(product, da * db)))
+        product = _gaussian_product(self.ints, other.ints, self.rows, self.cols, other.cols)
+        return _lowest(self.rows, other.cols, product, self.den * other.den)
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)),
-        )
+        c = self.cols
+        return _matrix(c, self.rows, tuple(x for j in range(c) for x in self.ints[j::c]), self.den)
 
     def conjugate_transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.cols,
-            self.rows,
-            tuple(
-                self.entries[i * self.cols + j].conjugate()
-                for j in range(self.cols)
-                for i in range(self.rows)
-            ),
-        )
+        c = self.cols
+        return _matrix(c, self.rows, tuple(
+            (re, -im) for j in range(c) for re, im in self.ints[j::c]
+        ), self.den)
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
+        return all(x == _GZERO for x in self.ints)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -432,30 +457,31 @@ class ExactMatrix:
         return f"<{self.rows}x{self.cols} {body}>"
 
 
-# A Gaussian integer a+bi as the int pair (a, b).
-GaussianInteger = tuple[int, int]
-_GZERO: GaussianInteger = (0, 0)
+def _matrix(rows: int, cols: int, ints: tuple[GaussianInteger, ...], den: int) -> ExactMatrix:
+    """The ExactMatrix ints / den, which must be in lowest terms already."""
+    m = object.__new__(ExactMatrix)
+    put = object.__setattr__
+    put(m, "rows", rows)
+    put(m, "cols", cols)
+    put(m, "ints", ints)
+    put(m, "den", den)
+    put(m, "_entries", None)
+    return m
 
 
-def _integer_row(
-    entries: Sequence[GaussianRational],
-) -> tuple[list[GaussianInteger], int]:
-    """The entries scaled by the lcm of their denominators, as (re, im)
-    pairs, and that lcm: entry k is pairs[k] / lcm.
+def _lowest(rows: int, cols: int, ints: Sequence[GaussianInteger], den: int) -> ExactMatrix:
+    """The ExactMatrix ints / den, den positive, with the common factor of
+    den and every part divided out."""
+    g = gcd(den, *chain.from_iterable(ints))
+    if g > 1:
+        ints, den = [(re // g, im // g) for re, im in ints], den // g
+    return _matrix(rows, cols, tuple(ints), den)
 
-    A nonzero rational scale leaves the row's span and its zero entries as
-    they were, so pivots found on the scaled row are the row's own.
-    """
-    scale = 1
-    for e in entries:
-        scale = lcm(scale, e.real.denominator, e.imag.denominator)
-    return [
-        (
-            e.real.numerator * (scale // e.real.denominator),
-            e.imag.numerator * (scale // e.imag.denominator),
-        )
-        for e in entries
-    ], scale
+
+def _int_rows(m: ExactMatrix) -> Iterable[Sequence[GaussianInteger]]:
+    """The rows of m's Gaussian-integer parts; they span its row space."""
+    c = m.cols
+    return (m.ints[i * c : (i + 1) * c] for i in range(m.rows))
 
 
 def _gaussian_product(
@@ -483,16 +509,6 @@ def _gaussian_product(
                     im += xr * yi + xi * yr
             out.append((re, im))
     return out
-
-
-def _divided(row: Sequence[GaussianInteger], d: int) -> list[GaussianRational]:
-    """The row divided by the positive integer d, as Gaussian rationals."""
-    one = (d, 0)
-    return [
-        ONE if x == one else ZERO if x == _GZERO
-        else GaussianRational(Fraction(x[0], d), Fraction(x[1], d))
-        for x in row
-    ]
 
 
 # A canonical row: primitive Gaussian-integer entries with a positive
@@ -567,6 +583,40 @@ def _reduced_rows(vectors: Iterable[Sequence[GaussianInteger]]) -> tuple[list[Ro
     return rows, pivots
 
 
+def _echelon(rows: Sequence[Row], pivots: Sequence[int], nrows: int, cols: int) -> ExactMatrix:
+    """The nrows x cols reduced row echelon matrix whose nonzero rows are
+    the canonical rows, each divided by its pivot entry.
+
+    Over the lcm D of the pivot entries, a row with pivot entry d is the
+    canonical row times D / d, and that is in lowest terms: each prime
+    factor p of D is prime to D / d for some row, which is primitive.
+    """
+    den = lcm(*(row[c][0] for row, c in zip(rows, pivots)))
+    ints: list[GaussianInteger] = []
+    for row, c in zip(rows, pivots):
+        q = den // row[c][0]
+        ints.extend((re * q, im * q) for re, im in row)
+    ints.extend([_GZERO] * ((nrows - len(rows)) * cols))
+    return _matrix(nrows, cols, tuple(ints), den)
+
+
+def _kernel(reduced: ExactMatrix, pivots: Sequence[int]) -> list[list[GaussianInteger]]:
+    """The kernel of a reduced row echelon matrix with the given pivot
+    columns, one vector per free column f, times the matrix's den: den at f
+    and -reduced[k, f] * den at the k-th pivot column."""
+    n = reduced.cols
+    vectors = []
+    for f in range(n):
+        if f not in pivots:
+            x = [_GZERO] * n
+            x[f] = (reduced.den, 0)
+            for k, c in enumerate(pivots):
+                re, im = reduced.ints[k * n + f]
+                x[c] = (-re, -im)
+            vectors.append(x)
+    return vectors
+
+
 class RrefResult(NamedTuple):
     matrix: ExactMatrix
     pivots: tuple[int, ...]
@@ -579,17 +629,13 @@ def rref(m: ExactMatrix) -> RrefResult:
     The reduced form of a matrix depends only on its row space, so it is
     unique, and equality of rref forms is entry-wise equality.
 
-    The rows are scaled to Gaussian integers and inserted one at a time
-    with _insert_row; as the canonical rows of a span are unique, the order
-    of insertion does not matter. Each canonical row is divided by its
-    pivot once, at the end, and zero rows fill the rank deficit.
+    The rows of m's Gaussian-integer parts are inserted one at a time with
+    _insert_row; as the canonical rows of a span are unique, the order of
+    insertion does not matter. The reduced form is the canonical rows, each
+    divided by its pivot, and zero rows fill the rank deficit.
     """
-    rows, pivots = _reduced_rows(_integer_row(m.row(i))[0] for i in range(m.rows))
-    flat: list[GaussianRational] = []
-    for row, c in zip(rows, pivots):
-        flat.extend(_divided(row, row[c][0]))
-    flat.extend([ZERO] * ((m.rows - len(pivots)) * m.cols))
-    return RrefResult(ExactMatrix(m.rows, m.cols, tuple(flat)), tuple(pivots), len(pivots))
+    rows, pivots = _reduced_rows(_int_rows(m))
+    return RrefResult(_echelon(rows, pivots, m.rows, m.cols), tuple(pivots), len(pivots))
 
 
 def rank(m: ExactMatrix) -> int:
@@ -597,21 +643,11 @@ def rank(m: ExactMatrix) -> int:
 
 
 def kernel_basis(m: ExactMatrix) -> ExactMatrix:
-    """Columns spanning {x : m @ x = 0}, one per free column of rref(m)."""
+    """Columns spanning {x : m @ x = 0}, one per free column f of rref(m):
+    1 at f and -rref(m)[k, f] at the k-th pivot column."""
     reduced, pivots, _ = rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
-    flat: list[GaussianRational] = []
-    for c in range(m.cols):
-        row_vals: list[GaussianRational] = []
-        for f in free:
-            if c == f:
-                row_vals.append(ONE)
-            elif c in pivots:
-                row_vals.append(-reduced[pivots.index(c), f])
-            else:
-                row_vals.append(ZERO)
-        flat.extend(row_vals)
-    return ExactMatrix(m.cols, len(free), tuple(flat))
+    vectors = _kernel(reduced, pivots)
+    return _lowest(m.cols, len(vectors), [v[i] for i in range(m.cols) for v in vectors], reduced.den)
 
 
 def invert(m: ExactMatrix) -> ExactMatrix:
@@ -633,9 +669,10 @@ def hstack(*matrices: ExactMatrix) -> ExactMatrix:
     for m in matrices:
         if m.rows != nrows:
             raise ValueError("hstack requires a common row count")
-    flat: list[GaussianRational] = []
+    den = lcm(*(m.den for m in matrices))
+    ints: list[GaussianInteger] = []
     for i in range(nrows):
         for m in matrices:
-            flat.extend(m.row(i))
-    total_cols = sum(m.cols for m in matrices)
-    return ExactMatrix(nrows, total_cols, tuple(flat))
+            q = den // m.den
+            ints.extend((re * q, im * q) for re, im in m.ints[i * m.cols : (i + 1) * m.cols])
+    return _lowest(nrows, sum(m.cols for m in matrices), ints, den)

@@ -8,9 +8,9 @@ intersection and sum, so the sublattice these elements generate in the
 universe holds them and nothing more.
 The generated unital algebra is spanned by closing {identity, generators}
 under left multiplication by the generators, one product at a time, and
-stopping at n^2 members; a product is kept when inserting it into the
-canonical rows of the members so far, exactlin's one elimination
-routine, finds it independent. Irreducibility is decided by its
+stopping at n^2 members; a product is kept when inserting its integer
+parts into the canonical rows of the members so far, exactlin's one
+elimination routine, finds it independent. Irreducibility is decided by its
 dimension: by Burnside's theorem it is the full matrix algebra, of
 dimension n^2, exactly when no nontrivial subspace is invariant.
 
@@ -31,16 +31,7 @@ from typing import Iterable, Mapping, Sequence
 from . import filters as flt
 from . import lattice as lt
 from . import subspace as sub
-from .exactlin import (
-    ExactMatrix,
-    GaussianInteger,
-    Row,
-    _divided,
-    _gaussian_product,
-    _insert_row,
-    _integer_row,
-    rank,
-)
+from .exactlin import ExactMatrix, Row, _insert_row, rank
 from .lattice import FiniteLattice
 from .subspace import Subspace
 
@@ -101,14 +92,10 @@ def algebra_span(generators: Iterable[ExactMatrix]) -> AlgebraBasis:
     independent of the members so far. The walk ends when the queue is
     exhausted or the basis has n^2 members, which is all of M_n.
 
-    Everything in the walk runs over Z[i]. Each generator is scaled once to
-    Gaussian integers, and each member is kept as Gaussian-integer entries
-    over one denominator, with their common factor divided out; a candidate
-    g @ b is the integer product of the two. A candidate is a member when
-    exactlin's _insert_row finds it independent of the canonical rows of
-    the members so far; a nonzero scale changes no independence. The
-    members, at most n^2, are turned into Gaussian-rational matrices once,
-    at the end.
+    A candidate is a member when exactlin's _insert_row finds its
+    Gaussian-integer parts independent of the canonical rows of the
+    members so far; the matrix is those parts over a nonzero scale, which
+    changes no independence.
     """
     gens = list(generators)
     if not gens:
@@ -119,29 +106,26 @@ def algebra_span(generators: Iterable[ExactMatrix]) -> AlgebraBasis:
             raise ValueError("generators must be square matrices of one side")
 
     full = n * n
-    scaled = [_integer_row(g.entries) for g in gens]
-    members: list[tuple[list[GaussianInteger], int]] = []
+    members: list[ExactMatrix] = []
     rows: list[Row] = []
     pivots: list[int] = []
 
-    def try_add(entries: list[GaussianInteger], den: int) -> None:
-        if _insert_row(rows, pivots, entries):
-            common = math.gcd(den, *itertools.chain.from_iterable(entries))
-            members.append(([(re // common, im // common) for re, im in entries], den // common))
+    def try_add(m: ExactMatrix) -> None:
+        if _insert_row(rows, pivots, m.ints):
+            members.append(m)
 
-    try_add(*_integer_row(ExactMatrix.identity(n).entries))
-    for entries, den in scaled:
-        try_add(entries, den)
+    try_add(ExactMatrix.identity(n))
+    for g in gens:
+        try_add(g)
     queued = 0
     while queued < len(members) < full:
-        b, b_den = members[queued]
+        b = members[queued]
         queued += 1
-        for g, g_den in scaled:
-            try_add(_gaussian_product(g, b, n, n, n), g_den * b_den)
+        for g in gens:
+            try_add(g @ b)
             if len(members) == full:
                 break
-    basis = tuple(ExactMatrix(n, n, tuple(_divided(entries, den))) for entries, den in members)
-    return AlgebraBasis(n, basis)
+    return AlgebraBasis(n, tuple(members))
 
 
 def invariant_sublattice(operator: ExactMatrix, universe: FiniteLattice) -> FiniteLattice:

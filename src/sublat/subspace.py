@@ -1,24 +1,24 @@
 """Closed linear subspaces of C^n in a canonical form.
 
 A subspace keeps its reduced echelon basis over the Gaussian integers:
-the nonzero rows of the reduced row echelon form of any spanning set,
-each scaled to (re, im) int pairs over one positive denominator, in
-lowest terms, so that its pivot entry is that denominator. The form is
-unique, so subspace equality is equality of these int rows, and
-instances hash on them. `Subspace.basis` is the same basis as the
-columns of an ExactMatrix (the reduced column echelon form), built on
-first use.
+exactlin's canonical rows, the nonzero rows of the reduced row echelon
+form of any spanning set, each scaled to the primitive (re, im) int
+pairs with a positive integer at its pivot. The form is unique, so
+subspace equality is equality of these int rows, and instances hash on
+them. `Subspace.basis` is the same basis as the columns of an
+ExactMatrix (the reduced column echelon form), the transposed echelon
+matrix of the rows, built on first use.
 
 A Subspace built from an ExactMatrix (the constructor, `image`, `span`)
-is canonicalized once, through exactlin.rref. The operations work on the
-int rows, which are exactlin's canonical rows, and reduce with its one
-insert routine, with no Gaussian rationals in between:
+is canonicalized once, through exactlin.rref, whose reduced integer rows
+are made primitive. The operations work on the canonical rows and reduce
+with exactlin's one insert routine, with no Gaussian rationals between:
 - a join inserts the rows of one subspace into those of the other;
 - a meet inserts the Zassenhaus rows [r | 0] of t into the rows [r | r]
   of s; the rows whose pivot falls in the right half span s ^ t, already
   canonical;
-- an orthocomplement writes down the kernel of the conjugated rows,
-  which are already reduced, and canonicalizes it;
+- an orthocomplement reads the kernel off the conjugate transpose of the
+  basis, which is reduced, and canonicalizes it;
 - containment, membership and invariance clear a vector's entries at
   the canonical rows' pivots and read the residual.
 """
@@ -28,7 +28,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .exactlin import (
@@ -37,10 +36,11 @@ from .exactlin import (
     GaussianInteger,
     Row,
     ScalarLike,
-    _divided,
-    _gaussian_product,
+    _canonical_row,
+    _echelon,
     _insert_row,
-    _integer_row,
+    _int_rows,
+    _kernel,
     _reduced_rows,
     _residual,
     format_scalar,
@@ -63,9 +63,6 @@ __all__ = [
     "contains_vector",
     "maps_into",
 ]
-
-_GONE: GaussianInteger = (1, 0)
-
 
 def _ambient(n: int) -> int:
     if n < 1:
@@ -90,8 +87,8 @@ class Subspace:
                 f"basis has {basis.rows} rows but the ambient dimension is "
                 f"{ambient_dim}"
             )
-        reduced, pivots, r = rref(basis.transpose())
-        rows = tuple(tuple(_integer_row(reduced.row(k))[0]) for k in range(r))
+        reduced, pivots, _ = rref(basis.transpose())
+        rows = [_canonical_row(x, c) for x, c in zip(_int_rows(reduced), pivots)]
         return _subspace(ambient_dim, rows, pivots)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -120,19 +117,15 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        n = _ambient(ambient_dim)
-        rows = tuple(tuple(_GONE if i == j else _GZERO for j in range(n)) for i in range(n))
-        return _subspace(n, rows, range(n))
+        return cls(ambient_dim, ExactMatrix.identity(_ambient(ambient_dim)))
 
     @property
     def basis(self) -> ExactMatrix:
         """The canonical basis as the columns of an ExactMatrix: the reduced
         column echelon form, with each pivot entry 1."""
         if self._basis is None:
-            n, r = self.ambient_dim, self.dim
-            columns = [_divided(row, row[c][0]) for row, c in zip(self._rows, self._pivots)]
-            flat = tuple(columns[j][i] for i in range(n) for j in range(r))
-            object.__setattr__(self, "_basis", ExactMatrix(n, r, flat))
+            echelon = _echelon(self._rows, self._pivots, self.dim, self.ambient_dim)
+            object.__setattr__(self, "_basis", echelon.transpose())
         return self._basis
 
     def span_str(self) -> str:
@@ -252,23 +245,10 @@ def meet(s: Subspace, t: Subspace) -> Subspace:
 
 
 def orthocomplement(s: Subspace) -> Subspace:
-    """All vectors orthogonal to s: the kernel of the conjugated canonical
-    rows. Those rows are reduced with real pivots, so the kernel vector of
-    a free column f is read off them: D at f and -conj(r[f]) * D / d at the
-    pivot of each row r with denominator d, with D the lcm of the d."""
-    n = s.ambient_dim
-    scale = lcm(*(row[c][0] for row, c in zip(s._rows, s._pivots)))
-    work = []
-    for f in range(n):
-        if f in s._pivots:
-            continue
-        x = [_GZERO] * n
-        x[f] = (scale, 0)
-        for row, c in zip(s._rows, s._pivots):
-            q = scale // row[c][0]
-            x[c] = (-row[f][0] * q, row[f][1] * q)
-        work.append(x)
-    return _subspace(n, *_reduced_rows(work))
+    """All vectors orthogonal to s: the kernel of the conjugate transpose
+    of its basis, which is reduced, with the same pivots."""
+    kernel = _kernel(s.basis.conjugate_transpose(), s._pivots)
+    return _subspace(s.ambient_dim, *_reduced_rows(kernel))
 
 
 def join(s: Subspace, t: Subspace) -> Subspace:
@@ -295,20 +275,16 @@ def contains_vector(s: Subspace, psi: StateVector) -> bool:
         raise ValueError(
             f"ambient dimensions differ: {s.ambient_dim} vs {psi.ambient_dim}"
         )
-    return _in_span(_integer_row(psi.components.entries)[0], s)
+    return _in_span(psi.components.ints, s)
 
 
 def maps_into(operator: ExactMatrix, s: Subspace) -> bool:
-    """True when operator carries every vector of s back into s: the
-    operator, scaled once to Gaussian integers, maps each canonical row
-    into s."""
+    """True when operator carries every vector of s back into s: each
+    column of operator @ s.basis lies in s."""
     if not operator.is_square() or operator.rows != s.ambient_dim:
         raise ValueError(
             f"operator must be {s.ambient_dim}x{s.ambient_dim}, "
             f"got {operator.rows}x{operator.cols}"
         )
-    n, r = s.ambient_dim, s.dim
-    a = _integer_row(operator.entries)[0]
-    columns = [row[i] for i in range(n) for row in s._rows]
-    images = _gaussian_product(a, columns, n, n, r)
+    images, r = (operator @ s.basis).ints, s.dim
     return all(_in_span(images[k::r], s) for k in range(r))

@@ -173,8 +173,8 @@ _LAWS_SKIPPED = {
     ),
 }
 _LAWS_ASSERTION_FAILED = {
-    "text": "assertion failed: orthomodular does not hold\n",
-    "records": "assertion law=orthomodular ok=false\n",
+    "text": "assertion failed: orthomodular was not checked\n",
+    "records": "assertion law=orthomodular ok=false status=skipped\n",
 }
 
 
@@ -197,6 +197,13 @@ def test_laws_skips_orthomodular_without_complements(tmp_path, capsys, fmt):
     captured = capsys.readouterr()
     assert captured.out == distributive + _LAWS_SKIPPED[fmt] + _LAWS_ASSERTION_FAILED[fmt]
     assert main(argv + ["--assert", "modular"]) == 0
+    capsys.readouterr()
+    # a law that was checked and fails is reported as failing
+    assert main(argv + ["--assert", "distributive"]) == 2
+    assert capsys.readouterr().out.endswith({
+        "text": "assertion failed: distributive does not hold\n",
+        "records": "assertion law=distributive ok=false\n",
+    }[fmt])
 
 
 def test_filters_command(capsys):
@@ -396,6 +403,27 @@ def test_dot_rejects_a_name_that_is_no_identifier(capsys, name, fmt):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument --name: not a DOT identifier: {name!r}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "name, valid",
+    [("x1", True), ("_a", True), ("A_9", True), ("1x", False), ("a-b", False),
+     ("é", False), ("a.b", False)],
+)
+def test_declaration_and_dot_names_share_one_grammar(capsys, name, valid):
+    # a name the input file may declare is a name dot --name accepts
+    try:
+        parse_input(f"dim 2\nray {name} = [1, 0]\n")
+        declared = True
+    except InputSyntaxError:
+        declared = False
+    try:
+        named = main(["dot", str(DATA), "--name", name]) == 0
+    except SystemExit as exc:
+        assert exc.code == 1
+        named = False
+    capsys.readouterr()
+    assert declared == named == valid
 
 
 @pytest.mark.parametrize("fmt", ["text", "records"])

@@ -9,7 +9,6 @@ from sublat.exactlin import (
     ExactMatrix,
     GaussianInteger,
     GaussianRational,
-    _integer_row,
     invert,
     rank,
 )
@@ -512,8 +511,8 @@ def _bareiss_step(row, pivot_row, col, prev):
 
 
 def _reference_algebra_span(generators):
-    """The former body of algebra_span: each product g @ b is formed in
-    GaussianRational arithmetic and then scaled to Gaussian integers."""
+    """The former body of algebra_span: each product g @ b is reduced, as
+    its Gaussian-integer parts, by a forward Bareiss step of its own."""
     gens = list(generators)
     if not gens:
         raise ValueError("at least one generator is required")
@@ -530,7 +529,7 @@ def _reference_algebra_span(generators):
         # Forward Bareiss, one kept row at a time: each kept row is 0 at every
         # earlier pivot, so one pass in insertion order clears all of them,
         # each step dividing exactly by the previous kept row's pivot.
-        row, _ = _integer_row(m.entries)
+        row = list(m.ints)
         prev: GaussianInteger = (1, 0)
         for pivot, kept in echelon:
             row = _bareiss_step(row, kept, pivot, prev)

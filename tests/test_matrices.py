@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from itertools import chain
 from math import gcd
@@ -12,7 +14,7 @@ from sublat.exactlin import (
     RrefResult,
     ZERO,
     _insert_row,
-    _integer_row,
+    _lowest,
     _reduced_rows,
     hstack,
     invert,
@@ -64,6 +66,85 @@ def _reference_matmul(self: ExactMatrix, other: ExactMatrix) -> ExactMatrix:
                     acc = acc + a * b
             flat.append(acc)
     return ExactMatrix(self.rows, other.cols, tuple(flat))
+
+
+# The former ExactMatrix bodies, which kept a tuple of GaussianRationals
+# and worked entry by entry in Fraction arithmetic.
+
+
+def _reference_neg(m: ExactMatrix) -> ExactMatrix:
+    return ExactMatrix(m.rows, m.cols, tuple(-e for e in m.entries))
+
+
+def _reference_add(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    return ExactMatrix(a.rows, a.cols, tuple(x + y for x, y in zip(a.entries, b.entries)))
+
+
+def _reference_sub(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    return ExactMatrix(a.rows, a.cols, tuple(x - y for x, y in zip(a.entries, b.entries)))
+
+
+def _reference_scale(m: ExactMatrix, z: GaussianRational) -> ExactMatrix:
+    return ExactMatrix(m.rows, m.cols, tuple(e * z for e in m.entries))
+
+
+def _reference_transpose(m: ExactMatrix) -> ExactMatrix:
+    return ExactMatrix(m.cols, m.rows, tuple(
+        m.entries[i * m.cols + j] for j in range(m.cols) for i in range(m.rows)))
+
+
+def _reference_conjugate_transpose(m: ExactMatrix) -> ExactMatrix:
+    return ExactMatrix(m.cols, m.rows, tuple(
+        m.entries[i * m.cols + j].conjugate() for j in range(m.cols) for i in range(m.rows)))
+
+
+def _reference_take_rows(m: ExactMatrix, indices) -> ExactMatrix:
+    flat = [e for i in indices for e in m.entries[i * m.cols : (i + 1) * m.cols]]
+    return ExactMatrix(len(indices), m.cols, tuple(flat))
+
+
+def _reference_take_cols(m: ExactMatrix, indices) -> ExactMatrix:
+    flat = [m.entries[i * m.cols + j] for i in range(m.rows) for j in indices]
+    return ExactMatrix(m.rows, len(indices), tuple(flat))
+
+
+def _reference_hstack(*matrices: ExactMatrix) -> ExactMatrix:
+    nrows = matrices[0].rows
+    flat = [e for i in range(nrows) for m in matrices
+            for e in m.entries[i * m.cols : (i + 1) * m.cols]]
+    return ExactMatrix(nrows, sum(m.cols for m in matrices), tuple(flat))
+
+
+def _reference_kernel_basis(m: ExactMatrix) -> ExactMatrix:
+    reduced, pivots, _ = _reference_rref(m)
+    free = [c for c in range(m.cols) if c not in pivots]
+    flat: list[GaussianRational] = []
+    for c in range(m.cols):
+        for f in free:
+            if c == f:
+                flat.append(ONE)
+            elif c in pivots:
+                flat.append(-reduced.entries[pivots.index(c) * m.cols + f])
+            else:
+                flat.append(ZERO)
+    return ExactMatrix(m.cols, len(free), tuple(flat))
+
+
+def _reference_invert(m: ExactMatrix) -> ExactMatrix | None:
+    """The inverse, or None for a singular matrix."""
+    n = m.rows
+    reduced, pivots, r = _reference_rref(_reference_hstack(m, ExactMatrix.identity(n)))
+    if r < n or pivots != tuple(range(n)):
+        return None
+    return _reference_take_cols(reduced, range(n, 2 * n))
+
+
+def _reference_is_hermitian(m: ExactMatrix) -> bool:
+    return m.rows == m.cols and m.entries == _reference_conjugate_transpose(m).entries
+
+
+def _reference_is_idempotent(m: ExactMatrix) -> bool:
+    return m.rows == m.cols and _reference_matmul(m, m).entries == m.entries
 
 
 def test_rref_examples():
@@ -176,7 +257,7 @@ def _insertion_case(rng, random_scalar, n):
 def test_insert_row_keeps_canonical_rows_in_any_order(rng, random_scalar):
     for n in range(1, 17):
         vectors = _insertion_case(rng, random_scalar, n)
-        scaled = [_integer_row(v)[0] for v in vectors]
+        scaled = [ExactMatrix(1, n, v).ints for v in vectors]
         rows, pivots = [], []
         added = [_insert_row(rows, pivots, x) for x in scaled]
         _assert_canonical(rows, pivots, n)
@@ -348,6 +429,89 @@ def test_matmul_matches_reference(rng, random_matrix):
         got = a @ b
         assert got == _reference_matmul(a, b), f"{a} @ {b}"
         assert (got.rows, got.cols) == (a.rows, b.cols)
+
+
+def _assert_lowest(m: ExactMatrix) -> None:
+    """m's parts and its positive denominator share no factor."""
+    assert m.den > 0 and gcd(m.den, *chain.from_iterable(m.ints)) == 1, str(m)
+    assert len(m.ints) == m.rows * m.cols
+
+
+def _assert_same(got: ExactMatrix, want: ExactMatrix) -> None:
+    assert got == want, f"{got} != {want}"
+    assert got.entries == want.entries
+    _assert_lowest(got)
+
+
+def _hermitian_and_idempotent_cases(rng, random_matrix):
+    """Projectors onto random spans, Hermitian matrices A + A^*, A^* A and
+    scaled projectors, next to random and rescaled ones."""
+    cases = []
+    for n, k in ((1, 1), (2, 1), (3, 2), (4, 1), (4, 3)):
+        p = sub.projector_of(sub.image(random_matrix(n, k)))
+        a = random_matrix(n, n)
+        cases += [p, p * 2, ExactMatrix.identity(n) - p, a + a.conjugate_transpose(),
+                  a.conjugate_transpose() @ a, a, p @ a]
+    return cases + [ExactMatrix.zeros(2, 2), random_matrix(2, 3), ExactMatrix.zeros(0, 0)]
+
+
+def test_matrix_operations_match_references(rng, random_matrix, random_scalar):
+    for m in _elimination_cases(rng, random_matrix) + [random_matrix(0, 3), random_matrix(3, 0)]:
+        other = random_matrix(m.rows, m.cols)
+        z = rng.choice([random_scalar(), ZERO, ONE, GaussianRational(Fraction(0), Fraction(1, 3))])
+        rows = [rng.randrange(m.rows) for _ in range(rng.randint(0, 4))] if m.rows else []
+        cols = [rng.randrange(m.cols) for _ in range(rng.randint(0, 4))] if m.cols else []
+        _assert_same(-m, _reference_neg(m))
+        _assert_same(m + other, _reference_add(m, other))
+        _assert_same(m + -m, ExactMatrix.zeros(m.rows, m.cols))
+        _assert_same(m - other, _reference_sub(m, other))
+        _assert_same(m * z, _reference_scale(m, z))
+        _assert_same(z * m, _reference_scale(m, z))
+        _assert_same(m.transpose(), _reference_transpose(m))
+        _assert_same(m.conjugate_transpose(), _reference_conjugate_transpose(m))
+        _assert_same(m.take_rows(rows), _reference_take_rows(m, rows))
+        _assert_same(m.take_cols(cols), _reference_take_cols(m, cols))
+        _assert_same(hstack(m, other, m), _reference_hstack(m, other, m))
+        _assert_same(kernel_basis(m), _reference_kernel_basis(m))
+        _assert_same(rref(m).matrix, _reference_rref(m).matrix)
+        if m.is_square():
+            want = _reference_invert(m)
+            if want is None:
+                with pytest.raises(ValueError, match="singular"):
+                    invert(m)
+            else:
+                _assert_same(invert(m), want)
+    for m in _hermitian_and_idempotent_cases(rng, random_matrix):
+        assert m.is_hermitian() == _reference_is_hermitian(m), str(m)
+        assert m.is_idempotent() == _reference_is_idempotent(m), str(m)
+
+
+def test_representation_is_unique_immutable_and_copies(rng, random_matrix, random_scalar):
+    cases = _elimination_cases(rng, random_matrix)
+    cases += [random_matrix(0, 2), ExactMatrix.identity(3), rref(cases[3]).matrix]
+    for m in cases:
+        _assert_lowest(m)
+        # ints times a nonzero Gaussian integer g over den times g, through
+        # the public gate, and ints times a positive k over den times k
+        g = GaussianRational(rng.randint(-6, 6), rng.choice([-5, -1, 1, 2, 7]))
+        rescaled = ExactMatrix(m.rows, m.cols, tuple(
+            GaussianRational(re, im) * g / (m.den * g) for re, im in m.ints))
+        k = rng.randint(2, 30)
+        for same in (rescaled, _lowest(m.rows, m.cols, [(re * k, im * k) for re, im in m.ints],
+                                       m.den * k)):
+            assert same == m and hash(same) == hash(m)
+            assert (same.ints, same.den) == (m.ints, m.den)
+        assert ExactMatrix(m.rows, m.cols, m.entries) == m
+        for copied in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m), copy.copy(m)):
+            assert copied == m and hash(copied) == hash(m)
+            assert copied.entries == m.entries
+        for name in ("rows", "cols", "ints", "den", "entries", "other"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, None)
+        with pytest.raises(AttributeError):
+            del m.ints
+    assert M([[1, 2]]) != M([[2, 4]]) and M([[1, 2]]) != M([[1], [2]])
+    assert M([["1/2", "1/3"]]).den == 6 and M([["1/2", "1/3"]]).ints == ((3, 0), (2, 0))
 
 
 def _assert_exact_entries(m: ExactMatrix) -> None:
