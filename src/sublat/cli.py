@@ -181,7 +181,7 @@ def parse_input(text: str) -> InputDocument:
             m = _DIM_RE.fullmatch(line)
             if m is None:
                 raise InputSyntaxError("malformed dim directive", lineno, keyword_col)
-            if not m.group(2).isdigit() or int(m.group(2)) < 1:
+            if not (m.group(2).isascii() and m.group(2).isdigit()) or int(m.group(2)) < 1:
                 raise InputSyntaxError(
                     "dim takes a positive integer", lineno, m.start(2) + 1
                 )

@@ -13,23 +13,22 @@ reduced form.
 
 Elimination runs over the Gaussian integers Z[i], in one routine,
 _insert_row, which rref, the subspace layer and the algebra span share.
-It grows a list of canonical rows one vector at a time. A canonical row
-holds (re, im) int pairs; it is primitive (its parts share no factor),
-has a positive integer at its pivot, its first nonzero entry, and is 0
-at every other row's pivot. It is the row of the reduced row echelon
-form times the one positive rational that makes it primitive, so the
-canonical rows of a span are unique, whatever the order of insertion.
-An insert clears each kept pivot c from the vector x with d*x - x[c]*row,
-d the row's pivot, which needs no division. A nonzero residual is made
-canonical, its pivot is cleared from the kept rows the same way, and it
-joins them. rref inserts a matrix's integer rows and puts the canonical
-rows over the lcm of their pivots; kernels are written down from the
-canonical rows. No floating point is used anywhere.
+It grows a span's canonical rows, a dict keyed by pivot column, one
+vector at a time. A canonical row holds (re, im) int pairs; it is
+primitive (its parts share no factor), has a positive integer at its
+pivot, its first nonzero entry, and is 0 at every other row's pivot. It
+is the row of the reduced row echelon form times the one positive
+rational that makes it primitive, so the canonical rows of a span are
+unique, whatever the order of insertion. An insert clears each kept
+pivot c from the vector x with d*x - x[c]*row, d the row's pivot, which
+needs no division. A nonzero residual is made canonical, its pivot is
+cleared from the kept rows the same way, and it joins them. rref puts
+the canonical rows over the lcm of their pivots, and kernels are read
+straight off them. No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -41,6 +40,7 @@ __all__ = [
     "ExactMatrix",
     "RrefResult",
     "ScalarParseError",
+    "MAX_LITERAL_DIGITS",
     "ZERO",
     "ONE",
     "I_UNIT",
@@ -55,6 +55,9 @@ __all__ = [
 ]
 
 ScalarLike = Union["GaussianRational", Fraction, int, str]
+
+# parse_scalar's most digits to a literal, as many as CPython 3.11+'s int() takes.
+MAX_LITERAL_DIGITS = 4300
 
 
 class ScalarParseError(ValueError):
@@ -183,8 +186,9 @@ def parse_scalar(text: str) -> GaussianRational:
 
     Accepted forms: `[-]p[/q]`, `[-]p[/q](+|-)[r[/s]]i`, and the pure
     imaginary `[-][r[/s]]i`. An omitted imaginary coefficient means 1.
-    Raises ScalarParseError (with a position) on malformed text or a zero
-    denominator.
+    Digits are ASCII 0-9, at most MAX_LITERAL_DIGITS to a literal. Raises
+    ScalarParseError (with a position) on malformed text, a longer literal
+    or a zero denominator.
     """
     s = text
     n = len(s)
@@ -201,22 +205,24 @@ def parse_scalar(text: str) -> GaussianRational:
             return sign
         return 1
 
-    def read_fraction() -> Fraction:
+    def read_int() -> int:
         nonlocal pos
         start = pos
-        while pos < n and s[pos].isdigit():
+        while pos < n and "0" <= s[pos] <= "9":
             pos += 1
         if pos == start:
             fail("expected a digit", start)
-        numerator = int(s[start:pos])
+        if pos - start > MAX_LITERAL_DIGITS:
+            fail(f"more than {MAX_LITERAL_DIGITS} digits", start)
+        return int(s[start:pos])
+
+    def read_fraction() -> Fraction:
+        nonlocal pos
+        numerator = read_int()
         if pos < n and s[pos] == "/":
             pos += 1
             dstart = pos
-            while pos < n and s[pos].isdigit():
-                pos += 1
-            if pos == dstart:
-                fail("expected a digit after '/'", dstart)
-            denominator = int(s[dstart:pos])
+            denominator = read_int()
             if denominator == 0:
                 fail("zero denominator", dstart)
             return Fraction(numerator, denominator)
@@ -512,8 +518,9 @@ def _gaussian_product(
 
 
 # A canonical row: primitive Gaussian-integer entries with a positive
-# integer at the pivot, the first nonzero entry.
+# integer at the pivot, the first nonzero entry; Rows keys them by pivot.
 Row = tuple[GaussianInteger, ...]
+Rows = dict[int, Row]
 
 
 def _canonical_row(row: Sequence[GaussianInteger], pivot: int) -> Row:
@@ -530,16 +537,14 @@ def _canonical_row(row: Sequence[GaussianInteger], pivot: int) -> Row:
     return tuple((xr // g, xi // g) for xr, xi in row) if g > 1 else tuple(row)
 
 
-def _residual(
-    rows: Sequence[Row], pivots: Sequence[int], x: Sequence[GaussianInteger]
-) -> Sequence[GaussianInteger]:
+def _residual(rows: Rows, x: Sequence[GaussianInteger]) -> Sequence[GaussianInteger]:
     """x with every pivot of the canonical rows cleared, each by
     d*x - x[c]*row, d the row's pivot entry and c its column.
 
     Each row is 0 at the other rows' pivots, so one pass clears them all,
     and the residual is 0 exactly when x lies in the span of the rows.
     """
-    for row, c in zip(rows, pivots):
+    for c, row in rows.items():
         fr, fi = x[c]
         if fr or fi:
             d = row[c][0]
@@ -550,71 +555,63 @@ def _residual(
     return x
 
 
-def _insert_row(rows: list[Row], pivots: list[int], x: Sequence[GaussianInteger]) -> bool:
-    """Insert the Gaussian-integer vector x into the canonical rows, kept
-    in pivot order next to their pivot columns; True when x was
-    independent of them.
+def _insert_row(rows: Rows, x: Sequence[GaussianInteger]) -> bool:
+    """Insert the Gaussian-integer vector x into the canonical rows; True
+    when x was independent of them.
 
-    A nonzero residual of x is made canonical, its pivot is cleared from
-    every kept row, which is made canonical again, and it takes its place
-    among the rows by pivot.
+    A nonzero residual of x with pivot p is made canonical as rows[p], once
+    p is cleared from every kept row, which is made canonical again.
     """
-    x = _residual(rows, pivots, x)
+    x = _residual(rows, x)
     p = next((c for c, e in enumerate(x) if e != _GZERO), None)
     if p is None:
         return False
     new = _canonical_row(x, p)
-    for k, (row, c) in enumerate(zip(rows, pivots)):
+    for c, row in rows.items():
         if row[p] != _GZERO:
-            rows[k] = _canonical_row(_residual((new,), (p,), row), c)
-    k = bisect(pivots, p)
-    rows.insert(k, new)
-    pivots.insert(k, p)
+            rows[c] = _canonical_row(_residual({p: new}, row), c)
+    rows[p] = new
     return True
 
 
-def _reduced_rows(vectors: Iterable[Sequence[GaussianInteger]]) -> tuple[list[Row], list[int]]:
-    """The canonical rows of the span of the vectors, in pivot order, and
-    their pivot columns."""
-    rows: list[Row] = []
-    pivots: list[int] = []
+def _reduced_rows(vectors: Iterable[Sequence[GaussianInteger]]) -> Rows:
+    """The canonical rows of the span of the vectors, keyed by pivot."""
+    rows: Rows = {}
     for x in vectors:
-        _insert_row(rows, pivots, x)
-    return rows, pivots
+        _insert_row(rows, x)
+    return rows
 
 
-def _echelon(rows: Sequence[Row], pivots: Sequence[int], nrows: int, cols: int) -> ExactMatrix:
+def _echelon(rows: Rows, nrows: int, cols: int) -> ExactMatrix:
     """The nrows x cols reduced row echelon matrix whose nonzero rows are
-    the canonical rows, each divided by its pivot entry.
+    the canonical rows in pivot order, each divided by its pivot entry.
 
     Over the lcm D of the pivot entries, a row with pivot entry d is the
     canonical row times D / d, and that is in lowest terms: each prime
     factor p of D is prime to D / d for some row, which is primitive.
     """
-    den = lcm(*(row[c][0] for row, c in zip(rows, pivots)))
+    den = lcm(*(row[c][0] for c, row in rows.items()))
     ints: list[GaussianInteger] = []
-    for row, c in zip(rows, pivots):
-        q = den // row[c][0]
-        ints.extend((re * q, im * q) for re, im in row)
+    for c in sorted(rows):
+        q = den // rows[c][c][0]
+        ints.extend((re * q, im * q) for re, im in rows[c])
     ints.extend([_GZERO] * ((nrows - len(rows)) * cols))
     return _matrix(nrows, cols, tuple(ints), den)
 
 
-def _kernel(reduced: ExactMatrix, pivots: Sequence[int]) -> list[list[GaussianInteger]]:
-    """The kernel of a reduced row echelon matrix with the given pivot
-    columns, one vector per free column f, times the matrix's den: den at f
-    and -reduced[k, f] * den at the k-th pivot column."""
-    n = reduced.cols
+def _kernel(rows: Rows, n: int) -> tuple[list[list[GaussianInteger]], int]:
+    """The kernel of the canonical rows in C^n times D, the lcm of their pivot
+    entries d, and D: per free column f, D at f and -row[f]*D/d at each pivot."""
+    den = lcm(*(row[c][0] for c, row in rows.items()))
     vectors = []
     for f in range(n):
-        if f not in pivots:
+        if f not in rows:
             x = [_GZERO] * n
-            x[f] = (reduced.den, 0)
-            for k, c in enumerate(pivots):
-                re, im = reduced.ints[k * n + f]
-                x[c] = (-re, -im)
+            x[f] = (den, 0)
+            for c, row in rows.items():
+                x[c] = tuple(-part * (den // row[c][0]) for part in row[f])
             vectors.append(x)
-    return vectors
+    return vectors, den
 
 
 class RrefResult(NamedTuple):
@@ -634,8 +631,8 @@ def rref(m: ExactMatrix) -> RrefResult:
     insertion does not matter. The reduced form is the canonical rows, each
     divided by its pivot, and zero rows fill the rank deficit.
     """
-    rows, pivots = _reduced_rows(_int_rows(m))
-    return RrefResult(_echelon(rows, pivots, m.rows, m.cols), tuple(pivots), len(pivots))
+    rows = _reduced_rows(_int_rows(m))
+    return RrefResult(_echelon(rows, m.rows, m.cols), tuple(sorted(rows)), len(rows))
 
 
 def rank(m: ExactMatrix) -> int:
@@ -645,9 +642,8 @@ def rank(m: ExactMatrix) -> int:
 def kernel_basis(m: ExactMatrix) -> ExactMatrix:
     """Columns spanning {x : m @ x = 0}, one per free column f of rref(m):
     1 at f and -rref(m)[k, f] at the k-th pivot column."""
-    reduced, pivots, _ = rref(m)
-    vectors = _kernel(reduced, pivots)
-    return _lowest(m.cols, len(vectors), [v[i] for i in range(m.cols) for v in vectors], reduced.den)
+    vectors, den = _kernel(_reduced_rows(_int_rows(m)), m.cols)
+    return _lowest(m.cols, len(vectors), [v[i] for i in range(m.cols) for v in vectors], den)
 
 
 def invert(m: ExactMatrix) -> ExactMatrix:

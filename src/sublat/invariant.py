@@ -31,7 +31,7 @@ from typing import Iterable, Mapping, Sequence
 from . import filters as flt
 from . import lattice as lt
 from . import subspace as sub
-from .exactlin import ExactMatrix, Row, _insert_row, rank
+from .exactlin import ExactMatrix, Rows, _insert_row, _lowest, rank
 from .lattice import FiniteLattice
 from .subspace import Subspace
 
@@ -76,9 +76,9 @@ class AlgebraBasis:
 def _vectorized(mats: Sequence[ExactMatrix]) -> ExactMatrix:
     if not mats:
         raise ValueError("need at least one matrix")
+    # Each member's Gaussian-integer parts: scaling a row keeps the rank.
     width = mats[0].rows * mats[0].cols
-    flat = tuple(e for m in mats for e in m.entries)
-    return ExactMatrix(len(mats), width, flat)
+    return _lowest(len(mats), width, [x for m in mats for x in m.ints], 1)
 
 
 def algebra_span(generators: Iterable[ExactMatrix]) -> AlgebraBasis:
@@ -107,11 +107,10 @@ def algebra_span(generators: Iterable[ExactMatrix]) -> AlgebraBasis:
 
     full = n * n
     members: list[ExactMatrix] = []
-    rows: list[Row] = []
-    pivots: list[int] = []
+    rows: Rows = {}
 
     def try_add(m: ExactMatrix) -> None:
-        if _insert_row(rows, pivots, m.ints):
+        if _insert_row(rows, m.ints):
             members.append(m)
 
     try_add(ExactMatrix.identity(n))

@@ -3,11 +3,12 @@
 A subspace keeps its reduced echelon basis over the Gaussian integers:
 exactlin's canonical rows, the nonzero rows of the reduced row echelon
 form of any spanning set, each scaled to the primitive (re, im) int
-pairs with a positive integer at its pivot. The form is unique, so
-subspace equality is equality of these int rows, and instances hash on
-them. `Subspace.basis` is the same basis as the columns of an
-ExactMatrix (the reduced column echelon form), the transposed echelon
-matrix of the rows, built on first use.
+pairs with a positive integer at its pivot, keyed by pivot column. The
+form is unique, so subspace equality is equality of these rows, and
+instances hash on them in pivot order. `Subspace.basis` is the same
+basis as the columns of an ExactMatrix (the reduced column echelon
+form), the transposed echelon matrix of the rows, built on first use;
+no subspace operation needs it.
 
 A Subspace built from an ExactMatrix (the constructor, `image`, `span`)
 is canonicalized once, through exactlin.rref, whose reduced integer rows
@@ -17,15 +18,14 @@ with exactlin's one insert routine, with no Gaussian rationals between:
 - a meet inserts the Zassenhaus rows [r | 0] of t into the rows [r | r]
   of s; the rows whose pivot falls in the right half span s ^ t, already
   canonical;
-- an orthocomplement reads the kernel off the conjugate transpose of the
-  basis, which is reduced, and canonicalizes it;
+- an orthocomplement reads the kernel off the conjugated rows, which are
+  canonical too, and canonicalizes it;
 - containment, membership and invariance clear a vector's entries at
   the canonical rows' pivots and read the residual.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -34,10 +34,11 @@ from .exactlin import (
     _GZERO,
     ExactMatrix,
     GaussianInteger,
-    Row,
+    Rows,
     ScalarLike,
     _canonical_row,
     _echelon,
+    _gaussian_product,
     _insert_row,
     _int_rows,
     _kernel,
@@ -78,7 +79,7 @@ class Subspace:
     equal no matter how they were produced. Instances are immutable.
     """
 
-    __slots__ = ("ambient_dim", "dim", "_rows", "_pivots", "_hash", "_basis")
+    __slots__ = ("ambient_dim", "dim", "_rows", "_hash", "_basis")
 
     def __new__(cls, ambient_dim: int, basis: ExactMatrix) -> "Subspace":
         _ambient(ambient_dim)
@@ -88,8 +89,8 @@ class Subspace:
                 f"{ambient_dim}"
             )
         reduced, pivots, _ = rref(basis.transpose())
-        rows = [_canonical_row(x, c) for x, c in zip(_int_rows(reduced), pivots)]
-        return _subspace(ambient_dim, rows, pivots)
+        return _subspace(ambient_dim, {
+            c: _canonical_row(x, c) for x, c in zip(_int_rows(reduced), pivots)})
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to {name!r}: Subspace is immutable")
@@ -113,7 +114,7 @@ class Subspace:
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return _subspace(_ambient(ambient_dim), (), ())
+        return _subspace(_ambient(ambient_dim), {})
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
@@ -124,7 +125,7 @@ class Subspace:
         """The canonical basis as the columns of an ExactMatrix: the reduced
         column echelon form, with each pivot entry 1."""
         if self._basis is None:
-            echelon = _echelon(self._rows, self._pivots, self.dim, self.ambient_dim)
+            echelon = _echelon(self._rows, self.dim, self.ambient_dim)
             object.__setattr__(self, "_basis", echelon.transpose())
         return self._basis
 
@@ -146,16 +147,16 @@ class Subspace:
         return (self.dim, tuple(e.sort_key() for e in self.basis.entries))
 
 
-def _subspace(n: int, rows: Sequence[Row], pivots: Sequence[int]) -> Subspace:
-    """A Subspace of C^n from its canonical rows and their pivot columns."""
+def _subspace(n: int, rows: Rows) -> Subspace:
+    """A Subspace of C^n from its canonical rows, keyed by pivot; it keeps
+    them in pivot order, so its hash does not depend on insertion order."""
     s = object.__new__(Subspace)
     put = object.__setattr__
-    rows = tuple(rows)
+    rows = {c: rows[c] for c in sorted(rows)}
     put(s, "ambient_dim", n)
     put(s, "dim", len(rows))
     put(s, "_rows", rows)
-    put(s, "_pivots", tuple(pivots))
-    put(s, "_hash", hash((n, rows)))
+    put(s, "_hash", hash((n, tuple(rows.values()))))
     put(s, "_basis", None)
     return s
 
@@ -163,7 +164,7 @@ def _subspace(n: int, rows: Sequence[Row], pivots: Sequence[int]) -> Subspace:
 def _in_span(vec: Sequence[GaussianInteger], s: Subspace) -> bool:
     """True when the Gaussian-integer vector lies in s: its residual
     against the canonical rows is 0."""
-    return all(x == _GZERO for x in _residual(s._rows, s._pivots, vec))
+    return all(x == _GZERO for x in _residual(s._rows, vec))
 
 
 @dataclass(frozen=True)
@@ -225,7 +226,7 @@ def _require_same_ambient(s: Subspace, t: Subspace) -> None:
 def leq(s: Subspace, t: Subspace) -> bool:
     """True when s is contained in t."""
     _require_same_ambient(s, t)
-    return s.dim <= t.dim and all(_in_span(row, t) for row in s._rows)
+    return s.dim <= t.dim and all(_in_span(row, t) for row in s._rows.values())
 
 
 def meet(s: Subspace, t: Subspace) -> Subspace:
@@ -237,18 +238,17 @@ def meet(s: Subspace, t: Subspace) -> Subspace:
     _require_same_ambient(s, t)
     n = s.ambient_dim
     zeros = (_GZERO,) * n
-    rows, pivots = [row + row for row in s._rows], list(s._pivots)
-    for row in t._rows:
-        _insert_row(rows, pivots, row + zeros)
-    k = bisect_left(pivots, n)
-    return _subspace(n, [row[n:] for row in rows[k:]], [c - n for c in pivots[k:]])
+    rows = {c: row + row for c, row in s._rows.items()}
+    for row in t._rows.values():
+        _insert_row(rows, row + zeros)
+    return _subspace(n, {c - n: row[n:] for c, row in rows.items() if c >= n})
 
 
 def orthocomplement(s: Subspace) -> Subspace:
-    """All vectors orthogonal to s: the kernel of the conjugate transpose
-    of its basis, which is reduced, with the same pivots."""
-    kernel = _kernel(s.basis.conjugate_transpose(), s._pivots)
-    return _subspace(s.ambient_dim, *_reduced_rows(kernel))
+    """All vectors orthogonal to s: the kernel of its conjugated rows,
+    which are canonical still, as each pivot entry is a positive integer."""
+    conjugated = {c: tuple((re, -im) for re, im in row) for c, row in s._rows.items()}
+    return _subspace(s.ambient_dim, _reduced_rows(_kernel(conjugated, s.ambient_dim)[0]))
 
 
 def join(s: Subspace, t: Subspace) -> Subspace:
@@ -256,10 +256,10 @@ def join(s: Subspace, t: Subspace) -> Subspace:
     _require_same_ambient(s, t)
     if s.dim < t.dim:
         s, t = t, s
-    rows, pivots = list(s._rows), list(s._pivots)
-    for row in t._rows:
-        _insert_row(rows, pivots, row)
-    return _subspace(s.ambient_dim, rows, pivots)
+    rows = dict(s._rows)
+    for row in t._rows.values():
+        _insert_row(rows, row)
+    return _subspace(s.ambient_dim, rows)
 
 
 def projector_of(s: Subspace) -> ExactMatrix:
@@ -279,12 +279,13 @@ def contains_vector(s: Subspace, psi: StateVector) -> bool:
 
 
 def maps_into(operator: ExactMatrix, s: Subspace) -> bool:
-    """True when operator carries every vector of s back into s: each
-    column of operator @ s.basis lies in s."""
+    """True when operator carries every vector of s back into s: the
+    image of each canonical row lies in s."""
     if not operator.is_square() or operator.rows != s.ambient_dim:
         raise ValueError(
             f"operator must be {s.ambient_dim}x{s.ambient_dim}, "
             f"got {operator.rows}x{operator.cols}"
         )
-    images, r = (operator @ s.basis).ints, s.dim
-    return all(_in_span(images[k::r], s) for k in range(r))
+    n = s.ambient_dim
+    return all(_in_span(_gaussian_product(operator.ints, row, n, n, 1), s)
+               for row in s._rows.values())

@@ -93,6 +93,11 @@ _PARSE_ERRORS = [
     ("dim 2\nray v = 1, 0", "expected '['", 2, 9),
     ("dim 2\nproj p = [1, 0]", "expected '['", 2, 11),
     ("dim 2\nray v = [1, 0", "expected ']'", 2, 13),
+    # numerals are ASCII digits, at most MAX_LITERAL_DIGITS of them
+    ("dim \u00b2", "dim takes a positive integer", 1, 5),
+    ("dim \uff13", "dim takes a positive integer", 1, 5),
+    ("dim 2\nray v = [1/\u00b2, 0]", "expected a digit (at position 2)", 2, 12),
+    ("dim 2\nray v = [0, " + "9" * 4301 + "]", "more than 4300 digits (at position 0)", 2, 13),
     ("dim 2\nproj p = [[1, 0] x, [0, 0]]", "expected ']'", 2, 18),
     ("dim 2\n" + _PROJ_P + "context c = p, 1x", "expected a projector name", 3, 16),
     ("dim 2\n" + _PROJ_P + "context c = p,", "expected a projector name", 3, 15),

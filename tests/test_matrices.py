@@ -221,17 +221,16 @@ def test_rref_matches_reference(rng, random_matrix):
                 invert(m)
 
 
-def _assert_canonical(rows, pivots, n):
-    """Each row is primitive, has a positive integer at its pivot, its
-    first nonzero entry, and is 0 at every other row's pivot; the pivots
-    increase."""
-    assert list(pivots) == sorted(set(pivots))
-    for row, c in zip(rows, pivots):
+def _assert_canonical(rows, n):
+    """Each row is primitive, has a positive integer at its pivot, the
+    column it is keyed by and its first nonzero entry, and is 0 at every
+    other row's pivot."""
+    for c, row in rows.items():
         assert len(row) == n
         assert all(x == (0, 0) for x in row[:c])
         assert row[c][0] > 0 and row[c][1] == 0
         assert gcd(*chain.from_iterable(row)) == 1
-        assert all(row[other] == (0, 0) for other in pivots if other != c)
+        assert all(row[other] == (0, 0) for other in rows if other != c)
 
 
 def _insertion_case(rng, random_scalar, n):
@@ -258,21 +257,21 @@ def test_insert_row_keeps_canonical_rows_in_any_order(rng, random_scalar):
     for n in range(1, 17):
         vectors = _insertion_case(rng, random_scalar, n)
         scaled = [ExactMatrix(1, n, v).ints for v in vectors]
-        rows, pivots = [], []
-        added = [_insert_row(rows, pivots, x) for x in scaled]
-        _assert_canonical(rows, pivots, n)
+        rows = {}
+        added = [_insert_row(rows, x) for x in scaled]
+        _assert_canonical(rows, n)
         assert sum(added) == len(rows)
         for _ in range(3):
-            assert _reduced_rows(rng.sample(scaled, len(scaled))) == (rows, pivots)
+            assert _reduced_rows(rng.sample(scaled, len(scaled))) == rows
         # a combination of the rows is dependent and changes nothing
         combination = [(0, 0)] * n
-        for row in rows:
+        for row in rows.values():
             a, b = rng.randint(-3, 3), rng.randint(-3, 3)
             combination = [(xr + a * yr - b * yi, xi + a * yi + b * yr)
                            for (xr, xi), (yr, yi) in zip(combination, row)]
-        kept = (list(rows), list(pivots))
-        assert not _insert_row(rows, pivots, combination)
-        assert (rows, pivots) == kept
+        kept = dict(rows)
+        assert not _insert_row(rows, combination)
+        assert rows == kept
         m = ExactMatrix(len(vectors), n, tuple(chain.from_iterable(vectors)))
         assert rref(m) == _reference_rref(m), str(m)
 

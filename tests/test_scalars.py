@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sublat.exactlin import (
     GaussianRational,
     I_UNIT,
+    MAX_LITERAL_DIGITS,
     ONE,
     ScalarParseError,
     ZERO,
@@ -78,6 +79,11 @@ BAD_TEXT = [
     ("1 + i", 1),
     ("--1", 1),
     ("1+ i", 2),
+    # digits are ASCII 0-9 only: no superscripts, full-width or Arabic-Indic
+    ("\u00b2", 0),
+    ("1/\u00b2", 2),
+    ("\uff13", 0),
+    ("\u0663", 0),
 ]
 
 
@@ -86,6 +92,16 @@ def test_parse_errors_carry_positions(text, position):
     with pytest.raises(ScalarParseError) as err:
         parse_scalar(text)
     assert err.value.position == position
+
+
+def test_literals_longer_than_the_digit_limit_are_refused():
+    nines = "9" * MAX_LITERAL_DIGITS
+    assert parse_scalar(nines) == gr(int(nines))
+    assert parse_scalar(f"1/{nines}i") == gr(0, Fraction(1, int(nines)))
+    for text, position in ((nines + "9", 0), (f"1/{nines}9", 2), (f"1-{nines}9i", 2)):
+        with pytest.raises(ScalarParseError, match=f"more than {MAX_LITERAL_DIGITS} digits") as e:
+            parse_scalar(text)
+        assert e.value.position == position
 
 
 def test_round_trip_thousand_cases(rng, random_scalar):

@@ -366,3 +366,32 @@ def test_operations_match_their_references(rng, n, cases):
     assert verdicts == {"leq": {True, False}, "contains_vector": {True, False},
                         # in C^1 every operator maps {0} and C^1 into themselves
                         "maps_into": {True, False} if n > 1 else {True}}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_operations_leave_the_basis_unbuilt(rng, n):
+    # Every operation reads the canonical rows; none builds the basis matrix.
+    for case in range(20):
+        s = image(_generator(rng, n, case % 10))
+        t = image(_generator(rng, n, rng.randrange(10)))
+        op = ExactMatrix(n, n, tuple(_small_scalar(rng) for _ in range(n * n)))
+        results = [meet(s, t), join(s, t), orthocomplement(s)]
+        leq(s, t)
+        leq(t, s)
+        contains_vector(s, vector([1] + [0] * (n - 1)))
+        maps_into(op, s)
+        maps_into(op, t)
+        assert all(x._basis is None for x in (s, t, *results)), case
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_equal_subspaces_reached_in_any_order_hash_equal(rng, n):
+    for _ in range(20):
+        s, t = _random_subspace(rng, n), _random_subspace(rng, n)
+        for a, b in ((join(s, t), join(t, s)), (meet(s, t), meet(t, s))):
+            assert a == b and hash(a) == hash(b)
+            assert hash(a) == hash(Subspace(n, b.basis))
+        count = rng.randint(1, n + 1)
+        vectors = [[_small_scalar(rng) for _ in range(n)] for _ in range(count)]
+        shuffled = rng.sample(vectors, len(vectors))
+        assert span(vectors) == span(shuffled) and hash(span(vectors)) == hash(span(shuffled))
