@@ -181,13 +181,18 @@ def parse_input(text: str) -> InputDocument:
             m = _DIM_RE.fullmatch(line)
             if m is None:
                 raise InputSyntaxError("malformed dim directive", lineno, keyword_col)
-            if not (m.group(2).isascii() and m.group(2).isdigit()) or int(m.group(2)) < 1:
+            digits = m.group(2).lstrip("0")
+            if not (m.group(2).isascii() and m.group(2).isdigit() and digits):
                 raise InputSyntaxError(
                     "dim takes a positive integer", lineno, m.start(2) + 1
                 )
             if dim is not None:
                 raise InputValidationError("dim", "declared more than once")
-            dim = int(m.group(2))
+            # Refuse an overlong numeral before int() can (or cannot) read it.
+            if len(digits) > len(str(MAX_AMBIENT_DIM)):
+                raise InputValidationError("dim", f"dim with {len(digits)} digits "
+                                           f"exceeds the limit of {MAX_AMBIENT_DIM}")
+            dim = int(digits)
             if dim > MAX_AMBIENT_DIM:
                 raise InputValidationError(
                     "dim", f"dim {dim} exceeds the limit of {MAX_AMBIENT_DIM}"
@@ -300,22 +305,16 @@ def _load_document(path: str) -> InputDocument:
     return parse_input(text)
 
 
-def _document_seeds(doc: InputDocument) -> list[Subspace]:
-    seeds = [sub.image(m) for m in doc.projectors.values()]
-    seeds += [sub.image(r.components) for r in doc.rays.values()]
-    return seeds
+def _named_subspaces(doc: InputDocument) -> dict[str, Subspace]:
+    """The subspace each declared name denotes: a projector's image or a
+    ray's span, projectors first, in declaration order."""
+    named = {name: sub.image(m) for name, m in doc.projectors.items()}
+    named.update((name, sub.image(r.components)) for name, r in doc.rays.items())
+    return named
 
 
 def _build_lattice(doc: InputDocument) -> FiniteLattice:
-    return lt.close_and_build(_document_seeds(doc), ambient_dim=doc.ambient_dim)
-
-
-def _resolve_subspace(doc: InputDocument, name: str) -> Subspace:
-    if name in doc.rays:
-        return sub.image(doc.rays[name].components)
-    if name in doc.projectors:
-        return sub.image(doc.projectors[name])
-    raise InputError(f"unknown ray or projector {name!r}")
+    return lt.close_and_build(_named_subspaces(doc).values(), ambient_dim=doc.ambient_dim)
 
 
 def _resolve_operators(doc: InputDocument, names: list[str]) -> list[ExactMatrix]:
@@ -416,8 +415,11 @@ def _cmd_laws(args: argparse.Namespace, out: Reporter) -> int:
 
 def _cmd_filters(args: argparse.Namespace, out: Reporter) -> int:
     doc = _load_document(args.file)
-    lat = _build_lattice(doc)
-    target = _resolve_subspace(doc, args.remove)
+    named = _named_subspaces(doc)
+    lat = lt.close_and_build(named.values(), ambient_dim=doc.ambient_dim)
+    if args.remove not in named:
+        raise InputError(f"unknown ray or projector {args.remove!r}")
+    target = named[args.remove]
     w = lat.index_of(target)
     filt = flt.coatom_complement_filter(lat, w)
     ideal = flt.ideal_complement(lat, filt)
@@ -464,10 +466,7 @@ def _cmd_filters(args: argparse.Namespace, out: Reporter) -> int:
 def _cmd_valuations(args: argparse.Namespace, out: Reporter) -> int:
     lat = _build_lattice(_load_document(args.file))
     laws = [token for token in args.laws.split(",") if token]
-    try:
-        found = flt.search_bivaluations(lat, laws)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    found = flt.search_bivaluations(lat, laws)
     out(f"laws: {', '.join(sorted(laws))}\nlattice: {len(lat)} elements",
         "search", laws=sorted(laws), elements=len(lat), found=len(found))
     for i, s in enumerate(lat.elements):
@@ -534,10 +533,7 @@ def _cmd_contexts(args: argparse.Namespace, out: Reporter) -> int:
         for name in sorted(doc.contexts)
     }
     # The report can reject the file, so it runs before the first line.
-    try:
-        report = inv.contextual_valuation_report(universe, contexts)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    report = inv.contextual_valuation_report(universe, contexts)
 
     for name, lat in contexts.items():
         _sublattice_line(out, f"context {name}", "context", lat, name=name)

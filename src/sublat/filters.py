@@ -26,7 +26,7 @@ from typing import Iterable, Optional
 
 from .exactlin import ExactMatrix
 from .lattice import FiniteLattice, atoms, orthocomplement_indices
-from .subspace import StateVector, contains_vector, image, orthocomplement
+from .subspace import StateVector, _require_same_ambient, contains_vector, image, orthocomplement
 
 __all__ = [
     "CONVENTION_PAPER",
@@ -347,10 +347,7 @@ def state_valuation(p: ExactMatrix, psi: StateVector):
     """
     if not p.is_projector():
         raise ValueError("state valuation requires a Hermitian idempotent matrix")
-    if p.rows != psi.ambient_dim:
-        raise ValueError(
-            f"ambient dimensions differ: {p.rows} vs {psi.ambient_dim}"
-        )
+    _require_same_ambient(p.rows, psi.ambient_dim)
     ran = image(p)
     if contains_vector(ran, psi):
         return 1

@@ -1,24 +1,26 @@
 """Finite lattices of subspaces: closure, law checking, Hasse diagrams.
 
-A FiniteLattice is a closed family of subspaces of one ambient space with
-precomputed order, meet, and join tables over element indices. Elements
-are sorted by (dimension, basis entries), so index 0 is the zero subspace
-and the last index is the full space, and rebuilding from the same family
-reproduces the same object. Closure is a worklist that settles each
-pair of elements once: dimension alone settles pairs that involve the
-bottom or the top, pairs of hyperplanes of C^2 and the zero meets that
-Grassmann's formula shows, and exact meet or join does the rest. The
-sublattice some elements of a built lattice generate is their closure
-under its tables. Both relabel a parent's meet and join tables onto the
-kept indices and read the order table off the meets. Atoms, covers and
-law reports are counted off the tables too, with no subspace algebra.
+A FiniteLattice is a closed family of subspaces of one ambient space and
+its meet and join tables over element indices; the rest (the order, the
+bottom and the top) is read off those tables. Elements are sorted by
+(dimension, basis entries), so index 0 is the zero subspace and the last
+index is the full space, and rebuilding from the same family reproduces
+the same object. Closure is a worklist that settles each pair of
+elements once: dimension alone settles pairs that involve the bottom or
+the top, pairs of hyperplanes of C^2 and the zero meets that Grassmann's
+formula shows, and exact meet or join does the rest. The sublattice
+some elements of a built lattice generate is their closure under its
+tables. Both renumber a parent's meet and join tables onto the kept
+indices. Atoms, covers and law reports are counted off the tables too,
+with no subspace algebra.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from . import subspace as sub
@@ -51,19 +53,23 @@ class ClosureCapError(ValueError):
 
 @dataclass(frozen=True)
 class FiniteLattice:
-    ambient_dim: int
+    """A lattice is its elements and its meet and join tables, which alone
+    decide equality and the hash. The rest is read off them: `ambient_dim`,
+    `order` (i <= j exactly when i ^ j = i), `bottom` (the meet of every
+    index) and `top` (the join of every index)."""
+
     elements: tuple[Subspace, ...]
-    order: tuple[tuple[bool, ...], ...]
     meet_table: tuple[tuple[int, ...], ...]
     join_table: tuple[tuple[int, ...], ...]
-    bottom: int
-    top: int
-    _index: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_index", {s: i for i, s in enumerate(self.elements)}
-        )
+        meet, join = self.meet_table, self.join_table
+        put = object.__setattr__
+        put(self, "ambient_dim", self.elements[0].ambient_dim)
+        put(self, "order", tuple(tuple([m == i for m in row]) for i, row in enumerate(meet)))
+        put(self, "bottom", functools.reduce(lambda a, b: meet[a][b], range(len(meet))))
+        put(self, "top", functools.reduce(lambda a, b: join[a][b], range(len(join))))
+        put(self, "_index", {s: i for i, s in enumerate(self.elements)})
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -109,12 +115,8 @@ def close_and_build(
     seed_list = list(seeds)
     n = ambient_dim
     for s in seed_list:
-        if n is None:
-            n = s.ambient_dim
-        elif s.ambient_dim != n:
-            raise ValueError(
-                f"ambient dimensions differ: {n} vs {s.ambient_dim}"
-            )
+        n = s.ambient_dim if n is None else n
+        sub._require_same_ambient(n, s.ambient_dim)
     if n is None:
         raise ValueError("ambient_dim is required when seeds are empty")
 
@@ -156,27 +158,21 @@ def close_and_build(
         for i, (m, j) in enumerate(row):
             meets[k][i] = meets[i][k] = m
             joins[k][i] = joins[i][k] = j
-    # found[0] is the zero subspace and found[1] the full space
     ranked = sorted(range(size), key=lambda k: found[k].sort_key())
-    return _relabelled(n, found, meets, joins, 0, 1, ranked)
+    return _relabelled(found, meets, joins, ranked)
 
 
-def _relabelled(n: int, elements: Sequence[Subspace], meets: Table, joins: Table,
-                bottom: int, top: int, kept: Sequence[int]) -> FiniteLattice:
+def _relabelled(elements: Sequence[Subspace], meets: Table, joins: Table,
+                kept: Sequence[int]) -> FiniteLattice:
     """The lattice on the kept indices of a parent's tables, numbered in the
-    order of kept, which must be closed under both tables: the tables are
-    renumbered, i <= j is read off as i ^ j = i, and the bottom and the top
-    are mapped."""
+    order of kept, which must be closed under both tables."""
     new = dict(zip(kept, range(len(kept))))
 
     def renumber(table: Table) -> tuple[tuple[int, ...], ...]:
         rows = map(table.__getitem__, kept)
         return tuple(tuple([new[row[j]] for j in kept]) for row in rows)
 
-    meet_table = renumber(meets)
-    order = tuple(tuple([m == i for m in row]) for i, row in enumerate(meet_table))
-    return FiniteLattice(n, tuple(elements[i] for i in kept), order, meet_table,
-                         renumber(joins), new[bottom], new[top])
+    return FiniteLattice(tuple(elements[i] for i in kept), renumber(meets), renumber(joins))
 
 
 def _settle(
@@ -218,8 +214,7 @@ def sublattice(lat: FiniteLattice, indices: Iterable[int]) -> FiniteLattice:
         kept = grown
     if len(kept) == len(lat):
         return lat
-    return _relabelled(lat.ambient_dim, lat.elements, *tables,
-                       lat.bottom, lat.top, sorted(kept))
+    return _relabelled(lat.elements, *tables, sorted(kept))
 
 
 def atoms(lat: FiniteLattice) -> tuple[int, ...]:
@@ -271,9 +266,12 @@ class LawViolation:
 @dataclass(frozen=True)
 class LawReport:
     law: str
-    holds: bool
     total_violations: int
     violations: tuple[LawViolation, ...]
+
+    @property
+    def holds(self) -> bool:
+        return self.total_violations == 0
 
 
 def _report(
@@ -288,7 +286,7 @@ def _report(
             total += 1
             if len(found) < limit:
                 found.append(LawViolation(elements, lhs, rhs))
-    return LawReport(law, total == 0, total, tuple(found))
+    return LawReport(law, total, tuple(found))
 
 
 def check_distributive(lat: FiniteLattice, *, limit: int = 10) -> LawReport:

@@ -216,16 +216,14 @@ def image(m: ExactMatrix) -> Subspace:
     return Subspace(m.rows, m)
 
 
-def _require_same_ambient(s: Subspace, t: Subspace) -> None:
-    if s.ambient_dim != t.ambient_dim:
-        raise ValueError(
-            f"ambient dimensions differ: {s.ambient_dim} vs {t.ambient_dim}"
-        )
+def _require_same_ambient(m: int, n: int) -> None:
+    if m != n:
+        raise ValueError(f"ambient dimensions differ: {m} vs {n}")
 
 
 def leq(s: Subspace, t: Subspace) -> bool:
     """True when s is contained in t."""
-    _require_same_ambient(s, t)
+    _require_same_ambient(s.ambient_dim, t.ambient_dim)
     return s.dim <= t.dim and all(_in_span(row, t) for row in s._rows.values())
 
 
@@ -235,7 +233,7 @@ def meet(s: Subspace, t: Subspace) -> Subspace:
     canonical already. A row whose pivot lies in the right half is 0 on
     the left, so its right half lies in both; those right halves are the
     canonical rows of s ^ t."""
-    _require_same_ambient(s, t)
+    _require_same_ambient(s.ambient_dim, t.ambient_dim)
     n = s.ambient_dim
     zeros = (_GZERO,) * n
     rows = {c: row + row for c, row in s._rows.items()}
@@ -253,7 +251,7 @@ def orthocomplement(s: Subspace) -> Subspace:
 
 def join(s: Subspace, t: Subspace) -> Subspace:
     """Closed join: the span of both bases (every subspace of C^n is closed)."""
-    _require_same_ambient(s, t)
+    _require_same_ambient(s.ambient_dim, t.ambient_dim)
     if s.dim < t.dim:
         s, t = t, s
     rows = dict(s._rows)
@@ -271,10 +269,7 @@ def projector_of(s: Subspace) -> ExactMatrix:
 
 
 def contains_vector(s: Subspace, psi: StateVector) -> bool:
-    if s.ambient_dim != psi.ambient_dim:
-        raise ValueError(
-            f"ambient dimensions differ: {s.ambient_dim} vs {psi.ambient_dim}"
-        )
+    _require_same_ambient(s.ambient_dim, psi.ambient_dim)
     return _in_span(psi.components.ints, s)
 
 

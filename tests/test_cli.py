@@ -107,6 +107,13 @@ _PARSE_ERRORS = [
      "declaration 'v': name is already declared", None, None),
     ("dim 2\n" + _PROJ_P + "context c = p\nray c = [1, 0]",
      "declaration 'c': name is already declared", None, None),
+    ("dim 2\nray r = [1, 0]]", "unbalanced ']'", 2, 14),
+    ("dim", "malformed dim directive", 1, 1),
+    # a numeral longer than MAX_AMBIENT_DIM's is refused before int() reads it
+    ("dim " + "9" * 5000,
+     "declaration 'dim': dim with 5000 digits exceeds the limit of 64", None, None),
+    ("dim 0000065", "declaration 'dim': dim 65 exceeds the limit of 64", None, None),
+    ("dim 00", "dim takes a positive integer", 1, 5),
 ]
 
 

@@ -115,6 +115,16 @@ def test_algebra_basis_independence():
     assert basis.dim == 2
 
 
+@pytest.mark.parametrize("members, message", [
+    ((ExactMatrix.zeros(2, 3),), "basis members must be square of the stated side"),
+    ((), "need at least one matrix"),
+], ids=["non-square", "empty"])
+def test_algebra_basis_rejects_malformed_members(members, message):
+    with pytest.raises(ValueError) as err:
+        AlgebraBasis(2, members)
+    assert str(err.value) == message
+
+
 def test_is_irreducible():
     assert is_irreducible(list(nontrivial_projectors()))
     assert not is_irreducible(list(context(1).members))

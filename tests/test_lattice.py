@@ -195,18 +195,20 @@ def test_orthocomplement_indices(full_lattice):
     assert all(comp[comp[i]] == i for i in range(8))
 
 
+# Subspace lattices are always modular, so the failure branch of the
+# scanner needs hand-built pentagon tables: bottom < a < c, bottom < b.
+_PENTAGON_ORDER = {
+    (0, 0), (0, 1), (0, 2), (0, 3), (0, 4),
+    (1, 1), (1, 3), (1, 4),
+    (2, 2), (2, 4),
+    (3, 3), (3, 4),
+    (4, 4),
+}
+
+
 def _pentagon():
-    # Subspace lattices are always modular, so the failure branch of the
-    # scanner needs hand-built pentagon tables: bottom < a < c, bottom < b.
-    order = {
-        (0, 0), (0, 1), (0, 2), (0, 3), (0, 4),
-        (1, 1), (1, 3), (1, 4),
-        (2, 2), (2, 4),
-        (3, 3), (3, 4),
-        (4, 4),
-    }
     size = 5
-    leq = [[(i, j) in order for j in range(size)] for i in range(size)]
+    leq = [[(i, j) in _PENTAGON_ORDER for j in range(size)] for i in range(size)]
 
     def meet(i, j):
         lower = [z for z in range(size) if leq[z][i] and leq[z][j]]
@@ -225,21 +227,27 @@ def _pentagon():
         span([[1, 0, 0, 0, 0], [0, 0, 1, 0, 0]]),
         Subspace.full(5),
     ]
-    return FiniteLattice(
-        ambient_dim=5,
-        elements=tuple(spans),
-        order=tuple(tuple(row) for row in leq),
-        meet_table=meets,
-        join_table=joins,
-        bottom=0,
-        top=4,
-    )
+    return FiniteLattice(elements=tuple(spans), meet_table=meets, join_table=joins)
 
 
 def test_non_modular_lattice_detected():
     pentagon = _pentagon()
     assert not check_modular(pentagon).holds
     assert not check_distributive(pentagon).holds
+
+
+def test_pentagon_reads_its_order_off_its_tables():
+    # Built from its elements and two tables alone (and failing both laws,
+    # above), the pentagon reads its order, bottom, top and ambient
+    # dimension off them.
+    pentagon = _pentagon()
+    assert {(i, j) for i in range(5) for j in range(5) if pentagon.leq(i, j)} == _PENTAGON_ORDER
+    assert (pentagon.bottom, pentagon.top, pentagon.ambient_dim) == (0, 4, 5)
+
+
+@pytest.mark.parametrize("total", [0, 1, 120])
+def test_law_report_holds_exactly_without_violations(total):
+    assert LawReport("modular", total, ()).holds is (total == 0)
 
 
 def test_to_dot(full_lattice, diamond, two_chain):
@@ -481,7 +489,7 @@ def _reference_covers(lat):
 
 
 def _reference_collect(law, found, total):
-    return LawReport(law, total == 0, total, tuple(found))
+    return LawReport(law, total, tuple(found))
 
 
 def _reference_check_distributive(lat, *, limit=10):
@@ -563,6 +571,40 @@ def test_sublattice_matches_exact_reclosure(rng):
             whole += got is lat
             proper += 2 < len(got) < len(lat)
     assert whole > 0 and proper > 0
+
+
+def test_lattice_is_its_elements_and_two_tables(rng, monkeypatch):
+    # Closed families, random unit-ray families of C^3 and generated
+    # sublattices of each: the three fields rebuild an equal lattice, and the
+    # order, bottom, top and ambient dimension are read off them.
+    lattices = [close_and_build(seeds) for seeds in _closure_cases(rng).values()]
+    monkeypatch.setattr(lattice, "MAX_ELEMENTS", 24)
+    rays = 0
+    for _ in range(60):
+        seeds = [span([[rng.choice(("0",) + _UNITS) for _ in range(3)]])
+                 for _ in range(rng.choice((3, 4)))]
+        try:
+            lattices.append(close_and_build(seeds))
+        except ClosureCapError:
+            continue
+        rays += 1
+        if rays == 4:
+            break
+    assert rays == 4
+    for lat in list(lattices):
+        for k in (0, 1, 2, 3):
+            lattices.append(sublattice(lat, rng.sample(range(len(lat)), min(k, len(lat)))))
+    for lat in lattices:
+        size, n = len(lat), lat.ambient_dim
+        rebuilt = FiniteLattice(lat.elements, lat.meet_table, lat.join_table)
+        assert rebuilt == lat and hash(rebuilt) == hash(lat)
+        assert (rebuilt.order, rebuilt.bottom, rebuilt.top) == (lat.order, lat.bottom, lat.top)
+        assert lat.order == tuple(
+            tuple(lat.meet_table[i][j] == i for j in range(size)) for i in range(size)
+        )
+        assert lat.bottom == 0 and lat.elements[0] == Subspace.zero(n)
+        assert lat.top == size - 1 and lat.elements[-1] == Subspace.full(n)
+        assert {s.ambient_dim for s in lat.elements} == {n}
 
 
 def _outcome(check, lat, limit):

@@ -361,6 +361,12 @@ def test_shape_errors():
             ExactMatrix(2, 2, entries)
 
 
+def test_negative_dimensions_are_refused():
+    with pytest.raises(ValueError) as err:
+        ExactMatrix(-1, 0, ())
+    assert str(err.value) == "matrix dimensions must be nonnegative"
+
+
 def test_zero_width_edges():
     empty = ExactMatrix.zeros(2, 0)
     assert (empty @ ExactMatrix.zeros(0, 3)) == ExactMatrix.zeros(2, 3)

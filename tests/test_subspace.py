@@ -28,6 +28,8 @@ from sublat.subspace import (
     span,
     vector,
 )
+from sublat.filters import state_valuation
+from sublat.lattice import close_and_build
 
 M = ExactMatrix.from_rows
 
@@ -174,6 +176,37 @@ def test_span_validation():
     assert span([], ambient_dim=2) == Subspace.zero(2)
     with pytest.raises(ValueError, match="ambient"):
         Subspace(3, ExactMatrix.identity(2))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Subspace.zero(0), "ambient dimension must be at least 1"),
+    (lambda: span([[1, 0]], ambient_dim=3), "vectors of length 2 do not live in C^3"),
+    (lambda: StateVector(ExactMatrix(0, 1, ())), "a state vector needs at least one component"),
+], ids=["zero-of-C^0", "span-outside-ambient", "empty-state-vector"])
+def test_constructor_error_branches(make, message):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message
+
+
+_C2, _C3 = Subspace.full(2), Subspace.zero(3)
+
+
+# Every caller of the one ambient check names its operands in its own order.
+@pytest.mark.parametrize("call, dims", [
+    (lambda: leq(_C2, _C3), "2 vs 3"),
+    (lambda: meet(_C3, _C2), "3 vs 2"),
+    (lambda: join(_C2, _C3), "2 vs 3"),
+    (lambda: contains_vector(_C3, vector([1, 0])), "3 vs 2"),
+    (lambda: close_and_build([_C2, _C3]), "2 vs 3"),
+    (lambda: close_and_build([_C2], ambient_dim=3), "3 vs 2"),
+    (lambda: state_valuation(ExactMatrix.identity(2), vector([1, 0, 0])), "2 vs 3"),
+], ids=["leq", "meet", "join", "contains_vector", "close_and_build-seeds",
+        "close_and_build-ambient_dim", "state_valuation"])
+def test_ambient_mismatch_names_both_dimensions(call, dims):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == f"ambient dimensions differ: {dims}"
 
 
 def test_span_rejects_vectors_of_unequal_length():
