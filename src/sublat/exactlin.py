@@ -304,13 +304,11 @@ class ExactMatrix:
         # Over the lcm of the denominators the entries are in lowest terms: a
         # part whose denominator holds the most factors p of it stays prime to p.
         den = lcm(*(p.denominator for e in entries for p in (e.real, e.imag)))
-        m = _matrix(rows, cols, tuple(
+        return _matrix(rows, cols, tuple(
             (e.real.numerator * (den // e.real.denominator),
              e.imag.numerator * (den // e.imag.denominator))
             for e in entries
         ), den)
-        object.__setattr__(m, "_entries", entries)
-        return m
 
     def __setattr__(self, name: str, *value: object) -> None:
         raise AttributeError(f"cannot set or delete {name!r}: ExactMatrix is immutable")

@@ -26,7 +26,7 @@ from typing import Iterable, Optional
 
 from .exactlin import ExactMatrix
 from .lattice import FiniteLattice, atoms, orthocomplement_indices
-from .subspace import StateVector, _require_same_ambient, contains_vector, image, orthocomplement
+from .subspace import StateVector, contains_vector, image, orthocomplement
 
 __all__ = [
     "CONVENTION_PAPER",
@@ -218,8 +218,6 @@ def homomorphism_from_filter(
     flips the values. The filter must be the complement of a single
     nontrivial atom.
     """
-    if convention not in _CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
     outside = filt.complement_members()
     if len(outside) != 1:
         raise ValueError("filter is not the complement of a single element")
@@ -347,7 +345,6 @@ def state_valuation(p: ExactMatrix, psi: StateVector):
     """
     if not p.is_projector():
         raise ValueError("state valuation requires a Hermitian idempotent matrix")
-    _require_same_ambient(p.rows, psi.ambient_dim)
     ran = image(p)
     if contains_vector(ran, psi):
         return 1

@@ -229,29 +229,31 @@ def contextual_valuation_report(
                 f"context {name!r} has no element besides {{0}} and "
                 f"C^{lat.ambient_dim}"
             )
-    trivial = {universe.elements[universe.bottom], universe.elements[universe.top]}
-    for (name_a, lat_a), (name_b, lat_b) in itertools.combinations(items, 2):
-        if set(lat_a.elements) & set(lat_b.elements) != trivial:
-            raise ValueError(
-                f"lattices {name_a!r} and {name_b!r} must intersect exactly in "
-                "the bottom and the top"
-            )
-
-    union = lt.sublattice(
-        universe, [universe.index_of(s) for _, lat in items for s in lat.elements]
-    )
-    union_atom_subspaces = [union.elements[i] for i in lt.atoms(union)]
-    allowed = trivial | set(union_atom_subspaces)
+    # Each context element but the bottom and the top, by universe index, to
+    # the first context in name order holding it. A later holder records a
+    # pair; the least is the least overlapping pair, as the first holder
+    # precedes every other.
+    owner: dict[int, str] = {}
+    shared = []
     for name, lat in items:
-        stray = [s for s in lat.elements if s not in allowed]
-        if stray:
-            raise ValueError(
-                f"lattice {name!r} element {stray[0].span_str()} is neither "
-                "trivial nor an atom of the union lattice"
-            )
-    # The nontrivial elements of the contexts are union atoms, and no two
-    # contexts share one.
-    owned = {name: [s for s in lat.elements if s not in trivial] for name, lat in items}
+        for i in map(universe.index_of, lat.elements):
+            if i not in (universe.bottom, universe.top) and owner.setdefault(i, name) != name:
+                shared.append((owner[i], name))
+    if shared:
+        name_a, name_b = min(shared)
+        raise ValueError(
+            f"lattices {name_a!r} and {name_b!r} must intersect exactly in "
+            "the bottom and the top"
+        )
+
+    union = lt.sublattice(universe, list(owner))
+    union_atoms = [universe.index_of(union.elements[a]) for a in lt.atoms(union)]
+    stray = [i for i in owner if i not in union_atoms]
+    if stray:
+        raise ValueError(
+            f"lattice {owner[stray[0]]!r} element {universe.elements[stray[0]].span_str()}"
+            " is neither trivial nor an atom of the union lattice"
+        )
 
     summaries = []
     for name, lat in items:
@@ -270,12 +272,7 @@ def contextual_valuation_report(
         )
         # A meet of a local atom with another context's atom is defined only
         # in a context holding both, and none does.
-        excluded = sorted(
-            s.span_str()
-            for other_name, _ in items
-            if other_name != name
-            for s in owned[other_name]
-        )
+        excluded = sorted(universe.elements[i].span_str() for i, o in owner.items() if o != name)
         summaries.append(
             LatticeValuationSummary(
                 name=name,
@@ -293,12 +290,11 @@ def contextual_valuation_report(
     # each union atom that lies in no context; they are counted before any
     # is listed.
     parts = [
-        [{s: bits[lat.index_of(s)] for s in owned[name]}
+        [{i: bits[lat.index_of(universe.elements[i])] for i, o in owner.items() if o == name}
          for bits in summary.standard_valuations]
         for (name, lat), summary in zip(items, summaries)
     ]
-    in_contexts = {s for own in owned.values() for s in own}
-    parts += [[{s: 0}, {s: 1}] for s in union_atom_subspaces if s not in in_contexts]
+    parts += [[{i: 0}, {i: 1}] for i in union_atoms if i not in owner]
     count = math.prod(map(len, parts))
     if count > CONSISTENT_CAP:
         raise ValueError(
@@ -308,8 +304,8 @@ def contextual_valuation_report(
         )
     consistent = []
     for pick in itertools.product(*parts):
-        chosen = {s: bit for part in pick for s, bit in part.items()}
-        consistent.append(tuple(chosen[s] for s in union_atom_subspaces))
+        chosen = {i: bit for part in pick for i, bit in part.items()}
+        consistent.append(tuple(chosen[i] for i in union_atoms))
     consistent.sort()
 
     # Reading (b): one map on the union lattice, laws checked there.
@@ -321,7 +317,7 @@ def contextual_valuation_report(
     return ContextualValuationReport(
         summaries=tuple(summaries),
         union_spans=union.spans(),
-        union_atom_spans=tuple(s.span_str() for s in union_atom_subspaces),
+        union_atom_spans=tuple(universe.elements[i].span_str() for i in union_atoms),
         per_lattice_consistent=tuple(consistent),
         global_valuations=global_vals,
     )

@@ -401,6 +401,16 @@ def test_dot_command(tmp_path, capsys):
     assert text.count("label=") == 8
 
 
+def test_dot_out_that_cannot_be_written_exits_one(tmp_path, capsys):
+    # a directory, as a read-only file would not stop a superuser
+    assert main(["dot", str(DATA), "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: cannot write {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'\n"
+    )
+
+
 @pytest.mark.parametrize("fmt", ["text", "records"])
 @pytest.mark.parametrize(
     "name", ["my lattice", 'a"];x[', "9lives", "Node", ""],

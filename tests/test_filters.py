@@ -214,11 +214,14 @@ def test_homomorphism_from_filter(full_lattice):
     standard = homomorphism_from_filter(lat, filt, CONVENTION_STANDARD)
     assert standard.assignment == (1, 1, 1, 1, 1, 1, 0, 1)
     assert standard.value(lat.top) == 1
-    with pytest.raises(ValueError, match="convention"):
+    with pytest.raises(ValueError, match="^unknown convention 'other'$"):
         homomorphism_from_filter(lat, filt, "other")
     not_a_filter = LatticeSubset(lat, frozenset({0, 1, 2}))
     with pytest.raises(ValueError, match="single element"):
         homomorphism_from_filter(lat, not_a_filter)
+    # the filter is checked before the convention
+    with pytest.raises(ValueError, match="^filter is not the complement of a single element$"):
+        homomorphism_from_filter(lat, not_a_filter, "other")
 
 
 def test_homomorphism_from_filter_rejections(full_lattice, diamond, non_atomistic_chain):

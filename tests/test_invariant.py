@@ -23,7 +23,7 @@ from sublat.invariant import (
     is_irreducible,
     meet_defined,
 )
-from sublat.lattice import atoms, close_and_build
+from sublat.lattice import atoms, close_and_build, sublattice
 from sublat.qubit import ProjectorId, context, nontrivial_projectors, projector
 from sublat.subspace import Subspace, image, maps_into, projector_of, span
 
@@ -227,6 +227,47 @@ def test_contextual_report_rejects_mid_rank_elements():
     deep = close_and_build([span([[1, 0, 0]]), span([[1, 0, 0], [0, 1, 0]])])
     with pytest.raises(ValueError, match="atom"):
         contextual_valuation_report(deep, {"deep": deep})
+
+
+def test_contextual_report_names_the_least_overlapping_pair():
+    # A and B are disjoint; B and C share [1,-1] and A and D share [0,1],
+    # and ('A', 'D') precedes ('B', 'C') in name order.
+    rays = [[1, 0], [0, 1], [1, 1], [1, -1], [1, 2], [2, -1]]
+    u = close_and_build([span([r]) for r in rays])
+
+    def ctx(*picks):
+        return sublattice(u, [u.index_of(span([r])) for r in picks])
+
+    contexts = {"A": ctx([1, 0], [0, 1]), "B": ctx([1, 1], [1, -1]),
+                "C": ctx([1, -1], [1, 2]), "D": ctx([0, 1], [2, -1])}
+    with pytest.raises(ValueError) as err:
+        contextual_valuation_report(u, contexts)
+    assert str(err.value) == (
+        "lattices 'A' and 'D' must intersect exactly in the bottom and the top"
+    )
+
+
+def test_contextual_report_checks_shared_elements_before_atoms():
+    e1, e2, e3 = (span([r]) for r in ([1, 0, 0], [0, 1, 0], [0, 0, 1]))
+    u = close_and_build([e1, e2, e3])
+
+    def ctx(*picks):
+        return sublattice(u, [u.index_of(s) for s in picks])
+
+    # a holds the plane span{e1, e2}, no atom of the union; b and c share e2
+    contexts = {"a": ctx(e1, span([[1, 0, 0], [0, 1, 0]])), "b": ctx(e2), "c": ctx(e2, e3)}
+    with pytest.raises(ValueError) as err:
+        contextual_valuation_report(u, contexts)
+    assert str(err.value) == (
+        "lattices 'b' and 'c' must intersect exactly in the bottom and the top"
+    )
+    del contexts["c"]
+    with pytest.raises(ValueError) as err:
+        contextual_valuation_report(u, contexts)
+    assert str(err.value) == (
+        "lattice 'a' element span{[1,0,0],[0,1,0]} is neither trivial nor an "
+        "atom of the union lattice"
+    )
 
 
 def test_contextual_report_empty_registry(universe):

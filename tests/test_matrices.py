@@ -393,6 +393,15 @@ def test_hstack():
     assert hstack(a, b) == M([[1, 3], [2, 4]])
     with pytest.raises(ValueError, match="common row count"):
         hstack(a, ExactMatrix.zeros(3, 1))
+    with pytest.raises(ValueError, match="^hstack needs at least one matrix$"):
+        hstack()
+
+
+@pytest.mark.parametrize("i", [2, -1])
+def test_index_outside_the_matrix_raises(i):
+    # a negative index does not count from the end
+    with pytest.raises(IndexError, match=rf"^index \({i}, 0\) out of range for 2x2$"):
+        ExactMatrix.identity(2)[i, 0]
 
 
 def _sparse(rng, m: ExactMatrix) -> ExactMatrix:
@@ -526,8 +535,9 @@ def _assert_exact_entries(m: ExactMatrix) -> None:
 
 
 def test_internal_constructions_hold_exact_scalars(rng, random_matrix):
-    # The constructor keeps a tuple of GaussianRationals as it is, so every
-    # matrix the library builds must hold GaussianRationals over Fractions.
+    # A matrix keeps Gaussian-integer parts over one denominator and builds
+    # its entries from them, so every matrix the library builds must read
+    # back GaussianRationals over Fractions.
     for a, b in _product_cases(rng, random_matrix):
         _assert_exact_entries(a @ b)
     for n, j, k in ((2, 1, 1), (3, 2, 2), (3, 1, 2), (4, 3, 2), (4, 2, 3)):

@@ -93,6 +93,9 @@ def test_context_set_validation():
         ContextSet(1, (p, p))
     with pytest.raises(ValueError, match="projectors"):
         ContextSet(1, (M([[0, 1], [0, 0]]), EXPECTED[(3, 2)]))
+    # orthogonal projectors that sum to less than the identity
+    with pytest.raises(ValueError, match="^context members must resolve the identity$"):
+        ContextSet(1, (projector(ProjectorId(1, 1)), ExactMatrix.zeros(2, 2)))
 
 
 def test_cross_context_projectors_do_not_commute():
