@@ -22,13 +22,15 @@ subspaces, which can exceed the closure cap.
 
 Exit codes: 0 success, 1 input, parse or usage error (a negative
 --limit or --assert-count and a dot --name that is no DOT identifier
-included), 2 a demo-qubit check or an --assert expectation failed.
+included) or a stdout its reader closed early (nothing goes to stderr
+then), 2 a demo-qubit check or an --assert expectation failed.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import random
 import re
 import sys
@@ -465,10 +467,10 @@ def _cmd_filters(args: argparse.Namespace, out: Reporter) -> int:
 
 def _cmd_valuations(args: argparse.Namespace, out: Reporter) -> int:
     lat = _build_lattice(_load_document(args.file))
-    laws = [token for token in args.laws.split(",") if token]
+    laws = sorted({token for token in args.laws.split(",") if token})
     found = flt.search_bivaluations(lat, laws)
-    out(f"laws: {', '.join(sorted(laws))}\nlattice: {len(lat)} elements",
-        "search", laws=sorted(laws), elements=len(lat), found=len(found))
+    out(f"laws: {', '.join(laws)}\nlattice: {len(lat)} elements",
+        "search", laws=laws, elements=len(lat), found=len(found))
     for i, s in enumerate(lat.elements):
         out(f"  [{i}] {s.span_str()}", "legend", index=i, span=s.span_str())
     out(f"valuations found: {len(found)}")
@@ -527,27 +529,17 @@ def _cmd_contexts(args: argparse.Namespace, out: Reporter) -> int:
         raise InputError("no contexts declared")
     universe = _build_lattice(doc)
     contexts = {
-        name: inv.common_invariant_sublattice(
-            [doc.projectors[m] for m in doc.contexts[name]], universe
-        )
-        for name in sorted(doc.contexts)
+        name: inv.common_invariant_sublattice(_resolve_operators(doc, members), universe)
+        for name, members in sorted(doc.contexts.items())
     }
     # The report can reject the file, so it runs before the first line.
     report = inv.contextual_valuation_report(universe, contexts)
 
     for name, lat in contexts.items():
         _sublattice_line(out, f"context {name}", "context", lat, name=name)
-    # The universe lists its elements in Subspace.sort_key order.
-    union_elements = [
-        universe.elements[i]
-        for i in sorted({universe.index_of(s) for lat in contexts.values() for s in lat.elements})
-    ]
     out("meet-defined matrix (within some registered lattice):")
-    for x in union_elements:
-        bits = "".join(
-            "1" if inv.meet_defined(x, y, contexts) else "0" for y in union_elements
-        )
-        out(f"  {x.span_str()} {bits}", "meet_defined", element=x.span_str(), bits=bits)
+    for span, bits in report.meet_defined_rows:
+        out(f"  {span} {bits}", "meet_defined", element=span, bits=bits)
     for summary in report.summaries:
         out(f"valuations in context {summary.name}:\n"
             f"  elements: {', '.join(summary.element_spans)}")
@@ -917,7 +909,14 @@ def _build_parser() -> _ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args, Reporter(args.format))
+        code = args.handler(args, Reporter(args.format))
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone; devnull takes the rest, so the exit's flush is quiet.
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:  # InputError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -311,9 +311,7 @@ def search_bivaluations(
         if JOIN_HOM in chosen:
             candidates = [v for v in candidates if _join_prime(host, v)]
     elif JOIN_HOM in chosen:
-        candidates = [(1,) * size] + [
-            tuple(int(not host.leq(y, b)) for y in range(size)) for b in range(size)
-        ]
+        candidates = [(1,) * size] + [tuple(int(not x) for x in c) for c in zip(*host.order)]
     else:
         # bottom and top are left to the law check
         free = [i for i in range(size) if comp is None or i <= comp[i]]

@@ -191,6 +191,8 @@ class ContextualValuationReport:
     homomorphism laws (meets and joins evaluated inside that lattice).
     global_valuations: maps on the single union lattice, with meets and
     joins evaluated there, satisfying the full homomorphism laws.
+    meet_defined_rows: (span of x, bits) for each element x some context
+    holds, in universe order; bit j is meet_defined(x, y_j) over those y_j.
     """
 
     summaries: tuple[LatticeValuationSummary, ...]
@@ -198,12 +200,13 @@ class ContextualValuationReport:
     union_atom_spans: tuple[str, ...]
     per_lattice_consistent: tuple[tuple[int, ...], ...]
     global_valuations: tuple[tuple[int, ...], ...]
+    meet_defined_rows: tuple[tuple[str, str], ...]
 
 
 def contextual_valuation_report(
     universe: FiniteLattice, contexts: Mapping[str, FiniteLattice]
 ) -> ContextualValuationReport:
-    """Per-context valuations plus the two union-level readings.
+    """Per-context valuations, the two union-level readings, the meet-defined rows.
 
     The contexts are sublattices of universe, reported in sorted name
     order; their union lattice is the sublattice of universe that their
@@ -229,14 +232,15 @@ def contextual_valuation_report(
                 f"context {name!r} has no element besides {{0}} and "
                 f"C^{lat.ambient_dim}"
             )
+    held = {name: [universe.index_of(s) for s in lat.elements] for name, lat in items}
     # Each context element but the bottom and the top, by universe index, to
     # the first context in name order holding it. A later holder records a
     # pair; the least is the least overlapping pair, as the first holder
     # precedes every other.
     owner: dict[int, str] = {}
     shared = []
-    for name, lat in items:
-        for i in map(universe.index_of, lat.elements):
+    for name, indices in held.items():
+        for i in indices:
             if i not in (universe.bottom, universe.top) and owner.setdefault(i, name) != name:
                 shared.append((owner[i], name))
     if shared:
@@ -258,14 +262,7 @@ def contextual_valuation_report(
     summaries = []
     for name, lat in items:
         lat_atoms = lt.atoms(lat)
-        paper_vals = tuple(
-            flt.homomorphism_from_filter(
-                lat,
-                flt.coatom_complement_filter(lat, a),
-                flt.CONVENTION_PAPER,
-            ).assignment
-            for a in lat_atoms
-        )
+        paper_vals = tuple(tuple(int(i == a) for i in range(len(lat))) for a in lat_atoms)
         standard_vals = tuple(
             b.assignment
             for b in flt.search_bivaluations(lat, flt.FULL_HOMOMORPHISM_LAWS)
@@ -290,9 +287,9 @@ def contextual_valuation_report(
     # each union atom that lies in no context; they are counted before any
     # is listed.
     parts = [
-        [{i: bits[lat.index_of(universe.elements[i])] for i, o in owner.items() if o == name}
+        [{i: b for i, b in zip(held[name], bits) if owner.get(i) == name}
          for bits in summary.standard_valuations]
-        for (name, lat), summary in zip(items, summaries)
+        for name, summary in zip(held, summaries)
     ]
     parts += [[{i: 0}, {i: 1}] for i in union_atoms if i not in owner]
     count = math.prod(map(len, parts))
@@ -314,10 +311,15 @@ def contextual_valuation_report(
         for b in flt.search_bivaluations(union, flt.FULL_HOMOMORPHISM_LAWS)
     )
 
+    in_some = [universe.elements[i] for i in sorted(set().union(*held.values()))]
     return ContextualValuationReport(
         summaries=tuple(summaries),
         union_spans=union.spans(),
         union_atom_spans=tuple(universe.elements[i].span_str() for i in union_atoms),
         per_lattice_consistent=tuple(consistent),
         global_valuations=global_vals,
+        meet_defined_rows=tuple(
+            (x.span_str(), "".join(str(int(meet_defined(x, y, contexts))) for y in in_some))
+            for x in in_some
+        ),
     )

@@ -221,7 +221,7 @@ def test_criterion_8_exact_arithmetic_property_suites(rng, random_scalar, random
         for q in (0, 1, 2, 3):
             for n in (1, 2):
                 p = projector(ProjectorId(q, n))
-                assert p.is_hermitian and p.is_idempotent
+                assert p.is_hermitian() and p.is_idempotent()
 
 
 def test_criterion_9_cli_demo_determinism():

@@ -262,6 +262,31 @@ def test_valuations_unknown_law(capsys):
     assert "unknown law" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt", ["text", "records"])
+def test_valuations_repeated_law_counts_once(capsys, fmt):
+    outputs = []
+    for laws in ("meet-hom,meet-hom", "meet-hom"):
+        assert main(["valuations", str(DATA), "--laws", laws, "--format", fmt]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert ("found=9" if fmt == "records" else "valuations found: 9") in outputs[0]
+
+
+@pytest.mark.parametrize("rays", [0, 40], ids=["qubit", "forty-rays"])
+def test_closed_stdout_exits_one_quietly(tmp_path, rays):
+    # The qubit lattice fits stdout's buffer, so the write fails at the final
+    # flush; forty rays of C^2 overflow it, so the write fails mid-run.
+    path = DATA
+    if rays:
+        path = tmp_path / "rays.sublat"
+        path.write_text("dim 2\n" + "".join(f"ray r{k} = [1, {k}]\n" for k in range(rays)))
+    proc = subprocess.Popen([sys.executable, "-m", "sublat", "lattice", str(path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (1, b"")
+
+
 def test_invariant_command(capsys):
     assert main(["invariant", str(DATA), "--ops", "x1", "z1"]) == 0
     out = capsys.readouterr().out

@@ -146,7 +146,7 @@ def test_coatom_complement_requires_atom():
         coatom_complement_filter(lat, lat.index_of(plane))
 
 
-def test_filter_battery_every_atom(full_lattice):
+def test_filter_battery_every_atom(full_lattice, diamond, mo5, boolean_frame):
     lat = full_lattice
     for w in atoms(lat):
         filt = coatom_complement_filter(lat, w)
@@ -159,6 +159,17 @@ def test_filter_battery_every_atom(full_lattice):
         assert not is_standard_filter(filt)
         ideal = ideal_complement(lat, filt)
         assert ideal.sorted_members() == (w,)
+    # The contexts report writes each atom's paper map down as the atom's
+    # indicator, without building the filter; the standard map is its
+    # complement.
+    for lat in (full_lattice, diamond, mo5, boolean_frame):
+        for w in atoms(lat):
+            filt = coatom_complement_filter(lat, w)
+            indicator = tuple(int(i == w) for i in range(len(lat)))
+            paper = homomorphism_from_filter(lat, filt, CONVENTION_PAPER)
+            standard = homomorphism_from_filter(lat, filt, CONVENTION_STANDARD)
+            assert paper.assignment == indicator
+            assert standard.assignment == tuple(1 - b for b in indicator)
 
 
 def test_upward_closed_cases(full_lattice):

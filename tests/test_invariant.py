@@ -277,8 +277,9 @@ def test_contextual_report_empty_registry(universe):
 
 def _reference_report(contexts):
     """The former route: re-close the union with exact algebra, try all
-    2^atoms assignments against each context's laws, and exclude the other
-    contexts' atoms that no context pairs with a local atom."""
+    2^atoms assignments against each context's laws, exclude the other
+    contexts' atoms that no context pairs with a local atom, and fill the
+    meet-defined matrix on the elements some context holds."""
     items = sorted(contexts.items())
     n = items[0][1].ambient_dim
     union = close_and_build({s for _, lat in items for s in lat.elements}, ambient_dim=n)
@@ -304,7 +305,15 @@ def _reference_report(contexts):
         ):
             consistent.append(bits)
     found = search_bivaluations(union, FULL_HOMOMORPHISM_LAWS)
-    return union.spans(), tuple(excluded), tuple(consistent), tuple(b.assignment for b in found)
+    # The union is sorted as the universe is, so its held elements come in
+    # universe order.
+    held = [s for s in union.elements if any(s in lat for _, lat in items)]
+    rows = tuple(
+        (x.span_str(), "".join("1" if meet_defined(x, y, contexts) else "0" for y in held))
+        for x in held
+    )
+    return (union.spans(), tuple(excluded), tuple(consistent),
+            tuple(b.assignment for b in found), rows)
 
 
 _PAIRS = [
@@ -353,8 +362,9 @@ def test_contextual_report_matches_enumeration_reference(
 ):
     universe, contexts = case()
     report = contextual_valuation_report(universe, contexts)
-    union_spans, excluded, expected, global_vals = _reference_report(contexts)
+    union_spans, excluded, expected, global_vals, rows = _reference_report(contexts)
     assert report.union_spans == union_spans
+    assert report.meet_defined_rows == rows
     assert tuple(s.excluded_atom_spans for s in report.summaries) == excluded
     assert report.per_lattice_consistent == expected
     assert report.global_valuations == global_vals
