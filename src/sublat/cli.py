@@ -8,17 +8,18 @@ Input files are line oriented. `#` starts a comment. Declarations:
     context <name> = <projname>, <projname>, ...
 
 Scalars use the exact grammar of exactlin.parse_scalar. The parser is
-built once per process, on the first `main` call, and declares `file`
-and --format text|records once each: --format serves every subcommand
-(`dot` ignores it) and `file` every one but demo-qubit. `main` makes the
-one Reporter and hands it to the subcommand. Each fact goes through one
-Reporter call that carries both its text and its record: text mode
-prints the text, records mode prints one record per line as
-space-separated key=value fields (spaces inside values become
-underscores), so equal inputs produce byte-identical output. `contexts`
-checks its contexts before its first line, so a file it rejects leaves
-stdout empty; `burnside` prints its verdict before closing the declared
-subspaces, which can exceed the closure cap.
+built once per process, on the first `main` call, and declares `file`,
+--ops and --format text|records once each: --format serves every
+subcommand (`dot` ignores it), `file` every one but demo-qubit and --ops
+invariant and burnside. `main` makes the one Reporter and hands it to
+the subcommand. Each fact goes through one Reporter call that carries
+both its text and its record: text mode prints the text, records mode
+prints one record per line as space-separated key=value fields (spaces
+inside values become underscores), so equal inputs produce
+byte-identical output. `contexts` checks its contexts before its first
+line, so a file it rejects leaves stdout empty; `burnside` prints its
+verdict before closing the declared subspaces, which can exceed the
+closure cap.
 
 Exit codes: 0 success, 1 input, parse or usage error (a negative
 --limit or --assert-count and a dot --name that is no DOT identifier
@@ -300,7 +301,7 @@ class Reporter:
 
 def _load_document(path: str) -> InputDocument:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:  # drops a leading BOM
             text = handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
@@ -819,6 +820,8 @@ def _build_parser() -> _ArgumentParser:
     )
     reads_file = argparse.ArgumentParser(add_help=False, parents=[formatted])
     reads_file.add_argument("file")
+    operates = argparse.ArgumentParser(add_help=False, parents=[reads_file])
+    operates.add_argument("--ops", nargs="+", required=True, help="projector names")
 
     parser = _ArgumentParser(
         prog="sublat",
@@ -870,11 +873,11 @@ def _build_parser() -> _ArgumentParser:
         help="exit 2 unless exactly this many maps are found",
     )
 
-    p = command("invariant", "invariant sublattices of declared projectors", _cmd_invariant)
-    p.add_argument("--ops", nargs="+", required=True, help="projector names")
+    command("invariant", "invariant sublattices of declared projectors", _cmd_invariant,
+            parent=operates)
 
-    p = command("burnside", "generated algebra dimension and irreducibility", _cmd_burnside)
-    p.add_argument("--ops", nargs="+", required=True, help="projector names")
+    p = command("burnside", "generated algebra dimension and irreducibility", _cmd_burnside,
+                parent=operates)
     p.add_argument(
         "--assert",
         dest="assert_verdict",

@@ -228,36 +228,29 @@ def parse_scalar(text: str) -> GaussianRational:
             return Fraction(numerator, denominator)
         return Fraction(numerator)
 
+    def read_coefficient() -> Fraction:
+        """A fraction, or 1 when it is omitted before 'i'."""
+        return Fraction(1) if pos < n and s[pos] == "i" else read_fraction()
+
     if n == 0:
         fail("empty scalar", 0)
-    first_sign = read_sign()
-    if pos < n and s[pos] == "i":
-        pos += 1
-        if pos != n:
-            fail("trailing characters after 'i'", pos)
-        return GaussianRational(Fraction(0), Fraction(first_sign))
-    first = read_fraction()
+    sign = read_sign()
+    coefficient = read_coefficient()
     if pos == n:
-        return GaussianRational(first_sign * first)
+        return GaussianRational(sign * coefficient)
     if s[pos] == "i":
-        pos += 1
-        if pos != n:
-            fail("trailing characters after 'i'", pos)
-        return GaussianRational(Fraction(0), first_sign * first)
-    if s[pos] not in "+-":
-        fail("expected '+', '-' or 'i'", pos)
-    second_sign = read_sign()
-    if pos < n and s[pos] == "i":
-        imag = Fraction(1)
-        pos += 1
+        real, imag = Fraction(0), sign * coefficient
     else:
-        imag = read_fraction()
-        if pos >= n or s[pos] != "i":
+        if s[pos] not in "+-":
+            fail("expected '+', '-' or 'i'", pos)
+        real = sign * coefficient
+        imag = read_sign() * read_coefficient()
+        if pos == n or s[pos] != "i":
             fail("expected 'i' after the imaginary part", pos)
-        pos += 1
+    pos += 1
     if pos != n:
         fail("trailing characters after 'i'", pos)
-    return GaussianRational(first_sign * first, second_sign * imag)
+    return GaussianRational(real, imag)
 
 
 def format_scalar(value: ScalarLike) -> str:
@@ -267,11 +260,9 @@ def format_scalar(value: ScalarLike) -> str:
         return str(z.real)
     magnitude = abs(z.imag)
     body = "" if magnitude == 1 else str(magnitude)
-    if z.real == 0:
-        sign = "-" if z.imag < 0 else ""
-        return f"{sign}{body}i"
-    sign = "-" if z.imag < 0 else "+"
-    return f"{z.real}{sign}{body}i"
+    real = str(z.real) if z.real else ""
+    sign = "-" if z.imag < 0 else "+" if z.real else ""
+    return f"{real}{sign}{body}i"
 
 
 # A Gaussian integer a+bi as the int pair (a, b).

@@ -6,9 +6,9 @@ bottom and the top) is read off those tables. Elements are sorted by
 (dimension, basis entries), so index 0 is the zero subspace and the last
 index is the full space, and rebuilding from the same family reproduces
 the same object. Closure is a worklist that settles each pair of
-elements once: dimension alone settles pairs that involve the bottom or
-the top, pairs of hyperplanes of C^2 and the zero meets that Grassmann's
-formula shows, and exact meet or join does the rest. The sublattice
+elements once: dimension gives the join with the bottom, with the top or
+of two hyperplanes, Grassmann's formula gives the meet's dimension, and
+exact meet or join does the rest. The sublattice
 some elements of a built lattice generate is their closure under its
 tables. Both renumber a parent's meet and join tables onto the kept
 indices. Atoms, covers and law reports are counted off the tables too,
@@ -180,24 +180,16 @@ def _settle(
 ) -> tuple[Subspace, Subspace]:
     """Meet and join of distinct s and t.
 
-    Dimension settles a pair where it can; by Grassmann's formula,
-    dim(s ^ t) + dim(s v t) = dim s + dim t.
+    The join is t when s is the bottom or t the top, the full space when
+    both are hyperplanes, and exact join otherwise. Grassmann's formula,
+    dim(s ^ t) + dim(s v t) = dim s + dim t, gives the meet's dimension.
     """
     if s.dim > t.dim:
         s, t = t, s
     n = full.dim
-    if s.dim == 0 or t.dim == n:
-        return s, t
-    if s.dim == n - 1:
-        # two distinct hyperplanes span the whole space
-        return (zero if n == 2 else sub.meet(s, t)), full
-    j = sub.join(s, t)
-    if j.dim == t.dim:
-        # t <= j, so j = t and s <= t
-        return s, t
-    if s.dim + t.dim == j.dim:
-        return zero, j
-    return sub.meet(s, t), j
+    j = t if s.dim == 0 or t.dim == n else full if s.dim == t.dim == n - 1 else sub.join(s, t)
+    d = s.dim + t.dim - j.dim
+    return (zero if d == 0 else s if d == s.dim else sub.meet(s, t)), j
 
 
 def sublattice(lat: FiniteLattice, indices: Iterable[int]) -> FiniteLattice:

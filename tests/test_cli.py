@@ -603,6 +603,8 @@ def test_subcommand_help_lists_shared_arguments(capsys, command):
             "line-delimited records") in out
     takes_file = command != "demo-qubit"
     assert ("positional arguments: file" in out) == takes_file
+    takes_ops = command in ("invariant", "burnside")
+    assert ("--ops OPS [OPS ...] projector names" in out) == takes_ops
 
 
 def test_laws_limit_zero_shows_no_violations(capsys):

@@ -51,9 +51,9 @@ def _run(argv, fmt):
     return code, out.getvalue()
 
 
-def _check(name, fmt):
+def _check(name, fmt, path=QUBIT):
     argv, expected_code = CASES[name]
-    code, stdout = _run(argv, fmt)
+    code, stdout = _run([path if a == QUBIT else a for a in argv], fmt)
     assert code == expected_code
     golden = GOLDEN / f"{name}.{FORMATS[fmt]}"
     assert stdout == golden.read_text(encoding="utf-8")
@@ -67,6 +67,15 @@ def test_records_match_golden(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_text_matches_golden(name):
     _check(name, "text")
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+@pytest.mark.parametrize("name", sorted(n for n, (argv, _) in CASES.items() if QUBIT in argv))
+def test_byte_order_mark_is_ignored(tmp_path, name, fmt):
+    # Editors on Windows may save UTF-8 with a leading byte-order mark.
+    path = tmp_path / "qubit.sublat"
+    path.write_bytes(b"\xef\xbb\xbf" + Path(QUBIT).read_bytes())
+    _check(name, fmt, str(path))
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import itertools
 import re
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from sublat.exactlin import (
     I_UNIT,
     MAX_LITERAL_DIGITS,
     ONE,
+    ScalarLike,
     ScalarParseError,
     ZERO,
     as_scalar,
@@ -108,6 +110,126 @@ def test_round_trip_thousand_cases(rng, random_scalar):
     for _ in range(1000):
         z = random_scalar()
         assert parse_scalar(format_scalar(z)) == z
+
+
+# The earlier grammar and formatter, which read each imaginary form in a
+# branch of its own, kept verbatim as references for the current ones.
+
+
+def _reference_parse_scalar(text: str) -> GaussianRational:
+    """Parse canonical scalar text.
+
+    Accepted forms: `[-]p[/q]`, `[-]p[/q](+|-)[r[/s]]i`, and the pure
+    imaginary `[-][r[/s]]i`. An omitted imaginary coefficient means 1.
+    Digits are ASCII 0-9, at most MAX_LITERAL_DIGITS to a literal. Raises
+    ScalarParseError (with a position) on malformed text, a longer literal
+    or a zero denominator.
+    """
+    s = text
+    n = len(s)
+    pos = 0
+
+    def fail(message: str, at: int) -> None:
+        raise ScalarParseError(message, at)
+
+    def read_sign() -> int:
+        nonlocal pos
+        if pos < n and s[pos] in "+-":
+            sign = -1 if s[pos] == "-" else 1
+            pos += 1
+            return sign
+        return 1
+
+    def read_int() -> int:
+        nonlocal pos
+        start = pos
+        while pos < n and "0" <= s[pos] <= "9":
+            pos += 1
+        if pos == start:
+            fail("expected a digit", start)
+        if pos - start > MAX_LITERAL_DIGITS:
+            fail(f"more than {MAX_LITERAL_DIGITS} digits", start)
+        return int(s[start:pos])
+
+    def read_fraction() -> Fraction:
+        nonlocal pos
+        numerator = read_int()
+        if pos < n and s[pos] == "/":
+            pos += 1
+            dstart = pos
+            denominator = read_int()
+            if denominator == 0:
+                fail("zero denominator", dstart)
+            return Fraction(numerator, denominator)
+        return Fraction(numerator)
+
+    if n == 0:
+        fail("empty scalar", 0)
+    first_sign = read_sign()
+    if pos < n and s[pos] == "i":
+        pos += 1
+        if pos != n:
+            fail("trailing characters after 'i'", pos)
+        return GaussianRational(Fraction(0), Fraction(first_sign))
+    first = read_fraction()
+    if pos == n:
+        return GaussianRational(first_sign * first)
+    if s[pos] == "i":
+        pos += 1
+        if pos != n:
+            fail("trailing characters after 'i'", pos)
+        return GaussianRational(Fraction(0), first_sign * first)
+    if s[pos] not in "+-":
+        fail("expected '+', '-' or 'i'", pos)
+    second_sign = read_sign()
+    if pos < n and s[pos] == "i":
+        imag = Fraction(1)
+        pos += 1
+    else:
+        imag = read_fraction()
+        if pos >= n or s[pos] != "i":
+            fail("expected 'i' after the imaginary part", pos)
+        pos += 1
+    if pos != n:
+        fail("trailing characters after 'i'", pos)
+    return GaussianRational(first_sign * first, second_sign * imag)
+
+
+def _reference_format_scalar(value: ScalarLike) -> str:
+    """Canonical text form; parse_scalar(format_scalar(z)) == z."""
+    z = as_scalar(value)
+    if z.imag == 0:
+        return str(z.real)
+    magnitude = abs(z.imag)
+    body = "" if magnitude == 1 else str(magnitude)
+    if z.real == 0:
+        sign = "-" if z.imag < 0 else ""
+        return f"{sign}{body}i"
+    sign = "-" if z.imag < 0 else "+"
+    return f"{z.real}{sign}{body}i"
+
+
+def _outcome(parse, text):
+    """The parsed parts, or the error's message and position."""
+    try:
+        z = parse(text)
+    except ScalarParseError as err:
+        return str(err), err.position
+    return z.real, z.imag
+
+
+def test_parser_matches_reference_on_every_short_string():
+    texts = ["".join(t) for k in range(6) for t in itertools.product("012/+-ix ", repeat=k)]
+    assert len(texts) == 66430
+    for text in texts:
+        assert _outcome(parse_scalar, text) == _outcome(_reference_parse_scalar, text), text
+
+
+def test_formatter_matches_reference(random_scalar):
+    parts = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 2)]
+    fixed = [gr(re, im) for re, im in itertools.product(parts, repeat=2)]
+    for z in fixed + [random_scalar() for _ in range(1000)]:
+        assert format_scalar(z) == _reference_format_scalar(z)
 
 
 def test_exact_thirds():
