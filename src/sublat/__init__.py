@@ -33,7 +33,7 @@ from .invariant import (
     meet_defined,
 )
 from .lattice import FiniteLattice, check_distributive, close_and_build
-from .qubit import ContextSet, ProjectorId, context, full_sigma, projector
+from .qubit import ContextSet, ProjectorId, context, projector
 from .subspace import StateVector, Subspace, image, span, vector
 
 __version__ = "0.1.0"
@@ -61,7 +61,6 @@ __all__ = [
     "context",
     "contextual_valuation_report",
     "format_scalar",
-    "full_sigma",
     "image",
     "invariant_sublattice",
     "is_irreducible",

@@ -94,12 +94,14 @@ _DIM_RE = re.compile(r"(\s*dim\s+)(\S+)\s*")
 _DECL_RE = re.compile(rf"\s*\S+\s+({_NAME_RE.pattern})\s*=\s*(\S.*?)\s*")
 
 
-def _split_top_level(text: str, base: int, line: int) -> list[tuple[str, int]]:
-    """Split on commas outside brackets; returns (piece, offset) pairs."""
-    pieces: list[tuple[str, int]] = []
+def _items(text: str, base: int, line: int) -> list[tuple[str, int]]:
+    """Split on commas outside brackets, in one scan; returns each item
+    stripped, with the 0-based column of its first non-space character
+    (for a blank item, the column just past its spaces)."""
+    items: list[tuple[str, int]] = []
     depth = 0
     start = 0
-    for idx, ch in enumerate(text):
+    for idx, ch in enumerate(text + ","):  # the closing comma ends the last item
         if ch == "[":
             depth += 1
         elif ch == "]":
@@ -107,18 +109,12 @@ def _split_top_level(text: str, base: int, line: int) -> list[tuple[str, int]]:
             if depth < 0:
                 raise InputSyntaxError("unbalanced ']'", line, base + idx + 1)
         elif ch == "," and depth == 0:
-            pieces.append((text[start:idx], base + start))
+            token = text[start:idx].lstrip()
+            items.append((token.rstrip(), base + idx - len(token)))
             start = idx + 1
     if depth != 0:
         raise InputSyntaxError("unbalanced '['", line, base + len(text))
-    pieces.append((text[start:], base + start))
-    return pieces
-
-
-def _strip_with_offset(piece: str, offset: int) -> tuple[str, int]:
-    stripped_left = piece.lstrip()
-    offset += len(piece) - len(stripped_left)
-    return stripped_left.rstrip(), offset
+    return items
 
 
 def _parse_scalar_at(token: str, offset: int, line: int) -> GaussianRational:
@@ -133,9 +129,9 @@ def _parse_scalar_at(token: str, offset: int, line: int) -> GaussianRational:
 def _parse_bracket_list(
     text: str, offset: int, line: int, what: str, item: str, parse_item
 ) -> list:
-    """Parse `[a, b, ...]`, each piece through parse_item(token, offset, line).
+    """Parse `[a, b, ...]`, each item through parse_item(token, column, line).
 
-    `what` names the list and `item` its pieces in the error messages.
+    `what` names the list and `item` its items in the error messages.
     """
     if not text.startswith("["):
         raise InputSyntaxError("expected '['", line, offset + 1)
@@ -145,20 +141,15 @@ def _parse_bracket_list(
     if not inner.strip():
         raise InputSyntaxError(f"empty {what}", line, offset + 2)
     values = []
-    for piece, piece_off in _split_top_level(inner, offset + 1, line):
-        token, token_off = _strip_with_offset(piece, piece_off)
+    for token, column in _items(inner, offset + 1, line):
         if not token:
-            raise InputSyntaxError(f"empty {item}", line, token_off + 1)
-        values.append(parse_item(token, token_off, line))
+            raise InputSyntaxError(f"empty {item}", line, column + 1)
+        values.append(parse_item(token, column, line))
     return values
 
 
 def _parse_vector(text: str, offset: int, line: int) -> list[GaussianRational]:
     return _parse_bracket_list(text, offset, line, "vector", "entry", _parse_scalar_at)
-
-
-def _parse_matrix(text: str, offset: int, line: int) -> list[list[GaussianRational]]:
-    return _parse_bracket_list(text, offset, line, "matrix", "row", _parse_vector)
 
 
 def parse_input(text: str) -> InputDocument:
@@ -228,7 +219,7 @@ def parse_input(text: str) -> InputDocument:
             except ValueError as exc:
                 raise InputValidationError(name, str(exc)) from None
         elif keyword == "proj":
-            rows = _parse_matrix(body, body_col, lineno)
+            rows = _parse_bracket_list(body, body_col, lineno, "matrix", "row", _parse_vector)
             if len(rows) != dim or any(len(r) != dim for r in rows):
                 raise InputValidationError(
                     name, f"projector must be a {dim}x{dim} matrix"
@@ -241,12 +232,9 @@ def parse_input(text: str) -> InputDocument:
             projectors[name] = matrix
         else:
             members = []
-            for piece, piece_off in _split_top_level(body, body_col, lineno):
-                token, token_off = _strip_with_offset(piece, piece_off)
+            for token, column in _items(body, body_col, lineno):
                 if not _NAME_RE.fullmatch(token):
-                    raise InputSyntaxError(
-                        "expected a projector name", lineno, token_off + 1
-                    )
+                    raise InputSyntaxError("expected a projector name", lineno, column + 1)
                 if token not in projectors:
                     raise InputValidationError(
                         name, f"member {token!r} is not a declared projector"
@@ -301,10 +289,17 @@ class Reporter:
 
 def _load_document(path: str) -> InputDocument:
     try:
-        with open(path, "r", encoding="utf-8-sig") as handle:  # drops a leading BOM
-            text = handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    try:
+        text = data.decode("utf-8-sig")  # drops a leading BOM
+    except UnicodeDecodeError as exc:
+        # exc.object follows any BOM; lines and columns count as in parse_input.
+        lines = (exc.object[: exc.start].decode("utf-8") + "x").splitlines()
+        raise InputSyntaxError(f"byte 0x{exc.object[exc.start]:02x} is not UTF-8",
+                               len(lines), len(lines[-1])) from None
     return parse_input(text)
 
 

@@ -365,10 +365,6 @@ class ExactMatrix:
     def row(self, i: int) -> tuple[GaussianRational, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def take_rows(self, indices: Iterable[int]) -> "ExactMatrix":
-        idx, c = list(indices), self.cols
-        return _lowest(len(idx), c, [self.ints[i * c + j] for i in idx for j in range(c)], self.den)
-
     def take_cols(self, indices: Iterable[int]) -> "ExactMatrix":
         idx, c = list(indices), self.cols
         return _lowest(self.rows, len(idx),

@@ -20,7 +20,6 @@ __all__ = [
     "ContextSet",
     "projector",
     "context",
-    "full_sigma",
     "nontrivial_projectors",
 ]
 
@@ -86,11 +85,6 @@ def context(w: int) -> ContextSet:
     if w not in (1, 2, 3):
         raise ValueError(f"context label must be 1, 2 or 3, got {w}")
     return ContextSet(w, (projector(ProjectorId(w, 1)), projector(ProjectorId(w, 2))))
-
-
-def full_sigma() -> tuple[ContextSet, ContextSet, ContextSet]:
-    """All three contexts; their union is the six nontrivial projectors."""
-    return (context(1), context(2), context(3))
 
 
 def nontrivial_projectors() -> tuple[ExactMatrix, ...]:

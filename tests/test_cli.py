@@ -1,3 +1,4 @@
+import itertools
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from sublat.cli import (
     MAX_AMBIENT_DIM,
     InputSyntaxError,
     InputValidationError,
+    _items,
     main,
     parse_input,
 )
@@ -116,9 +118,20 @@ _PARSE_ERRORS = [
     ("dim 00", "dim takes a positive integer", 1, 5),
 ]
 
+# Columns the list reader places: an item's first non-space character, or
+# where an unbalanced bracket shows. Their ids carry the position.
+_LIST_ERRORS = [
+    ("dim 2\nray v = [[1, 0]", "unbalanced '['", 2, 14),
+    ("dim 2\nproj q = [[1, 0], [0, 1]", "unbalanced '['", 2, 23),
+    ("dim 2\nray v = [1, , 0]", "empty entry", 2, 13),
+    ("dim 2\n" + _PROJ_P + "context c = [p]", "expected a projector name", 3, 13),
+    ("dim 2\n" + _PROJ_P + "context c = p, ]", "unbalanced ']'", 3, 16),
+]
+
 
 @pytest.mark.parametrize(
-    "text, message, line, column", _PARSE_ERRORS, ids=[c[1] for c in _PARSE_ERRORS]
+    "text, message, line, column", _PARSE_ERRORS + _LIST_ERRORS,
+    ids=[c[1] for c in _PARSE_ERRORS] + [f"{c[1]} at {c[2]}:{c[3]}" for c in _LIST_ERRORS],
 )
 def test_parse_input_error_branches(text, message, line, column):
     with pytest.raises((InputSyntaxError, InputValidationError)) as err:
@@ -130,6 +143,74 @@ def test_parse_input_error_branches(text, message, line, column):
         assert isinstance(err.value, InputSyntaxError)
         assert str(err.value) == f"line {line}, column {column}: {message}"
         assert (err.value.line, err.value.column) == (line, column)
+
+
+def _reference_split_top_level(text, base, line):
+    pieces = []
+    depth = 0
+    start = 0
+    for idx, ch in enumerate(text):
+        if ch == "[":
+            depth += 1
+        elif ch == "]":
+            depth -= 1
+            if depth < 0:
+                raise InputSyntaxError("unbalanced ']'", line, base + idx + 1)
+        elif ch == "," and depth == 0:
+            pieces.append((text[start:idx], base + start))
+            start = idx + 1
+    if depth != 0:
+        raise InputSyntaxError("unbalanced '['", line, base + len(text))
+    pieces.append((text[start:], base + start))
+    return pieces
+
+
+def _reference_strip_with_offset(piece, offset):
+    stripped_left = piece.lstrip()
+    offset += len(piece) - len(stripped_left)
+    return stripped_left.rstrip(), offset
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except InputSyntaxError as exc:
+        return str(exc), exc.line, exc.column
+
+
+def test_items_match_split_then_strip():
+    # The one-scan reader against the two-pass split and strip it replaced,
+    # on every string of up to 6 characters over brackets, comma, a and space.
+    def reference(text):
+        return [_reference_strip_with_offset(piece, offset)
+                for piece, offset in _reference_split_top_level(text, 4, 3)]
+
+    count = 0
+    for size in range(7):
+        for chars in itertools.product("[],a ", repeat=size):
+            text = "".join(chars)
+            assert _outcome(lambda t: _items(t, 4, 3), text) == _outcome(reference, text), text
+            count += 1
+    assert count == 19531
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"dim 2\nray v = [1, \xff]", "line 2, column 13: byte 0xff is not UTF-8"),
+        (b"dim 2\n# caf\xe9", "line 2, column 6: byte 0xe9 is not UTF-8"),
+        # a byte-order mark takes no column, and the bad byte is read after it
+        (b"\xef\xbb\xbfdim 2 \xe9", "line 1, column 7: byte 0xe9 is not UTF-8"),
+        (b"\xef\xbb\xbfdim 2\nray v\xc3 = [1, 0]", "line 2, column 6: byte 0xc3 is not UTF-8"),
+    ],
+)
+def test_undecodable_byte_reports_line_and_column(tmp_path, capsys, data, message):
+    path = tmp_path / "bad.sublat"
+    path.write_bytes(data)
+    assert main(["lattice", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_lattice_command(capsys):

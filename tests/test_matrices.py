@@ -98,11 +98,6 @@ def _reference_conjugate_transpose(m: ExactMatrix) -> ExactMatrix:
         m.entries[i * m.cols + j].conjugate() for j in range(m.cols) for i in range(m.rows)))
 
 
-def _reference_take_rows(m: ExactMatrix, indices) -> ExactMatrix:
-    flat = [e for i in indices for e in m.entries[i * m.cols : (i + 1) * m.cols]]
-    return ExactMatrix(len(indices), m.cols, tuple(flat))
-
-
 def _reference_take_cols(m: ExactMatrix, indices) -> ExactMatrix:
     flat = [m.entries[i * m.cols + j] for i in range(m.rows) for j in indices]
     return ExactMatrix(m.rows, len(indices), tuple(flat))
@@ -473,7 +468,6 @@ def test_matrix_operations_match_references(rng, random_matrix, random_scalar):
     for m in _elimination_cases(rng, random_matrix) + [random_matrix(0, 3), random_matrix(3, 0)]:
         other = random_matrix(m.rows, m.cols)
         z = rng.choice([random_scalar(), ZERO, ONE, GaussianRational(Fraction(0), Fraction(1, 3))])
-        rows = [rng.randrange(m.rows) for _ in range(rng.randint(0, 4))] if m.rows else []
         cols = [rng.randrange(m.cols) for _ in range(rng.randint(0, 4))] if m.cols else []
         _assert_same(-m, _reference_neg(m))
         _assert_same(m + other, _reference_add(m, other))
@@ -483,7 +477,6 @@ def test_matrix_operations_match_references(rng, random_matrix, random_scalar):
         _assert_same(z * m, _reference_scale(m, z))
         _assert_same(m.transpose(), _reference_transpose(m))
         _assert_same(m.conjugate_transpose(), _reference_conjugate_transpose(m))
-        _assert_same(m.take_rows(rows), _reference_take_rows(m, rows))
         _assert_same(m.take_cols(cols), _reference_take_cols(m, cols))
         _assert_same(hstack(m, other, m), _reference_hstack(m, other, m))
         _assert_same(kernel_basis(m), _reference_kernel_basis(m))
@@ -548,7 +541,7 @@ def test_internal_constructions_hold_exact_scalars(rng, random_matrix):
     for m in _elimination_cases(rng, random_matrix)[:20]:
         reduced = rref(m).matrix
         results = [reduced, kernel_basis(m), m.transpose(), m.conjugate_transpose(),
-                   m.take_rows(range(0, m.rows, 2)), m.take_cols(range(0, m.cols, 2)),
+                   m.take_cols(range(0, m.cols, 2)),
                    hstack(m, reduced), -m, m + m, m - reduced, m * 3,
                    GaussianRational(Fraction(0), Fraction(1, 2)) * m]
         if m.is_square() and rank(m) == m.rows:

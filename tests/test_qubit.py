@@ -7,7 +7,6 @@ from sublat.qubit import (
     ContextSet,
     ProjectorId,
     context,
-    full_sigma,
     nontrivial_projectors,
     projector,
 )
@@ -103,10 +102,3 @@ def test_cross_context_projectors_do_not_commute():
         a = projector(ProjectorId(w, 1))
         b = projector(ProjectorId(v, 1))
         assert a @ b != b @ a
-
-
-def test_full_sigma():
-    contexts = full_sigma()
-    assert tuple(c.label for c in contexts) == (1, 2, 3)
-    members = [p for c in contexts for p in c.members]
-    assert members == list(nontrivial_projectors())

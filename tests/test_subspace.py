@@ -283,7 +283,7 @@ def _reference_leq(bs: ExactMatrix, bt: ExactMatrix) -> bool:
 
 def _reference_meet(bs: ExactMatrix, bt: ExactMatrix) -> ExactMatrix:
     coeffs = kernel_basis(hstack(bs, bt))
-    x_part = coeffs.take_rows(range(bs.cols))
+    x_part = ExactMatrix.from_rows([coeffs.row(i) for i in range(bs.cols)])
     return _reference_column_canonical(bs @ x_part)
 
 
