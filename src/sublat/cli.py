@@ -414,13 +414,13 @@ def _cmd_laws(args: argparse.Namespace, out: Reporter) -> int:
 def _cmd_filters(args: argparse.Namespace, out: Reporter) -> int:
     doc = _load_document(args.file)
     named = _named_subspaces(doc)
-    lat = lt.close_and_build(named.values(), ambient_dim=doc.ambient_dim)
     if args.remove not in named:
         raise InputError(f"unknown ray or projector {args.remove!r}")
+    lat = lt.close_and_build(named.values(), ambient_dim=doc.ambient_dim)
     target = named[args.remove]
     w = lat.index_of(target)
     filt = flt.coatom_complement_filter(lat, w)
-    ideal = flt.ideal_complement(lat, filt)
+    ideal = flt.ideal_complement(filt)
     directed = flt.is_downward_directed(filt)
     closed, witness = flt.is_upward_closed(filt)
     prime_paper = flt.is_prime_paper(filt)
@@ -483,8 +483,8 @@ def _cmd_valuations(args: argparse.Namespace, out: Reporter) -> int:
 
 def _cmd_invariant(args: argparse.Namespace, out: Reporter) -> int:
     doc = _load_document(args.file)
-    universe = _build_lattice(doc)
     ops = _resolve_operators(doc, args.ops)
+    universe = _build_lattice(doc)
     out(f"universe: {len(universe)} elements over C^{universe.ambient_dim}",
         "universe", elements=len(universe), ambient=universe.ambient_dim)
     for name, op in zip(args.ops, ops):

@@ -147,11 +147,9 @@ def coatom_complement_filter(host: FiniteLattice, w: int) -> LatticeSubset:
     return LatticeSubset(host, frozenset(range(len(host))) - {w})
 
 
-def ideal_complement(host: FiniteLattice, subset: LatticeSubset) -> LatticeSubset:
+def ideal_complement(subset: LatticeSubset) -> LatticeSubset:
     """Set complement; the ideal mate of a deleted-element filter."""
-    if subset.host is not host and subset.host != host:
-        raise ValueError("subset belongs to a different lattice")
-    return LatticeSubset(host, subset.complement_members())
+    return LatticeSubset(subset.host, subset.complement_members())
 
 
 def is_downward_directed(subset: LatticeSubset) -> bool:

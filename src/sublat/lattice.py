@@ -257,7 +257,6 @@ class LawViolation:
 
 @dataclass(frozen=True)
 class LawReport:
-    law: str
     total_violations: int
     violations: tuple[LawViolation, ...]
 
@@ -266,9 +265,7 @@ class LawReport:
         return self.total_violations == 0
 
 
-def _report(
-    law: str, cases: Iterable[tuple[tuple[int, ...], int, int]], limit: int
-) -> LawReport:
+def _report(cases: Iterable[tuple[tuple[int, ...], int, int]], limit: int) -> LawReport:
     """Count the (elements, lhs, rhs) cases whose sides differ, keeping the
     first limit of them."""
     total = 0
@@ -278,13 +275,13 @@ def _report(
             total += 1
             if len(found) < limit:
                 found.append(LawViolation(elements, lhs, rhs))
-    return LawReport(law, total, tuple(found))
+    return LawReport(total, tuple(found))
 
 
 def check_distributive(lat: FiniteLattice, *, limit: int = 10) -> LawReport:
     """Scan all ordered triples (a, b, c) for (a v b) ^ c = (a ^ c) v (b ^ c)."""
     meet, join = lat.meet_table, lat.join_table
-    return _report("distributive", (
+    return _report((
         ((a, b, c), meet[join[a][b]][c], join[meet[a][c]][meet[b][c]])
         for a, b, c in itertools.product(range(len(lat)), repeat=3)
     ), limit)
@@ -293,7 +290,7 @@ def check_distributive(lat: FiniteLattice, *, limit: int = 10) -> LawReport:
 def check_modular(lat: FiniteLattice, *, limit: int = 10) -> LawReport:
     """Scan triples with a <= c for a v (b ^ c) = (a v b) ^ c."""
     meet, join, order = lat.meet_table, lat.join_table, lat.order
-    return _report("modular", (
+    return _report((
         ((a, b, c), join[a][meet[b][c]], meet[join[a][b]][c])
         for a, b, c in itertools.product(range(len(lat)), repeat=3)
         if order[a][c]
@@ -313,7 +310,7 @@ def check_orthomodular(
     """
     comp = orthocomplement_indices(lat, complement)
     meet, join, order = lat.meet_table, lat.join_table, lat.order
-    return _report("orthomodular", (
+    return _report((
         ((a, b), join[a][meet[comp[a]][b]], b)
         for a, b in itertools.product(range(len(lat)), repeat=2)
         if order[a][b]

@@ -66,7 +66,6 @@ def projector(pid: ProjectorId) -> ExactMatrix:
 class ContextSet:
     """An orthogonal pair of projectors resolving the identity."""
 
-    label: int
     members: tuple[ExactMatrix, ExactMatrix]
 
     def __post_init__(self) -> None:
@@ -84,7 +83,7 @@ def context(w: int) -> ContextSet:
     """The measurement context for direction w in {1, 2, 3}."""
     if w not in (1, 2, 3):
         raise ValueError(f"context label must be 1, 2 or 3, got {w}")
-    return ContextSet(w, (projector(ProjectorId(w, 1)), projector(ProjectorId(w, 2))))
+    return ContextSet((projector(ProjectorId(w, 1)), projector(ProjectorId(w, 2))))
 
 
 def nontrivial_projectors() -> tuple[ExactMatrix, ...]:

@@ -74,22 +74,16 @@ def _ambient(n: int) -> int:
 class Subspace:
     """A closed subspace of C^ambient_dim with a canonical basis.
 
-    Any spanning matrix may be passed as `basis`, one spanning vector per
+    `basis` is any spanning matrix of C^rows, one spanning vector per
     column; it is canonicalized on construction, so equal subspaces compare
     equal no matter how they were produced. Instances are immutable.
     """
 
     __slots__ = ("ambient_dim", "dim", "_rows", "_hash", "_basis")
 
-    def __new__(cls, ambient_dim: int, basis: ExactMatrix) -> "Subspace":
-        _ambient(ambient_dim)
-        if basis.rows != ambient_dim:
-            raise ValueError(
-                f"basis has {basis.rows} rows but the ambient dimension is "
-                f"{ambient_dim}"
-            )
+    def __new__(cls, basis: ExactMatrix) -> "Subspace":
         reduced, pivots, _ = rref(basis.transpose())
-        return _subspace(ambient_dim, {
+        return _subspace(_ambient(basis.rows), {
             c: _canonical_row(x, c) for x, c in zip(_int_rows(reduced), pivots)})
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -99,7 +93,7 @@ class Subspace:
         raise AttributeError(f"cannot delete {name!r}: Subspace is immutable")
 
     def __reduce__(self):
-        return (Subspace, (self.ambient_dim, self.basis))
+        return (Subspace, (self.basis,))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subspace):
@@ -110,7 +104,7 @@ class Subspace:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"Subspace({self.ambient_dim}, {self.basis!r})"
+        return f"Subspace({self.basis!r})"
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -118,7 +112,7 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, ExactMatrix.identity(_ambient(ambient_dim)))
+        return cls(ExactMatrix.identity(_ambient(ambient_dim)))
 
     @property
     def basis(self) -> ExactMatrix:
@@ -208,12 +202,12 @@ def span(vectors: Sequence[Sequence[ScalarLike]], ambient_dim: int | None = None
     n = lengths[0]
     if ambient_dim is not None and ambient_dim != n:
         raise ValueError(f"vectors of length {n} do not live in C^{ambient_dim}")
-    return Subspace(n, ExactMatrix(n, len(vectors), tuple(v[i] for i in range(n) for v in vectors)))
+    return Subspace(ExactMatrix(n, len(vectors), tuple(v[i] for i in range(n) for v in vectors)))
 
 
 def image(m: ExactMatrix) -> Subspace:
     """Column space of m as a canonical subspace."""
-    return Subspace(m.rows, m)
+    return Subspace(m)
 
 
 def _require_same_ambient(m: int, n: int) -> None:

@@ -143,7 +143,7 @@ def test_criterion_5_deleted_atom_filter_battery():
             assert witness == (lat.bottom, w)
             assert is_prime_paper(filt)
             assert is_prime_standard(filt) is NOT_APPLICABLE
-            assert ideal_complement(lat, filt).members == frozenset({w})
+            assert ideal_complement(filt).members == frozenset({w})
             val = homomorphism_from_filter(lat, filt, "paper")
             assert val.ones() == (w,)
             assert val.value(lat.top) == 0

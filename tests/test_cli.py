@@ -85,54 +85,65 @@ def test_parse_input_validation_errors():
 _PROJ_P = "proj p = [[1, 0], [0, 0]]\n"
 
 
-# (text, message, line, column); line and column are None for validation errors
+# (text, message, line, column); line and column are None for validation errors.
+# Each row names itself: a message and its position need not tell rows apart.
 _PARSE_ERRORS = [
-    ("dim 2\nproj p [[1, 0], [0, 0]]", "malformed proj declaration", 2, 1),
-    ("dim 2\n  context c", "malformed context declaration", 2, 3),
-    ("dim 2\nray v = [  ]", "empty vector", 2, 10),
-    ("dim 2\nproj p = []", "empty matrix", 2, 11),
-    ("dim 2\nproj p = [[1, 0], ]", "empty row", 2, 19),
-    ("dim 2\nray v = 1, 0", "expected '['", 2, 9),
-    ("dim 2\nproj p = [1, 0]", "expected '['", 2, 11),
-    ("dim 2\nray v = [1, 0", "expected ']'", 2, 13),
+    pytest.param("dim 2\nproj p [[1, 0], [0, 0]]", "malformed proj declaration", 2, 1,
+                 id="malformed proj declaration"),
+    pytest.param("dim 2\n  context c", "malformed context declaration", 2, 3,
+                 id="malformed context declaration"),
+    pytest.param("dim 2\nray v = [  ]", "empty vector", 2, 10, id="empty vector"),
+    pytest.param("dim 2\nproj p = []", "empty matrix", 2, 11, id="empty matrix"),
+    pytest.param("dim 2\nproj p = [[1, 0], ]", "empty row", 2, 19, id="empty row"),
+    pytest.param("dim 2\nray v = 1, 0", "expected '['", 2, 9, id="vector without '['"),
+    pytest.param("dim 2\nproj p = [1, 0]", "expected '['", 2, 11, id="row without '['"),
+    pytest.param("dim 2\nray v = [1, 0", "expected ']'", 2, 13, id="vector without ']'"),
     # numerals are ASCII digits, at most MAX_LITERAL_DIGITS of them
-    ("dim \u00b2", "dim takes a positive integer", 1, 5),
-    ("dim \uff13", "dim takes a positive integer", 1, 5),
-    ("dim 2\nray v = [1/\u00b2, 0]", "expected a digit (at position 2)", 2, 12),
-    ("dim 2\nray v = [0, " + "9" * 4301 + "]", "more than 4300 digits (at position 0)", 2, 13),
-    ("dim 2\nproj p = [[1, 0] x, [0, 0]]", "expected ']'", 2, 18),
-    ("dim 2\n" + _PROJ_P + "context c = p, 1x", "expected a projector name", 3, 16),
-    ("dim 2\n" + _PROJ_P + "context c = p,", "expected a projector name", 3, 15),
-    ("dim 2\n" + _PROJ_P + "context c = p,  p",
-     "declaration 'c': duplicate member 'p'", None, None),
-    ("dim 2\n" + _PROJ_P + "ray v = [1, 0]\ncontext v = p",
-     "declaration 'v': name is already declared", None, None),
-    ("dim 2\n" + _PROJ_P + "context c = p\nray c = [1, 0]",
-     "declaration 'c': name is already declared", None, None),
-    ("dim 2\nray r = [1, 0]]", "unbalanced ']'", 2, 14),
-    ("dim", "malformed dim directive", 1, 1),
+    pytest.param("dim \u00b2", "dim takes a positive integer", 1, 5, id="dim superscript two"),
+    pytest.param("dim \uff13", "dim takes a positive integer", 1, 5, id="dim fullwidth three"),
+    pytest.param("dim 2\nray v = [1/\u00b2, 0]", "expected a digit (at position 2)", 2, 12,
+                 id="expected a digit (at position 2)"),
+    pytest.param("dim 2\nray v = [0, " + "9" * 4301 + "]",
+                 "more than 4300 digits (at position 0)", 2, 13,
+                 id="more than 4300 digits (at position 0)"),
+    pytest.param("dim 2\nproj p = [[1, 0] x, [0, 0]]", "expected ']'", 2, 18,
+                 id="row without ']'"),
+    pytest.param("dim 2\n" + _PROJ_P + "context c = p, 1x", "expected a projector name", 3, 16,
+                 id="context member 1x"),
+    pytest.param("dim 2\n" + _PROJ_P + "context c = p,", "expected a projector name", 3, 15,
+                 id="context member empty"),
+    pytest.param("dim 2\n" + _PROJ_P + "context c = p,  p",
+                 "declaration 'c': duplicate member 'p'", None, None,
+                 id="declaration 'c': duplicate member 'p'"),
+    pytest.param("dim 2\n" + _PROJ_P + "ray v = [1, 0]\ncontext v = p",
+                 "declaration 'v': name is already declared", None, None,
+                 id="declaration 'v': name is already declared"),
+    pytest.param("dim 2\n" + _PROJ_P + "context c = p\nray c = [1, 0]",
+                 "declaration 'c': name is already declared", None, None,
+                 id="declaration 'c': name is already declared"),
+    pytest.param("dim 2\nray r = [1, 0]]", "unbalanced ']'", 2, 14, id="unbalanced ']'"),
+    pytest.param("dim", "malformed dim directive", 1, 1, id="malformed dim directive"),
     # a numeral longer than MAX_AMBIENT_DIM's is refused before int() reads it
-    ("dim " + "9" * 5000,
-     "declaration 'dim': dim with 5000 digits exceeds the limit of 64", None, None),
-    ("dim 0000065", "declaration 'dim': dim 65 exceeds the limit of 64", None, None),
-    ("dim 00", "dim takes a positive integer", 1, 5),
+    pytest.param("dim " + "9" * 5000,
+                 "declaration 'dim': dim with 5000 digits exceeds the limit of 64", None, None,
+                 id="declaration 'dim': dim with 5000 digits exceeds the limit of 64"),
+    pytest.param("dim 0000065", "declaration 'dim': dim 65 exceeds the limit of 64", None, None,
+                 id="declaration 'dim': dim 65 exceeds the limit of 64"),
+    pytest.param("dim 00", "dim takes a positive integer", 1, 5, id="dim leading zero"),
+    # columns the list reader places: an item's first non-space character,
+    # or where an unbalanced bracket shows
+    pytest.param("dim 2\nray v = [[1, 0]", "unbalanced '['", 2, 14, id="unbalanced '[' at 2:14"),
+    pytest.param("dim 2\nproj q = [[1, 0], [0, 1]", "unbalanced '['", 2, 23,
+                 id="unbalanced '[' at 2:23"),
+    pytest.param("dim 2\nray v = [1, , 0]", "empty entry", 2, 13, id="empty entry at 2:13"),
+    pytest.param("dim 2\n" + _PROJ_P + "context c = [p]", "expected a projector name", 3, 13,
+                 id="expected a projector name at 3:13"),
+    pytest.param("dim 2\n" + _PROJ_P + "context c = p, ]", "unbalanced ']'", 3, 16,
+                 id="unbalanced ']' at 3:16"),
 ]
 
-# Columns the list reader places: an item's first non-space character, or
-# where an unbalanced bracket shows. Their ids carry the position.
-_LIST_ERRORS = [
-    ("dim 2\nray v = [[1, 0]", "unbalanced '['", 2, 14),
-    ("dim 2\nproj q = [[1, 0], [0, 1]", "unbalanced '['", 2, 23),
-    ("dim 2\nray v = [1, , 0]", "empty entry", 2, 13),
-    ("dim 2\n" + _PROJ_P + "context c = [p]", "expected a projector name", 3, 13),
-    ("dim 2\n" + _PROJ_P + "context c = p, ]", "unbalanced ']'", 3, 16),
-]
 
-
-@pytest.mark.parametrize(
-    "text, message, line, column", _PARSE_ERRORS + _LIST_ERRORS,
-    ids=[c[1] for c in _PARSE_ERRORS] + [f"{c[1]} at {c[2]}:{c[3]}" for c in _LIST_ERRORS],
-)
+@pytest.mark.parametrize("text, message, line, column", _PARSE_ERRORS)
 def test_parse_input_error_branches(text, message, line, column):
     with pytest.raises((InputSyntaxError, InputValidationError)) as err:
         parse_input(text)
@@ -413,6 +424,28 @@ def test_burnside_prints_verdict_before_universe_cap(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "burnside generators=a,b dimension=3 full=9 irreducible=false\n"
     assert "meet/join closure exceeds the cap of 256 elements" in captured.err
+
+
+# The 13 rays of C^3 with entries 0, 1 or -1 whose first nonzero entry is 1;
+# their closure exceeds the element cap.
+_OVER_CAP = "dim 3\n" + "".join(
+    f"ray r{k} = [{', '.join(map(str, v))}]\n" for k, v in enumerate(
+        v for v in itertools.product((0, 1, -1), repeat=3) if next((x for x in v if x), 0) == 1))
+
+
+@pytest.mark.parametrize("command, option, message", [
+    ("filters", "--remove", "unknown ray or projector 'nosuch'"),
+    ("invariant", "--ops", "unknown projector 'nosuch'"),
+], ids=["filters", "invariant"])
+def test_unknown_name_reported_before_closure(tmp_path, capsys, command, option, message):
+    path = tmp_path / "over_cap.sublat"
+    path.write_text(_OVER_CAP)
+    assert main(["lattice", str(path)]) == 1
+    assert capsys.readouterr().err == "error: meet/join closure exceeds the cap of 256 elements\n"
+    assert main([command, str(path), option, "nosuch"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_contexts_command(capsys):

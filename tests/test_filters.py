@@ -157,7 +157,7 @@ def test_filter_battery_every_atom(full_lattice, diamond, mo5, boolean_frame):
         assert is_prime_paper(filt)
         assert is_prime_standard(filt) is NOT_APPLICABLE
         assert not is_standard_filter(filt)
-        ideal = ideal_complement(lat, filt)
+        ideal = ideal_complement(filt)
         assert ideal.sorted_members() == (w,)
     # The contexts report writes each atom's paper map down as the atom's
     # indicator, without building the filter; the standard map is its
@@ -264,12 +264,6 @@ def test_is_prime_paper_false_on_the_top_alone(full_lattice):
     two_removed = LatticeSubset(lat, frozenset(range(len(lat))) - {1, 2})
     assert is_prime_paper(two_removed) is False
     assert is_prime_paper(coatom_complement_filter(lat, 1)) is True
-
-
-def test_ideal_complement_rejects_a_foreign_subset(full_lattice, diamond):
-    foreign = coatom_complement_filter(diamond, atoms(diamond)[0])
-    with pytest.raises(ValueError, match="^subset belongs to a different lattice$"):
-        ideal_complement(full_lattice, foreign)
 
 
 def test_complement_law_pairs(full_lattice):
@@ -451,7 +445,7 @@ def test_subset_validation(full_lattice):
     subset = LatticeSubset(full_lattice, frozenset({0, 3}))
     assert len(subset) == 2
     assert 3 in subset and 4 not in subset
-    assert ideal_complement(full_lattice, subset).sorted_members() == (
+    assert ideal_complement(subset).sorted_members() == (
         1, 2, 4, 5, 6, 7,
     )
 

@@ -247,7 +247,7 @@ def test_pentagon_reads_its_order_off_its_tables():
 
 @pytest.mark.parametrize("total", [0, 1, 120])
 def test_law_report_holds_exactly_without_violations(total):
-    assert LawReport("modular", total, ()).holds is (total == 0)
+    assert LawReport(total, ()).holds is (total == 0)
 
 
 def test_to_dot(full_lattice, diamond, two_chain):
@@ -488,8 +488,8 @@ def _reference_covers(lat):
     return tuple(pairs)
 
 
-def _reference_collect(law, found, total):
-    return LawReport(law, total, tuple(found))
+def _reference_collect(found, total):
+    return LawReport(total, tuple(found))
 
 
 def _reference_check_distributive(lat, *, limit=10):
@@ -503,7 +503,7 @@ def _reference_check_distributive(lat, *, limit=10):
             total += 1
             if len(found) < limit:
                 found.append(LawViolation((a, b, c), lhs, rhs))
-    return _reference_collect("distributive", found, total)
+    return _reference_collect(found, total)
 
 
 def _reference_check_modular(lat, *, limit=10):
@@ -519,7 +519,7 @@ def _reference_check_modular(lat, *, limit=10):
             total += 1
             if len(found) < limit:
                 found.append(LawViolation((a, b, c), lhs, rhs))
-    return _reference_collect("modular", found, total)
+    return _reference_collect(found, total)
 
 
 def _reference_check_orthomodular(lat, complement=sub.orthocomplement, *, limit=10):
@@ -536,7 +536,7 @@ def _reference_check_orthomodular(lat, complement=sub.orthocomplement, *, limit=
                 total += 1
                 if len(found) < limit:
                     found.append(LawViolation((a, b), rebuilt, b))
-    return _reference_collect("orthomodular", found, total)
+    return _reference_collect(found, total)
 
 
 def _generated(lat, picks):

@@ -89,12 +89,12 @@ def test_contexts():
 def test_context_set_validation():
     p = EXPECTED[(1, 1)]
     with pytest.raises(ValueError, match="orthogonal"):
-        ContextSet(1, (p, p))
+        ContextSet((p, p))
     with pytest.raises(ValueError, match="projectors"):
-        ContextSet(1, (M([[0, 1], [0, 0]]), EXPECTED[(3, 2)]))
+        ContextSet((M([[0, 1], [0, 0]]), EXPECTED[(3, 2)]))
     # orthogonal projectors that sum to less than the identity
     with pytest.raises(ValueError, match="^context members must resolve the identity$"):
-        ContextSet(1, (projector(ProjectorId(1, 1)), ExactMatrix.zeros(2, 2)))
+        ContextSet((projector(ProjectorId(1, 1)), ExactMatrix.zeros(2, 2)))
 
 
 def test_cross_context_projectors_do_not_commute():
