@@ -33,7 +33,7 @@ from .invariant import (
     meet_defined,
 )
 from .lattice import FiniteLattice, check_distributive, close_and_build
-from .qubit import ContextSet, ProjectorId, context, projector
+from .qubit import context, projector
 from .subspace import StateVector, Subspace, image, span, vector
 
 __version__ = "0.1.0"
@@ -41,7 +41,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraBasis",
     "Bivaluation",
-    "ContextSet",
     "ExactMatrix",
     "FULL_HOMOMORPHISM_LAWS",
     "FiniteLattice",
@@ -49,7 +48,6 @@ __all__ = [
     "INDETERMINATE",
     "LatticeSubset",
     "NOT_APPLICABLE",
-    "ProjectorId",
     "ScalarParseError",
     "StateVector",
     "Subspace",

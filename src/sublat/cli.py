@@ -462,8 +462,9 @@ def _cmd_filters(args: argparse.Namespace, out: Reporter) -> int:
 
 
 def _cmd_valuations(args: argparse.Namespace, out: Reporter) -> int:
-    lat = _build_lattice(_load_document(args.file))
-    laws = sorted({token for token in args.laws.split(",") if token})
+    doc = _load_document(args.file)
+    laws = sorted(flt._check_law_tokens(token for token in args.laws.split(",") if token))
+    lat = _build_lattice(doc)
     found = flt.search_bivaluations(lat, laws)
     out(f"laws: {', '.join(laws)}\nlattice: {len(lat)} elements",
         "search", laws=laws, elements=len(lat), found=len(found))
@@ -606,10 +607,10 @@ _EXPECTED_CONTEXT_SPANS = {
 
 
 def _cmd_demo(args: argparse.Namespace, out: Reporter) -> int:
-    checks: list[tuple[str, bool]] = []
+    checks: list[bool] = []
 
     def check(name: str, ok: bool) -> None:
-        checks.append((name, ok))
+        checks.append(ok)
         out(f"check {name}: {'ok' if ok else 'FAILED'}", "check", name=name, ok=ok)
 
     # Catalogue: closure of the six nontrivial projector images.
@@ -627,7 +628,7 @@ def _cmd_demo(args: argparse.Namespace, out: Reporter) -> int:
     # Context lattices.
     context_lattices: dict[int, FiniteLattice] = {}
     for w in (1, 2, 3):
-        lat = inv.common_invariant_sublattice(contexts[w].members, full_lattice)
+        lat = inv.common_invariant_sublattice(contexts[w], full_lattice)
         context_lattices[w] = lat
         out(f"invariant lattice for context {w}: {', '.join(lat.spans())}",
             "context_lattice", w=w, spans=lat.spans())
@@ -638,7 +639,7 @@ def _cmd_demo(args: argparse.Namespace, out: Reporter) -> int:
 
     # Algebra dimensions and irreducibility.
     full_dim = inv.algebra_span(sigma).dim
-    single_dim = inv.algebra_span(contexts[1].members).dim
+    single_dim = inv.algebra_span(contexts[1]).dim
     common = inv.common_invariant_sublattice(sigma, full_lattice)
     out(f"algebra dimension: full family {full_dim} of 4, single context "
         f"{single_dim} of 4",
@@ -656,12 +657,11 @@ def _cmd_demo(args: argparse.Namespace, out: Reporter) -> int:
     o = full_lattice.index_of(sub.span([[1, 0]]))
     lhs = full_lattice.meet(full_lattice.join(k, m), o)
     rhs = full_lattice.join(full_lattice.meet(k, o), full_lattice.meet(m, o))
-    lhs_span = full_lattice.elements[lhs].span_str()
-    rhs_span = full_lattice.elements[rhs].span_str()
-    out("distributivity witness: (span{[1,1]} v span{[1,-1]}) ^ span{[1,0]} = "
-        f"{lhs_span}, "
-        "(span{[1,1]} ^ span{[1,0]}) v (span{[1,-1]} ^ span{[1,0]}) = "
-        f"{rhs_span}",
+    k_span, m_span, o_span, lhs_span, rhs_span = (
+        full_lattice.elements[i].span_str() for i in (k, m, o, lhs, rhs)
+    )
+    out(f"distributivity witness: ({k_span} v {m_span}) ^ {o_span} = {lhs_span}, "
+        f"({k_span} ^ {o_span}) v ({m_span} ^ {o_span}) = {rhs_span}",
         "distributivity_witness", lhs=lhs_span, rhs=rhs_span)
     dist_report = lt.check_distributive(full_lattice, limit=1000)
     check(
@@ -726,7 +726,7 @@ def _cmd_demo(args: argparse.Namespace, out: Reporter) -> int:
     )
 
     # Three-valued state valuation.
-    p11 = qubit.projector(qubit.ProjectorId(1, 1))
+    p11 = qubit.projector(1, 1)
     results = (
         flt.state_valuation(p11, sub.vector([1, 1])),
         flt.state_valuation(p11, sub.vector([1, -1])),
@@ -759,9 +759,9 @@ def _cmd_demo(args: argparse.Namespace, out: Reporter) -> int:
         "spot_check", pairs=pairs, seed=args.seed)
     check("random-identities", spot_ok)
 
-    failed = [name for name, ok in checks if not ok]
-    out(f"demo-qubit: {len(checks) - len(failed)}/{len(checks)} checks passed",
-        "summary", checks=len(checks), failed=len(failed))
+    failed = checks.count(False)
+    out(f"demo-qubit: {len(checks) - failed}/{len(checks)} checks passed",
+        "summary", checks=len(checks), failed=failed)
     return 2 if failed else 0
 
 

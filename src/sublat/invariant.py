@@ -250,8 +250,8 @@ def contextual_valuation_report(
             "the bottom and the top"
         )
 
-    union = lt.sublattice(universe, list(owner))
-    union_atoms = [universe.index_of(union.elements[a]) for a in lt.atoms(union)]
+    union, kept = lt._sublattice_kept(universe, owner)
+    union_atoms = [kept[a] for a in lt.atoms(union)]
     stray = [i for i in owner if i not in union_atoms]
     if stray:
         raise ValueError(

@@ -33,7 +33,7 @@ from sublat.invariant import (
     is_irreducible,
 )
 from sublat.lattice import atoms, check_distributive, close_and_build
-from sublat.qubit import ProjectorId, context, nontrivial_projectors, projector
+from sublat.qubit import context, nontrivial_projectors, projector
 from sublat.subspace import (
     Subspace,
     image,
@@ -60,7 +60,7 @@ def _full_lattice():
 
 
 def _context_lattice(q):
-    return close_and_build([image(p) for p in context(q).members])
+    return close_and_build([image(p) for p in context(q)])
 
 
 def test_criterion_1_projector_image_closure():
@@ -101,12 +101,12 @@ def test_criterion_2_context_sublattices():
 
 def test_criterion_3_full_family_irreducibility():
     with criterion(3, "full family irreducibility"):
-        sigma = [projector(ProjectorId(q, n)) for q in (1, 2, 3) for n in (1, 2)]
+        sigma = [projector(q, n) for q in (1, 2, 3) for n in (1, 2)]
         assert algebra_span(sigma).dim == 4
         assert is_irreducible(sigma)
         common = common_invariant_sublattice(sigma, _full_lattice())
         assert [s.span_str() for s in common.elements] == ["{0}", "C^2"]
-        single = [projector(ProjectorId(1, 1)), projector(ProjectorId(1, 2))]
+        single = [projector(1, 1), projector(1, 2)]
         assert algebra_span(single).dim == 2
         assert not is_irreducible(single)
 
@@ -182,7 +182,7 @@ def test_criterion_6_two_valued_homomorphism_counts():
 
 def test_criterion_7_state_valuation_trichotomy():
     with criterion(7, "state valuation trichotomy"):
-        p = projector(ProjectorId(1, 1))
+        p = projector(1, 1)
         assert state_valuation(p, vector(["1", "1"])) == 1
         assert state_valuation(p, vector(["1", "-1"])) == 0
         assert state_valuation(p, vector(["1", "0"])) is INDETERMINATE
@@ -220,7 +220,7 @@ def test_criterion_8_exact_arithmetic_property_suites(rng, random_scalar, random
 
         for q in (0, 1, 2, 3):
             for n in (1, 2):
-                p = projector(ProjectorId(q, n))
+                p = projector(q, n)
                 assert p.is_hermitian() and p.is_idempotent()
 
 

@@ -436,7 +436,8 @@ _OVER_CAP = "dim 3\n" + "".join(
 @pytest.mark.parametrize("command, option, message", [
     ("filters", "--remove", "unknown ray or projector 'nosuch'"),
     ("invariant", "--ops", "unknown projector 'nosuch'"),
-], ids=["filters", "invariant"])
+    ("valuations", "--laws", "unknown law tokens: nosuch"),
+], ids=["filters", "invariant", "valuations"])
 def test_unknown_name_reported_before_closure(tmp_path, capsys, command, option, message):
     path = tmp_path / "over_cap.sublat"
     path.write_text(_OVER_CAP)

@@ -32,7 +32,7 @@ from sublat.filters import (
     state_valuation,
 )
 from sublat.lattice import ClosureCapError, atoms, close_and_build, orthocomplement_indices
-from sublat.qubit import ProjectorId, nontrivial_projectors, projector
+from sublat.qubit import nontrivial_projectors, projector
 from sublat.subspace import image, span, vector
 
 
@@ -423,7 +423,7 @@ def test_bivaluation_from_list_equals_tuple_twin(diamond):
 
 
 def test_state_valuation_examples():
-    p = projector(ProjectorId(1, 1))
+    p = projector(1, 1)
     assert state_valuation(p, vector([1, 1])) == 1
     assert state_valuation(p, vector([1, -1])) == 0
     assert state_valuation(p, vector([1, 0])) is INDETERMINATE

@@ -24,7 +24,7 @@ from sublat.invariant import (
     meet_defined,
 )
 from sublat.lattice import atoms, close_and_build, sublattice
-from sublat.qubit import ProjectorId, context, nontrivial_projectors, projector
+from sublat.qubit import context, nontrivial_projectors, projector
 from sublat.subspace import Subspace, image, maps_into, projector_of, span
 
 M = ExactMatrix.from_rows
@@ -38,7 +38,7 @@ def universe():
 @pytest.fixture(scope="module")
 def contexts(universe):
     return {
-        f"L{w}": common_invariant_sublattice(list(context(w).members), universe)
+        f"L{w}": common_invariant_sublattice(context(w), universe)
         for w in (1, 2, 3)
     }
 
@@ -53,7 +53,7 @@ EXPECTED_CONTEXT_SPANS = {
 def test_invariant_sublattice_per_projector(universe):
     for w in (1, 2, 3):
         for n in (1, 2):
-            lat = invariant_sublattice(projector(ProjectorId(w, n)), universe)
+            lat = invariant_sublattice(projector(w, n), universe)
             assert set(lat.spans()) == EXPECTED_CONTEXT_SPANS[w]
 
 
@@ -70,7 +70,7 @@ def test_invariant_sublattice_validates_operator(universe):
 
 def test_common_invariant_sublattice(universe):
     for w in (1, 2, 3):
-        lat = common_invariant_sublattice(list(context(w).members), universe)
+        lat = common_invariant_sublattice(context(w), universe)
         assert set(lat.spans()) == EXPECTED_CONTEXT_SPANS[w]
         assert len(atoms(lat)) == 2
     full = common_invariant_sublattice(list(nontrivial_projectors()), universe)
@@ -82,13 +82,10 @@ def test_common_invariant_sublattice(universe):
 
 def test_algebra_span_dimensions():
     assert algebra_span([ExactMatrix.identity(2)]).dim == 1
-    assert algebra_span(list(context(1).members)).dim == 2
+    assert algebra_span(context(1)).dim == 2
     assert algebra_span(list(nontrivial_projectors())).dim == 4
     # one projector from each of two contexts already generates everything
-    assert (
-        algebra_span([projector(ProjectorId(1, 1)), projector(ProjectorId(2, 1))]).dim
-        == 4
-    )
+    assert algebra_span([projector(1, 1), projector(2, 1)]).dim == 4
 
 
 def test_algebra_span_monotone():
@@ -111,7 +108,7 @@ def test_algebra_basis_independence():
     eye = ExactMatrix.identity(2)
     with pytest.raises(ValueError, match="independent"):
         AlgebraBasis(2, (eye, 2 * eye))
-    basis = AlgebraBasis(2, (eye, projector(ProjectorId(1, 1))))
+    basis = AlgebraBasis(2, (eye, projector(1, 1)))
     assert basis.dim == 2
 
 
@@ -127,7 +124,7 @@ def test_algebra_basis_rejects_malformed_members(members, message):
 
 def test_is_irreducible():
     assert is_irreducible(list(nontrivial_projectors()))
-    assert not is_irreducible(list(context(1).members))
+    assert not is_irreducible(context(1))
     assert not is_irreducible([ExactMatrix.identity(2)])
     with pytest.raises(ValueError, match="generator"):
         is_irreducible([])
@@ -148,7 +145,7 @@ def test_meet_defined(contexts):
 
 
 def test_contextual_report_rejects_elements_outside_universe(universe):
-    lat = common_invariant_sublattice(list(context(1).members), universe)
+    lat = common_invariant_sublattice(context(1), universe)
     stray = close_and_build([span([[1, 2]])])
     with pytest.raises(ValueError) as err:
         contextual_valuation_report(universe, {"a": lat, "b": stray})
@@ -196,7 +193,7 @@ def test_contextual_report_per_lattice_valuations(universe, contexts):
 
 
 def test_contextual_report_single_lattice(universe):
-    only = common_invariant_sublattice(list(context(1).members), universe)
+    only = common_invariant_sublattice(context(1), universe)
     report = contextual_valuation_report(universe, {"only": only})
     assert len(report.per_lattice_consistent) == 2
     assert len(report.global_valuations) == 2
@@ -205,7 +202,7 @@ def test_contextual_report_single_lattice(universe):
 
 def test_contextual_report_rejects_overlapping_lattices(universe):
     contexts = {
-        "a": common_invariant_sublattice(list(context(1).members), universe),
+        "a": common_invariant_sublattice(context(1), universe),
         "b": close_and_build([span([[1, 1]]), span([[1, 0]])]),
     }
     with pytest.raises(ValueError, match="intersect"):
@@ -215,7 +212,7 @@ def test_contextual_report_rejects_overlapping_lattices(universe):
 def test_contextual_report_rejects_trivial_context(universe, contexts):
     # x1 and z1 share no invariant subspace besides {0} and C^2
     bad = common_invariant_sublattice(
-        [projector(ProjectorId(1, 1)), projector(ProjectorId(3, 1))], universe
+        [projector(1, 1), projector(3, 1)], universe
     )
     assert len(bad) == 2
     with pytest.raises(ValueError) as err:
@@ -328,7 +325,7 @@ _PAIRS = [
 def _qubit_case(ws):
     universe = close_and_build([image(p) for p in nontrivial_projectors()])
     return universe, {
-        f"L{w}": common_invariant_sublattice(list(context(w).members), universe)
+        f"L{w}": common_invariant_sublattice(context(w), universe)
         for w in ws
     }
 
