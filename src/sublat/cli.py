@@ -456,7 +456,7 @@ def _cmd_filters(args: argparse.Namespace, out: Reporter) -> int:
     out(f"ideal ({len(ideal)} members): {spans(ideal.sorted_members())}",
         "ideal", size=len(ideal), members=ideal.sorted_members())
     out("\n".join([f"valuation ({valuation.convention} convention):"] + [
-        f"  v({s.span_str()}) = {valuation.value(i)}" for i, s in enumerate(lat.elements)
+        f"  v({s.span_str()}) = {b}" for s, b in zip(lat.elements, valuation.assignment)
     ]), "valuation", convention=valuation.convention, bits=_bits(valuation.assignment))
     return 0
 
@@ -471,8 +471,8 @@ def _cmd_valuations(args: argparse.Namespace, out: Reporter) -> int:
     for i, s in enumerate(lat.elements):
         out(f"  [{i}] {s.span_str()}", "legend", index=i, span=s.span_str())
     out(f"valuations found: {len(found)}")
-    for k, biv in enumerate(found):
-        bits = _bits(biv.assignment)
+    for k, v in enumerate(found):
+        bits = _bits(v)
         out(f"  [{k}] {bits}", "valuation", index=k, bits=bits)
     if args.assert_count is not None and args.assert_count != len(found):
         out(f"assertion failed: expected {args.assert_count} valuations, "
@@ -912,7 +912,7 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except BrokenPipeError:
         # The reader is gone; devnull takes the rest, so the exit's flush is quiet.
-        with open(os.devnull, "w") as devnull:
+        with open(os.devnull, "wb") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 1
     except (ValueError, OSError) as exc:  # InputError is a ValueError

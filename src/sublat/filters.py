@@ -1,5 +1,10 @@
 """Filters, ideals, and two-valued maps on finite subspace lattices.
 
+A {0,1} map preserves meets exactly when its 1-set is empty or a
+principal filter up(a), and joins exactly when its 0-set is empty or a
+principal ideal down(b), so the bounded two-valued homomorphisms are
+the indicators of the prime filters; each law is decided that way.
+
 Two regimes are implemented side by side, and every verdict is tagged
 with the convention that produced it:
 
@@ -20,6 +25,7 @@ filters rather than forcing a boolean.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -127,9 +133,6 @@ class Bivaluation:
         if self.convention not in _CONVENTIONS:
             raise ValueError(f"unknown convention {self.convention!r}")
 
-    def value(self, index: int) -> int:
-        return self.assignment[index]
-
     def ones(self) -> tuple[int, ...]:
         return tuple(i for i, v in enumerate(self.assignment) if v == 1)
 
@@ -196,14 +199,14 @@ def is_prime_standard(subset: LatticeSubset):
     """All-pairs primality, or NOT_APPLICABLE off standard filters.
 
     On a standard filter: for every pair (x, y), x v y inside the set
-    forces x or y inside, which _join_prime decides in one join fold.
+    forces x or y inside, that is, the indicator preserves joins.
     Returns NOT_APPLICABLE when the subset is not a standard filter, so
     the caller can report which convention answered.
     """
     if not is_standard_filter(subset):
         return NOT_APPLICABLE
     lat = subset.host
-    return _join_prime(lat, tuple(int(i in subset) for i in range(len(lat))))
+    return _join_hom(lat, tuple(int(i in subset) for i in range(len(lat))))
 
 
 def homomorphism_from_filter(
@@ -239,28 +242,33 @@ def _check_law_tokens(laws: Iterable[str]) -> frozenset[str]:
     return chosen
 
 
-def _join_prime(host: FiniteLattice, v: tuple[int, ...]) -> bool:
-    """The 0-set of v is empty or its join maps to 0.
+def _meet_hom(host: FiniteLattice, v: tuple[int, ...]) -> bool:
+    """v preserves meets: its 1-set is empty or up(a), a the meet of the 1-set."""
+    ones = [i for i, b in enumerate(v) if b == 1]
+    if not ones:
+        return True
+    a = functools.reduce(host.meet, ones)
+    return v[a] == 1 and all(v[y] == 1 for y, above in enumerate(host.order[a]) if above)
 
-    For a {0,1} map whose 1-set is an up-set this is exactly
-    v(x v y) = max(v(x), v(y)) for all pairs: the 0-set is a down-set,
-    and a down-set is closed under joins when it holds its own join.
-    """
+
+def _join_hom(host: FiniteLattice, v: tuple[int, ...]) -> bool:
+    """v preserves joins: its 0-set is empty or down(b), b the join of the 0-set."""
     zeros = [i for i, b in enumerate(v) if b == 0]
     if not zeros:
         return True
-    joined = host.bottom
-    for i in zeros:
-        joined = host.join_table[joined][i]
-    return v[joined] == 0
+    b = functools.reduce(host.join, zeros)
+    return v[b] == 0 and all(v[x] == 0 for x, row in enumerate(host.order) if row[b])
 
 
-def _bounds_and_complement(host: FiniteLattice, v, chosen, comp) -> bool:
-    if BOTTOM_TO_ZERO in chosen and v[host.bottom] != 0:
-        return False
-    if TOP_TO_ONE in chosen and v[host.top] != 1:
-        return False
-    return comp is None or all(v[i] + v[comp[i]] == 1 for i in range(len(host)))
+def _holds(host: FiniteLattice, v: tuple[int, ...], chosen, comp) -> bool:
+    """v satisfies each law in chosen; comp is None without the complement law."""
+    return (
+        (BOTTOM_TO_ZERO not in chosen or v[host.bottom] == 0)
+        and (TOP_TO_ONE not in chosen or v[host.top] == 1)
+        and (comp is None or all(v[i] + v[c] == 1 for i, c in enumerate(comp)))
+        and (MEET_HOM not in chosen or _meet_hom(host, v))
+        and (JOIN_HOM not in chosen or _join_hom(host, v))
+    )
 
 
 def satisfies_laws(
@@ -271,45 +279,31 @@ def satisfies_laws(
     chosen = _check_law_tokens(laws)
     comp = orthocomplement_indices(host) if COMPLEMENT_LAW in chosen else None
     v = Bivaluation(host, assignment, CONVENTION_STANDARD).assignment
-    if not _bounds_and_complement(host, v, chosen, comp):
-        return False
-    meet_hom, join_hom = MEET_HOM in chosen, JOIN_HOM in chosen
-    if not (meet_hom or join_hom):
-        return True
-    for vx, meet_row, join_row in zip(v, host.meet_table, host.join_table):
-        for vy, m, j in zip(v, meet_row, join_row):
-            if meet_hom and v[m] != min(vx, vy):
-                return False
-            if join_hom and v[j] != max(vx, vy):
-                return False
-    return True
+    return _holds(host, v, chosen, comp)
 
 
 def search_bivaluations(
     host: FiniteLattice, laws: Iterable[str]
-) -> tuple[Bivaluation, ...]:
-    """All {0,1} assignments satisfying the law set, sorted by bits.
+) -> tuple[tuple[int, ...], ...]:
+    """All {0,1} assignments satisfying the law set, as sorted bit tuples.
 
-    The candidates come from the order table, and no pair is checked.
-    Under meet-hom the 1-set is empty or a principal filter up(a), each
-    a meet-homomorphism, and with join-hom one is kept when the join of
-    its 0-set maps to 0. Under join-hom alone the 0-set is empty or a
-    principal ideal down(b), each a join-homomorphism. Without either
-    law the candidates are a product over free bits, one per element or
-    per orthocomplement pair, so k free bits give 2^k candidates; more
-    than SEARCH_FREE_BIT_CAP free bits are refused before any candidate
-    is listed. Each candidate is then checked for the bounds and the
-    complement law.
+    Under meet-hom the candidates are the zero map and the principal
+    filters up(a), the rows of the order table; under join-hom alone,
+    the all-ones map and the complements of the principal ideals down(b).
+    Otherwise they are a product over k free bits, one per element or
+    per orthocomplement pair, and more than SEARCH_FREE_BIT_CAP free bits
+    are refused before any of the 2^k is listed. Each candidate is then
+    checked for the laws its source does not guarantee.
     """
     chosen = _check_law_tokens(laws)
     size = len(host)
     comp = orthocomplement_indices(host) if COMPLEMENT_LAW in chosen else None
     if MEET_HOM in chosen:
         candidates = [(0,) * size] + [tuple(map(int, row)) for row in host.order]
-        if JOIN_HOM in chosen:
-            candidates = [v for v in candidates if _join_prime(host, v)]
+        chosen -= {MEET_HOM}
     elif JOIN_HOM in chosen:
         candidates = [(1,) * size] + [tuple(int(not x) for x in c) for c in zip(*host.order)]
+        chosen -= {JOIN_HOM}
     else:
         # bottom and top are left to the law check
         free = [i for i in range(size) if comp is None or i <= comp[i]]
@@ -327,8 +321,7 @@ def search_bivaluations(
             tuple(b[i] if i in b else 1 - b[comp[i]] for i in range(size))
             for b in bit_maps
         )
-    found = sorted(v for v in candidates if _bounds_and_complement(host, v, chosen, comp))
-    return tuple(Bivaluation(host, v, CONVENTION_STANDARD) for v in found)
+    return tuple(sorted(v for v in candidates if _holds(host, v, chosen, comp)))
 
 
 def state_valuation(p: ExactMatrix, psi: StateVector):

@@ -263,10 +263,7 @@ def contextual_valuation_report(
     for name, lat in items:
         lat_atoms = lt.atoms(lat)
         paper_vals = tuple(tuple(int(i == a) for i in range(len(lat))) for a in lat_atoms)
-        standard_vals = tuple(
-            b.assignment
-            for b in flt.search_bivaluations(lat, flt.FULL_HOMOMORPHISM_LAWS)
-        )
+        standard_vals = flt.search_bivaluations(lat, flt.FULL_HOMOMORPHISM_LAWS)
         # A meet of a local atom with another context's atom is defined only
         # in a context holding both, and none does.
         excluded = sorted(universe.elements[i].span_str() for i, o in owner.items() if o != name)
@@ -306,10 +303,7 @@ def contextual_valuation_report(
     consistent.sort()
 
     # Reading (b): one map on the union lattice, laws checked there.
-    global_vals = tuple(
-        b.assignment
-        for b in flt.search_bivaluations(union, flt.FULL_HOMOMORPHISM_LAWS)
-    )
+    global_vals = flt.search_bivaluations(union, flt.FULL_HOMOMORPHISM_LAWS)
 
     in_some = [universe.elements[i] for i in sorted(set().union(*held.values()))]
     return ContextualValuationReport(

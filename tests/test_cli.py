@@ -285,7 +285,7 @@ _LAWS_ASSERTION_FAILED = {
 @pytest.mark.parametrize("fmt", ["text", "records"])
 def test_laws_skips_orthomodular_without_complements(tmp_path, capsys, fmt):
     path = tmp_path / "no_complement.sublat"
-    path.write_text(_NO_COMPLEMENT_DOC)
+    path.write_text(_NO_COMPLEMENT_DOC, encoding="utf-8")
     argv = ["laws", str(path), "--format", fmt, "--limit", "0"]
     assert main(argv) == 0
     distributive = {
@@ -371,7 +371,10 @@ def test_closed_stdout_exits_one_quietly(tmp_path, rays):
     path = DATA
     if rays:
         path = tmp_path / "rays.sublat"
-        path.write_text("dim 2\n" + "".join(f"ray r{k} = [1, {k}]\n" for k in range(rays)))
+        path.write_text(
+            "dim 2\n" + "".join(f"ray r{k} = [1, {k}]\n" for k in range(rays)),
+            encoding="utf-8",
+        )
     proc = subprocess.Popen([sys.executable, "-m", "sublat", "lattice", str(path)],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     proc.stdout.close()
@@ -418,7 +421,8 @@ def test_burnside_prints_verdict_before_universe_cap(tmp_path, capsys):
         "proj b = [[0, 0, 0], [0, 1, 0], [0, 0, 0]]\n"
         "proj c = [[0, 0, 0], [0, 0, 0], [0, 0, 1]]\n"
         "proj d = [[1/3, 1/3, 1/3], [1/3, 1/3, 1/3], [1/3, 1/3, 1/3]]\n"
-        "proj e = [[1/2, 1/2, 0], [1/2, 1/2, 0], [0, 0, 0]]\n"
+        "proj e = [[1/2, 1/2, 0], [1/2, 1/2, 0], [0, 0, 0]]\n",
+        encoding="utf-8",
     )
     assert main(["burnside", str(path), "--ops", "a", "b", "--format", "records"]) == 1
     captured = capsys.readouterr()
@@ -440,7 +444,7 @@ _OVER_CAP = "dim 3\n" + "".join(
 ], ids=["filters", "invariant", "valuations"])
 def test_unknown_name_reported_before_closure(tmp_path, capsys, command, option, message):
     path = tmp_path / "over_cap.sublat"
-    path.write_text(_OVER_CAP)
+    path.write_text(_OVER_CAP, encoding="utf-8")
     assert main(["lattice", str(path)]) == 1
     assert capsys.readouterr().err == "error: meet/join closure exceeds the cap of 256 elements\n"
     assert main([command, str(path), option, "nosuch"]) == 1
@@ -460,7 +464,7 @@ def test_contexts_command(capsys):
 
 def test_contexts_requires_contexts(tmp_path, capsys):
     path = tmp_path / "plain.sublat"
-    path.write_text("dim 2\nray v = [1, 0]\n")
+    path.write_text("dim 2\nray v = [1, 0]\n", encoding="utf-8")
     assert main(["contexts", str(path)]) == 1
     assert "no contexts declared" in capsys.readouterr().err
 
@@ -491,7 +495,7 @@ def test_contexts_requires_contexts(tmp_path, capsys):
 )
 def test_contexts_rejection_leaves_stdout_empty(tmp_path, capsys, text, error, fmt):
     path = tmp_path / "rejected.sublat"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     fmt_args = [] if fmt is None else ["--format", fmt]
     assert main(["contexts", str(path), *fmt_args]) == 1
     captured = capsys.readouterr()
@@ -517,7 +521,7 @@ def _orthogonal_pair_contexts(count):
 @pytest.mark.parametrize("fmt", ["text", "records"])
 def test_contexts_over_the_assignment_cap_leaves_stdout_empty(tmp_path, capsys, fmt):
     path = tmp_path / "many.sublat"
-    path.write_text(_orthogonal_pair_contexts(17))
+    path.write_text(_orthogonal_pair_contexts(17), encoding="utf-8")
     assert main(["contexts", str(path), "--format", fmt]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -536,7 +540,7 @@ def test_dot_command(tmp_path, capsys):
 
     target = tmp_path / "hasse.dot"
     assert main(["dot", str(DATA), "--out", str(target), "--name", "qubit"]) == 0
-    text = target.read_text()
+    text = target.read_text(encoding="utf-8")
     assert text.startswith("digraph qubit {")
     assert text.count("label=") == 8
 
@@ -625,7 +629,7 @@ def test_missing_file(capsys):
 
 def test_bad_input_exits_one(tmp_path, capsys):
     path = tmp_path / "bad.sublat"
-    path.write_text("dim 2\nray v = [1, 1/0]\n")
+    path.write_text("dim 2\nray v = [1, 1/0]\n", encoding="utf-8")
     assert main(["lattice", str(path)]) == 1
     err = capsys.readouterr().err
     assert "line 2, column 15" in err
@@ -731,7 +735,7 @@ def test_laws_limit_zero_shows_no_violations(capsys):
 
 def test_dim_above_limit_exits_one(tmp_path, capsys):
     path = tmp_path / "huge.sublat"
-    path.write_text("dim 100000\n")
+    path.write_text("dim 100000\n", encoding="utf-8")
     assert main(["lattice", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -310,7 +310,7 @@ def _reference_report(contexts):
         for x in held
     )
     return (union.spans(), tuple(excluded), tuple(consistent),
-            tuple(b.assignment for b in found), rows)
+            found, rows)
 
 
 _PAIRS = [
