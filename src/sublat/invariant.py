@@ -104,6 +104,8 @@ def algebra_span(generators: Iterable[ExactMatrix]) -> AlgebraBasis:
     for g in gens:
         if g.rows != n or g.cols != n:
             raise ValueError("generators must be square matrices of one side")
+    if n == 0:
+        raise ValueError("generators must be at least 1x1, got 0x0")
 
     full = n * n
     members: list[ExactMatrix] = []

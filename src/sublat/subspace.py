@@ -15,11 +15,11 @@ is canonicalized once, through exactlin.rref, whose reduced integer rows
 are made primitive. The operations work on the canonical rows and reduce
 with exactlin's one insert routine, with no Gaussian rationals between:
 - a join inserts the rows of one subspace into those of the other;
-- a meet inserts the Zassenhaus rows [r | 0] of t into the rows [r | r]
-  of s; the rows whose pivot falls in the right half span s ^ t, already
-  canonical;
 - an orthocomplement reads the kernel off the conjugated rows, which are
-  canonical too, and canonicalizes it;
+  canonical too, and canonicalizes it; each subspace computes its
+  complement s' once, and as ' is an involution that one kernel also
+  gives s'' = s;
+- a meet is De Morgan's (s' v t')', one join between complements;
 - containment, membership and invariance clear a vector's entries at
   the canonical rows' pivots and read the residual.
 """
@@ -79,7 +79,7 @@ class Subspace:
     equal no matter how they were produced. Instances are immutable.
     """
 
-    __slots__ = ("ambient_dim", "dim", "_rows", "_hash", "_basis")
+    __slots__ = ("ambient_dim", "dim", "_rows", "_hash", "_basis", "_perp")
 
     def __new__(cls, basis: ExactMatrix) -> "Subspace":
         reduced, pivots, _ = rref(basis.transpose())
@@ -152,6 +152,7 @@ def _subspace(n: int, rows: Rows) -> Subspace:
     put(s, "_rows", rows)
     put(s, "_hash", hash((n, tuple(rows.values()))))
     put(s, "_basis", None)
+    put(s, "_perp", None)
     return s
 
 
@@ -222,25 +223,20 @@ def leq(s: Subspace, t: Subspace) -> bool:
 
 
 def meet(s: Subspace, t: Subspace) -> Subspace:
-    """Intersection, by Zassenhaus's method: insert the rows [r | 0] for
-    the rows r of t into the rows [r | r] for those of s, which are
-    canonical already. A row whose pivot lies in the right half is 0 on
-    the left, so its right half lies in both; those right halves are the
-    canonical rows of s ^ t."""
-    _require_same_ambient(s.ambient_dim, t.ambient_dim)
-    n = s.ambient_dim
-    zeros = (_GZERO,) * n
-    rows = {c: row + row for c, row in s._rows.items()}
-    for row in t._rows.values():
-        _insert_row(rows, row + zeros)
-    return _subspace(n, {c - n: row[n:] for c, row in rows.items() if c >= n})
+    """Intersection, by De Morgan's law: (s' v t')'."""
+    return orthocomplement(join(orthocomplement(s), orthocomplement(t)))
 
 
 def orthocomplement(s: Subspace) -> Subspace:
     """All vectors orthogonal to s: the kernel of its conjugated rows,
-    which are canonical still, as each pivot entry is a positive integer."""
-    conjugated = {c: tuple((re, -im) for re, im in row) for c, row in s._rows.items()}
-    return _subspace(s.ambient_dim, _reduced_rows(_kernel(conjugated, s.ambient_dim)[0]))
+    which are canonical still, as each pivot entry is a positive integer.
+    It is computed once per subspace; the complement's complement is s."""
+    if s._perp is None:
+        conjugated = {c: tuple((re, -im) for re, im in row) for c, row in s._rows.items()}
+        perp = _subspace(s.ambient_dim, _reduced_rows(_kernel(conjugated, s.ambient_dim)[0]))
+        object.__setattr__(s, "_perp", perp)
+        object.__setattr__(perp, "_perp", s)
+    return s._perp
 
 
 def join(s: Subspace, t: Subspace) -> Subspace:

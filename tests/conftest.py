@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from sublat.exactlin import ExactMatrix, GaussianRational
+from sublat.subspace import span
 
 DEFAULT_SEED = 20250815
 
@@ -46,3 +47,11 @@ def random_matrix(rng, random_scalar):
         )
 
     return make
+
+
+@pytest.fixture
+def frame_c4_rays():
+    """The four orthogonal rays of tests/data/frame_c4.sublat; their closure
+    has 16 elements and makes exact meets."""
+    return [span([r]) for r in (
+        [1, "i", 1, "i"], [1, "-i", 1, "-i"], [1, "i", -1, "-i"], [1, "-i", -1, "i"])]

@@ -1,4 +1,6 @@
-"""Byte-for-byte stdout of every subcommand on the qubit file, in both formats.
+"""Byte-for-byte stdout of every subcommand on the qubit file, and of the
+lattice commands on the C^4 frame file (whose closure makes exact meets), in
+both formats.
 
 Each case's stdout is stored in tests/data/golden/<name>.<ext>, with the
 extension `txt` for `--format text` and `records` for `--format records`;
@@ -19,6 +21,7 @@ from sublat.cli import main
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
 QUBIT = str(DATA / "qubit.sublat")
+FRAME = str(DATA / "frame_c4.sublat")
 
 # --format value -> golden file extension
 FORMATS = {"text": "txt", "records": "records"}
@@ -41,6 +44,13 @@ CASES = {
     "contexts": (["contexts", QUBIT], 0),
     "dot": (["dot", QUBIT], 0),
     "demo_qubit": (["demo-qubit", "--seed", "7"], 0),
+    "frame_lattice": (["lattice", FRAME], 0),
+    "frame_laws": (["laws", FRAME], 0),
+    "frame_valuations": (["valuations", FRAME], 0),
+    "frame_valuations_laws": (
+        ["valuations", FRAME, "--laws", "bottom-to-zero,complement-law,top-to-one"], 0),
+    "frame_filters_r1": (["filters", FRAME, "--remove", "r1"], 0),
+    "frame_dot": (["dot", FRAME], 0),
 }
 
 

@@ -102,6 +102,8 @@ def test_algebra_span_validation():
         algebra_span([ExactMatrix.zeros(2, 3)])
     with pytest.raises(ValueError, match="one side"):
         algebra_span([ExactMatrix.identity(2), ExactMatrix.identity(3)])
+    with pytest.raises(ValueError, match="at least 1x1, got 0x0"):
+        algebra_span([ExactMatrix(0, 0, ())])
 
 
 def test_algebra_basis_independence():

@@ -432,7 +432,7 @@ def test_thirteen_unit_rays_of_c3_exceed_the_cap():
     assert str(caught.value) == "meet/join closure exceeds the cap of 256 elements"
 
 
-def test_close_and_build_operation_counts(monkeypatch):
+def test_close_and_build_operation_counts(monkeypatch, frame_c4_rays):
     # Dimension settles every MO_k pair, and no pair of any lattice needs a
     # containment test; the counts would grow if per-pair algebra returned.
     counts = {"meet": 0, "join": 0, "leq": 0}
@@ -451,9 +451,14 @@ def test_close_and_build_operation_counts(monkeypatch):
     mo_24 = close_and_build([span([[1, k]]) for k in range(23)] + [span([[0, 1]])])
     assert len(mo_24) == 26
     assert counts == {"meet": 0, "join": 0, "leq": 0}
+    # Each exact meet is (s' v t')', so it makes one join of its own.
     frame = close_and_build([span([[1, 0, 0]]), span([[0, 1, 0]]), span([[0, 0, 1]])])
     assert len(frame) == 8
-    assert counts == {"meet": 3, "join": 12, "leq": 0}
+    assert counts == {"meet": 3, "join": 15, "leq": 0}
+    counts.update(meet=0, join=0)
+    frame = close_and_build(frame_c4_rays)
+    assert len(frame) == 16
+    assert counts == {"meet": 30, "join": 115, "leq": 0}
 
 
 # The bodies below are the earlier accessor-based scans, kept verbatim as
