@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -644,3 +645,66 @@ def test_table_counts_match_accessor_references(rng, full_lattice, diamond, two_
     # the pentagon fails distributivity, and some cases have no orthocomplements
     assert not check_distributive(lattices["pentagon"]).holds
     assert raised > 0
+
+
+def _set_family_lattice(rng):
+    """A random finite lattice: subsets of a small ground set, closed under
+    intersection and holding the ground set, ordered by inclusion, so the
+    meet is the intersection and the join the least member holding the
+    union. Every finite lattice arises this way, so these tables reach
+    laws that no subspace lattice breaks. The elements, rays of C^2, are
+    labels only, listed in a random order (the bottom is not always 0)."""
+    ground = range(rng.randint(4, 6))
+    family = {frozenset(ground)} | {
+        frozenset(rng.sample(ground, rng.randint(0, len(ground))))
+        for _ in range(rng.randint(3, 9))
+    }
+    while not (more := {x & y for x in family for y in family}) <= family:
+        family |= more
+    members = rng.sample(sorted(family, key=sorted), len(family))
+    index = {x: i for i, x in enumerate(members)}
+
+    def least_above(x):
+        return index[functools.reduce(frozenset.__and__, (z for z in members if x <= z))]
+
+    meets = tuple(tuple(index[x & y] for y in members) for x in members)
+    joins = tuple(tuple(least_above(x | y) for y in members) for x in members)
+    labels = tuple(span([[1, k]]) for k in range(len(members)))
+    return FiniteLattice(labels, meets, joins)
+
+
+def test_law_scans_match_references_on_set_family_lattices(rng):
+    # Each check equals its per-triple reference at every limit; the
+    # orthomodular scan takes a random map as the complement.
+    verdicts = set()
+    for _ in range(30):
+        lat = _set_family_lattice(rng)
+        size = len(lat)
+        picks = [rng.randrange(size) for _ in range(size)]
+
+        def complement(s, picks=picks, lat=lat):
+            return lat.elements[picks[lat.index_of(s)]]
+
+        checks = (
+            (check_distributive, _reference_check_distributive),
+            (check_modular, _reference_check_modular),
+            (functools.partial(check_orthomodular, complement=complement),
+             functools.partial(_reference_check_orthomodular, complement=complement)),
+        )
+        for check, reference in checks:
+            for limit in (0, 1, 10, 10_000):
+                got = _outcome(check, lat, limit)
+                assert got == _outcome(reference, lat, limit), (lat, check, limit)
+        verdicts.add((check_modular(lat).holds, check_distributive(lat).holds))
+    # both non-modular and distributive lattices come up
+    assert {(False, False), (True, True)} <= verdicts
+
+
+def test_mo_k_law_totals_in_closed_form():
+    # In MO_k each ordered triple of distinct atoms breaks distributivity, and
+    # nothing breaks modularity.
+    for k in range(3, 41):
+        lat = close_and_build([span([[1, j]]) for j in range(k)])
+        assert len(lat) == k + 2
+        assert check_distributive(lat, limit=0).total_violations == k * (k - 1) * (k - 2)
+        assert check_modular(lat).holds
