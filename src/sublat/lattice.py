@@ -6,11 +6,16 @@ bottom and the top) is read off those tables. Elements are sorted by
 (dimension, basis entries), so index 0 is the zero subspace and the last
 index is the full space, and rebuilding from the same family reproduces
 the same object. Closure is a worklist that settles each pair of
-elements once: dimension gives the join with the bottom, with the top or
-of two hyperplanes, Grassmann's formula gives the meet's dimension, and
-exact meet or join does the rest. The sublattice
-some elements of a built lattice generate is their closure under its
-tables. Both renumber a parent's meet and join tables onto the kept
+elements once. Dimension gives the join with the bottom, with the top or
+of two hyperplanes, and Grassmann's formula gives the meet when its
+dimension is 0 or that of the smaller element. A pair that dimension
+leaves open is settled off pairs settled before it when one of the two
+was first found as p v q or p ^ q: by associativity, s v (p v q) =
+(s v p) v q and dually, or by the modular law, which every subspace
+lattice obeys: s ^ (p v q) = p v (s ^ q) when p <= s, and s v (p ^ q) =
+p ^ (s v q) when s <= p. Exact meet or join runs only when no identity
+applies. The sublattice some elements of a built lattice generate is
+their closure under its tables. Both renumber a parent's meet and join tables onto the kept
 indices. Atoms, covers and law reports are counted off the tables too,
 with no subspace algebra. A law scan settles each instance either by an
 identity that holds in every lattice or by comparing two whole table
@@ -108,9 +113,14 @@ def close_and_build(
 
     The closure runs as a worklist: each element is paired once with every
     element found before it, so each unordered pair is settled exactly
-    once, and dimension settles most pairs without exact algebra (see
-    `_settle`). The meet and join tables are filled in discovery order off
-    those pair results, then relabelled in sorted order.
+    once. Dimension settles what it can (`_dimension_join`,
+    `_dimension_meet`); a pair it leaves open is settled by an identity
+    over pairs already settled when one applies (`by_laws` below), and by
+    one exact `join` or `meet` only when none does. An identity only names
+    an element already found, so the elements are found in the same order
+    as by exact algebra alone. The meet and join tables are filled in
+    discovery order off those pair results, then relabelled in sorted
+    order.
 
     Rebuilding from a lattice's own elements returns an equal lattice.
     Raises ClosureCapError if closure would exceed MAX_ELEMENTS and
@@ -132,39 +142,84 @@ def close_and_build(
             f"{len(found)} seed elements exceed the cap of {MAX_ELEMENTS}"
         )
     index = {s: k for k, s in enumerate(found)}
+    # meets[k][i] and joins[k][i] hold the discovery indices of the meet and
+    # the join of found[i] and found[k], for i < k; row k grows while found[k]
+    # is paired, and the rows past it are not made yet.
+    meets: list[list[int]] = []
+    joins: list[list[int]] = []
+    # origin[x] is (table, p, q) when found[x] was first found as the meet
+    # (table is meets) or the join (joins) of found[p] and found[q], and None
+    # for the bottom, the top and the seeds.
+    origin: list[tuple[list[list[int]], int, int] | None] = [None] * len(found)
 
-    def locate(x: Subspace) -> int:
-        """Discovery index of x; x is appended when new."""
+    def locate(x: Subspace, table: list[list[int]], i: int, k: int) -> int:
+        """Discovery index of x, found from the pair (i, k) in table; x is
+        appended when new."""
         d = index.get(x)
         if d is None:
             d = index[x] = len(found)
             found.append(x)
+            origin.append((table, i, k))
             if len(found) > MAX_ELEMENTS:
                 raise ClosureCapError(
                     f"meet/join closure exceeds the cap of {MAX_ELEMENTS} elements"
                 )
         return d
 
-    # pairs[k][i] holds the discovery indices of the meet and the join of
-    # found[i] and found[k], for i < k; iterating over the growing list
-    # reaches the elements appended along the way.
-    pairs = []
+    def settled(table: list[list[int]], x: int | None, y: int) -> int | None:
+        """The pair (x, y) in table when it is settled already, else None
+        (also when x is None)."""
+        if x is None or x == y:
+            return x
+        if x < y:
+            x, y = y, x
+        row = table[x] if x < len(table) else ()
+        return row[y] if y < len(row) else None
+
+    def by_laws(table: list[list[int]], i: int, k: int) -> Subspace | None:
+        """found[i] op found[k], op the operation of table, from settled pairs
+        when one of the two is a recorded p op' q:
+        - associativity, op' = op: s op (p op q) = (s op p) op q;
+        - the modular law, op' the dual of op: s ^ (p v q) = p v (s ^ q)
+          when p <= s, and s v (p ^ q) = p ^ (s v q) when s <= p; in both,
+          s op p = p is the side condition.
+        Tried with either element as s and either factor as p."""
+        dual = joins if table is meets else meets
+        for s, t in ((i, k), (k, i)):
+            if origin[t] is None:
+                continue
+            op, p0, q0 = origin[t]
+            for p, q in ((p0, q0), (q0, p0)):
+                if op is table:
+                    x = settled(table, settled(table, s, p), q)
+                elif settled(table, s, p) == p:
+                    x = settled(dual, settled(table, s, q), p)
+                else:
+                    continue
+                if x is not None:
+                    return found[x]
+        return None
+
+    # Iterating over the growing list reaches the elements appended along
+    # the way.
     for k, t in enumerate(found):
-        row = []
+        meets.append([])
+        joins.append([])
         for i, s in enumerate(found[:k]):
-            m, j = _settle(s, t, zero, full)
-            row.append((locate(m), locate(j)))
-        pairs.append(row)
+            j = _dimension_join(s, t, full) or by_laws(joins, i, k) or sub.join(s, t)
+            m = _dimension_meet(s, t, j, zero) or by_laws(meets, i, k) or sub.meet(s, t)
+            meets[k].append(locate(m, meets, i, k))
+            joins[k].append(locate(j, joins, i, k))
 
     size = len(found)
-    meets = [[k] * size for k in range(size)]
-    joins = [[k] * size for k in range(size)]
-    for k, row in enumerate(pairs):
-        for i, (m, j) in enumerate(row):
-            meets[k][i] = meets[i][k] = m
-            joins[k][i] = joins[i][k] = j
+    meet_table = [[k] * size for k in range(size)]
+    join_table = [[k] * size for k in range(size)]
+    for k in range(size):
+        for i, (m, j) in enumerate(zip(meets[k], joins[k])):
+            meet_table[k][i] = meet_table[i][k] = m
+            join_table[k][i] = join_table[i][k] = j
     ranked = sorted(range(size), key=lambda k: found[k].sort_key())
-    return _relabelled(found, meets, joins, ranked)
+    return _relabelled(found, meet_table, join_table, ranked)
 
 
 def _relabelled(elements: Sequence[Subspace], meets: Table, joins: Table,
@@ -180,21 +235,25 @@ def _relabelled(elements: Sequence[Subspace], meets: Table, joins: Table,
     return FiniteLattice(tuple(elements[i] for i in kept), renumber(meets), renumber(joins))
 
 
-def _settle(
-    s: Subspace, t: Subspace, zero: Subspace, full: Subspace
-) -> tuple[Subspace, Subspace]:
-    """Meet and join of distinct s and t.
-
-    The join is t when s is the bottom or t the top, the full space when
-    both are hyperplanes, and exact join otherwise. Grassmann's formula,
-    dim(s ^ t) + dim(s v t) = dim s + dim t, gives the meet's dimension.
-    """
-    if s.dim > t.dim:
-        s, t = t, s
+def _dimension_join(s: Subspace, t: Subspace, full: Subspace) -> Subspace | None:
+    """s v t for distinct s and t when dimension decides it: the other one
+    when either is the bottom, the top when either is the top or both are
+    hyperplanes; None otherwise."""
     n = full.dim
-    j = t if s.dim == 0 or t.dim == n else full if s.dim == t.dim == n - 1 else sub.join(s, t)
+    if s.dim == 0 or t.dim == 0:
+        return t if s.dim == 0 else s
+    if s.dim == n or t.dim == n or s.dim == t.dim == n - 1:
+        return full
+    return None
+
+
+def _dimension_meet(s: Subspace, t: Subspace, j: Subspace, zero: Subspace) -> Subspace | None:
+    """s ^ t for distinct s and t with join j when dimension decides it.
+    Grassmann's formula, dim(s ^ t) + dim(s v t) = dim s + dim t, gives the
+    meet's dimension d: the bottom when d = 0, the smaller of s and t when d
+    is its dimension; None otherwise."""
     d = s.dim + t.dim - j.dim
-    return (zero if d == 0 else s if d == s.dim else sub.meet(s, t)), j
+    return zero if d == 0 else s if d == s.dim else t if d == t.dim else None
 
 
 def sublattice(lat: FiniteLattice, indices: Iterable[int]) -> FiniteLattice:

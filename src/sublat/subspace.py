@@ -112,7 +112,9 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ExactMatrix.identity(_ambient(ambient_dim)))
+        """C^n, whose canonical rows are the unit rows: no elimination."""
+        n = _ambient(ambient_dim)
+        return _subspace(n, {c: tuple((int(j == c), 0) for j in range(n)) for c in range(n)})
 
     @property
     def basis(self) -> ExactMatrix:

@@ -13,6 +13,9 @@ from sublat.cli import (
     main,
     parse_input,
 )
+from sublat.lattice import LawViolation, check_distributive, close_and_build
+from sublat.qubit import nontrivial_projectors
+from sublat.subspace import image, span
 
 DATA = Path(__file__).parent / "data" / "qubit.sublat"
 
@@ -606,6 +609,21 @@ def test_demo_qubit(capsys):
     out = capsys.readouterr().out
     assert "demo-qubit: 14/14 checks passed" in out
     assert "FAILED" not in out
+
+
+def test_demo_qubit_witness_is_a_scanned_violation(capsys):
+    # demo-qubit decides its counterexample from the triple's two sides
+    # alone; the law scan lists that triple among its violations too.
+    assert main(["demo-qubit"]) == 0
+    prefix = "distributivity witness: "
+    line = next(x for x in capsys.readouterr().out.splitlines() if x.startswith(prefix))
+    lat = close_and_build([image(p) for p in nontrivial_projectors()])
+    k, m, o = (lat.index_of(span([v])) for v in ([1, 1], [1, -1], [1, 0]))
+    k_span, m_span, o_span = (lat.elements[i].span_str() for i in (k, m, o))
+    assert line.startswith(f"{prefix}({k_span} v {m_span}) ^ {o_span} = {o_span}, ")
+    report = check_distributive(lat, limit=1000)
+    assert len(report.violations) == report.total_violations == 120
+    assert LawViolation((k, m, o), o, lat.bottom) in report.violations
 
 
 def test_demo_qubit_other_seed(capsys):

@@ -435,7 +435,10 @@ def test_thirteen_unit_rays_of_c3_exceed_the_cap():
 
 def test_close_and_build_operation_counts(monkeypatch, frame_c4_rays):
     # Dimension settles every MO_k pair, and no pair of any lattice needs a
-    # containment test; the counts would grow if per-pair algebra returned.
+    # containment test. On the frames, associativity and the modular law
+    # leave no exact meet and few exact joins, all of lines and planes: 4 of
+    # the 2^3 frame's 28 pairs and 13 of the C^4 frame's 120. The counts
+    # would grow if per-pair algebra returned.
     counts = {"meet": 0, "join": 0, "leq": 0}
 
     def counting(name):
@@ -455,11 +458,125 @@ def test_close_and_build_operation_counts(monkeypatch, frame_c4_rays):
     # Each exact meet is (s' v t')', so it makes one join of its own.
     frame = close_and_build([span([[1, 0, 0]]), span([[0, 1, 0]]), span([[0, 0, 1]])])
     assert len(frame) == 8
-    assert counts == {"meet": 3, "join": 15, "leq": 0}
+    assert counts == {"meet": 0, "join": 4, "leq": 0}
     counts.update(meet=0, join=0)
     frame = close_and_build(frame_c4_rays)
     assert len(frame) == 16
-    assert counts == {"meet": 30, "join": 115, "leq": 0}
+    assert counts == {"meet": 0, "join": 13, "leq": 0}
+
+
+def _reference_settle(s, t, zero, full):
+    """Meet and join of distinct s and t by dimension, else by exact algebra:
+    the join is t when s is the bottom or t the top, the full space when
+    both are hyperplanes, and exact join otherwise; Grassmann's formula then
+    gives the meet's dimension."""
+    if s.dim > t.dim:
+        s, t = t, s
+    n = full.dim
+    j = t if s.dim == 0 or t.dim == n else full if s.dim == t.dim == n - 1 else sub.join(s, t)
+    d = s.dim + t.dim - j.dim
+    return (zero if d == 0 else s if d == s.dim else sub.meet(s, t)), j
+
+
+def _reference_discovery(seeds, n):
+    """The worklist closure with no lattice identities: each element is paired
+    once with every element found before it, and every pair that dimension
+    leaves open takes exact algebra. Returns the elements in discovery order
+    and the meet and join tables over discovery indices."""
+    zero, full = Subspace.zero(n), Subspace.full(n)
+    found = list(dict.fromkeys([zero, full, *seeds]))
+    index = {s: k for k, s in enumerate(found)}
+
+    def locate(x):
+        if x not in index:
+            index[x] = len(found)
+            found.append(x)
+            if len(found) > lattice.MAX_ELEMENTS:
+                raise ClosureCapError(
+                    f"meet/join closure exceeds the cap of {lattice.MAX_ELEMENTS} elements"
+                )
+        return index[x]
+
+    pairs = []
+    for k, t in enumerate(found):
+        pairs.append([tuple(map(locate, _reference_settle(s, t, zero, full)))
+                      for s in found[:k]])
+    size = len(found)
+    meets = [[k] * size for k in range(size)]
+    joins = [[k] * size for k in range(size)]
+    for k, row in enumerate(pairs):
+        for i, (m, j) in enumerate(row):
+            meets[k][i] = meets[i][k] = m
+            joins[k][i] = joins[i][k] = j
+    return found, meets, joins
+
+
+def _discovery(monkeypatch, seeds, n):
+    """close_and_build's elements and tables in discovery order, as it hands
+    them to _relabelled, and the lattice it returns."""
+    seen = []
+    relabelled = lattice._relabelled
+
+    def capture(elements, meets, joins, kept):
+        seen.append((list(elements), [list(row) for row in meets], [list(row) for row in joins]))
+        return relabelled(elements, meets, joins, kept)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lattice, "_relabelled", capture)
+        lat = close_and_build(seeds, ambient_dim=n)
+    (discovered,) = seen
+    return discovered, lat
+
+
+def test_closure_by_laws_matches_exact_closure(rng, monkeypatch):
+    # Associativity and the modular law only name elements already found, so
+    # the closure finds the same elements in the same order, with the same
+    # tables, as the closure that takes exact algebra on every open pair.
+    cases = _closure_cases(rng)
+    cases["Boolean_2^5"] = _householder_frame(rng, 5)
+    cases["Boolean_2^6"] = _householder_frame(rng, 6)
+    cases["MO_3+MO_4"] = (
+        [span([[1, z, 0, 0]]) for z in _slopes(rng, 3)]
+        + [span([[0, 0, 1, z]]) for z in _slopes(rng, 4)]
+    )
+    sizes = {}
+    for label, seeds in cases.items():
+        n = seeds[0].ambient_dim
+        discovered, lat = _discovery(monkeypatch, seeds, n)
+        assert discovered == _reference_discovery(seeds, n), label
+        sizes[label] = len(lat)
+    assert (sizes["Boolean_2^5"], sizes["Boolean_2^6"], sizes["MO_3+MO_4"]) == (32, 64, 30)
+
+
+def _random_unit_span(rng, n, dim):
+    """A dim-dimensional span of vectors with entries in {0, +-1, +-i}."""
+    while True:
+        s = span([[rng.choice(("0",) + _UNITS) for _ in range(n)] for _ in range(dim)])
+        if s.dim == dim:
+            return s
+
+
+def test_closure_by_laws_matches_exact_closure_on_random_families(rng, monkeypatch):
+    # 1-4 random rays and higher-dimensional spans of C^2-C^4: the same
+    # discovery order and tables as the exact closure, or the same cap error.
+    monkeypatch.setattr(lattice, "MAX_ELEMENTS", 40)
+    closed, capped, spans, large = 0, 0, 0, 0
+    for _ in range(100):
+        n = rng.choice((2, 3, 4, 4))
+        seeds = [_random_unit_span(rng, n, rng.randint(1, n - 1))
+                 for _ in range(rng.randint(1, 4))]
+        spans += any(s.dim > 1 for s in seeds)
+        try:
+            expected = _reference_discovery(seeds, n)
+        except ClosureCapError as exc:
+            with pytest.raises(ClosureCapError, match=f"^{exc}$"):
+                close_and_build(seeds)
+            capped += 1
+            continue
+        assert _discovery(monkeypatch, seeds, n)[0] == expected, seeds
+        closed += 1
+        large += len(expected[0]) >= 12
+    assert closed >= 50 and capped > 0 and spans > 0 and large >= 3
 
 
 # The bodies below are the earlier accessor-based scans, kept verbatim as

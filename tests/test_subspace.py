@@ -62,6 +62,18 @@ def test_canonical_equality():
     assert span([[1, 1]]) != span([[1, -1]])
 
 
+def test_full_space_equals_the_span_of_the_unit_vectors():
+    # Subspace.full writes its unit rows down; they are the canonical rows
+    # that elimination reaches from the identity.
+    for n in range(1, 7):
+        units = span([[int(i == j) for i in range(n)] for j in range(n)])
+        full = Subspace.full(n)
+        assert full == units and hash(full) == hash(units)
+        assert full.basis == units.basis == ExactMatrix.identity(n)
+    with pytest.raises(ValueError, match="at least 1"):
+        Subspace.full(0)
+
+
 def test_span_str():
     assert Subspace.zero(2).span_str() == "{0}"
     assert Subspace.full(2).span_str() == "C^2"
