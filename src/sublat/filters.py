@@ -173,11 +173,19 @@ def is_upward_closed(subset: LatticeSubset) -> tuple[bool, Optional[tuple[int, i
 
 
 def is_standard_filter(subset: LatticeSubset) -> bool:
-    """Nonempty, proper, upward closed, and closed under meets."""
-    if not subset.members or not subset.complement_members():
-        return False
-    closed, _ = is_upward_closed(subset)
-    return closed and is_downward_directed(subset)
+    """Nonempty, proper, upward closed, and closed under meets; for a finite
+    subset, that is nonempty, proper and up(a), a the meet of the members."""
+    return _standard_filter(subset.host, _indicator(subset))
+
+
+def _indicator(subset: LatticeSubset) -> tuple[int, ...]:
+    return tuple(map(subset.members.__contains__, range(len(subset.host))))
+
+
+def _standard_filter(host: FiniteLattice, v: tuple[int, ...]) -> bool:
+    """v is the indicator of a standard filter: its 1-set is nonempty and
+    proper, and `_meet_hom` holds."""
+    return 0 < sum(v) < len(host) and _meet_hom(host, v)
 
 
 def is_prime_paper(subset: LatticeSubset) -> bool:
@@ -203,10 +211,10 @@ def is_prime_standard(subset: LatticeSubset):
     Returns NOT_APPLICABLE when the subset is not a standard filter, so
     the caller can report which convention answered.
     """
-    if not is_standard_filter(subset):
+    v = _indicator(subset)
+    if not _standard_filter(subset.host, v):
         return NOT_APPLICABLE
-    lat = subset.host
-    return _join_hom(lat, tuple(int(i in subset) for i in range(len(lat))))
+    return _join_hom(subset.host, v)
 
 
 def homomorphism_from_filter(
@@ -243,12 +251,9 @@ def _check_law_tokens(laws: Iterable[str]) -> frozenset[str]:
 
 
 def _meet_hom(host: FiniteLattice, v: tuple[int, ...]) -> bool:
-    """v preserves meets: its 1-set is empty or up(a), a the meet of the 1-set."""
-    ones = [i for i, b in enumerate(v) if b == 1]
-    if not ones:
-        return True
-    a = functools.reduce(host.meet, ones)
-    return v[a] == 1 and all(v[y] == 1 for y, above in enumerate(host.order[a]) if above)
+    """v preserves meets: its 1-set is empty or up(a) for some a, the meet of
+    the 1-set; the sets up(a) are the rows of the order table."""
+    return not any(v) or tuple(v) in host.order
 
 
 def _join_hom(host: FiniteLattice, v: tuple[int, ...]) -> bool:

@@ -6,17 +6,19 @@ bottom and the top) is read off those tables. Elements are sorted by
 (dimension, basis entries), so index 0 is the zero subspace and the last
 index is the full space, and rebuilding from the same family reproduces
 the same object. Closure is a worklist that settles each pair of
-elements once. Dimension gives the join with the bottom, with the top or
-of two hyperplanes, and Grassmann's formula gives the meet when its
-dimension is 0 or that of the smaller element. A pair that dimension
-leaves open is settled off pairs settled before it when one of the two
-was first found as p v q or p ^ q: by associativity, s v (p v q) =
-(s v p) v q and dually, or by the modular law, which every subspace
-lattice obeys: s ^ (p v q) = p v (s ^ q) when p <= s, and s v (p ^ q) =
-p ^ (s v q) when s <= p. Exact meet or join runs only when no identity
-applies. The sublattice some elements of a built lattice generate is
-their closure under its tables. Both renumber a parent's meet and join tables onto the kept
-indices. Atoms, covers and law reports are counted off the tables too,
+elements once, by discovery index: index 0 is the bottom and index 1 the
+top. Dimension gives the join with the bottom, with the top or of two
+hyperplanes, and Grassmann's formula gives the meet when its dimension
+is 0 or that of the smaller element. A pair that dimension leaves open is
+settled off pairs settled before it when one of the two was first found
+as p v q or p ^ q: by associativity, s v (p v q) = (s v p) v q and
+dually, or by the modular law, which every subspace lattice obeys:
+s ^ (p v q) = p v (s ^ q) when p <= s, and s v (p ^ q) = p ^ (s v q)
+when s <= p. These rules name an index; exact meet or join runs only
+when none applies, and only its result is hashed to find its index. The
+sublattice some elements of a built lattice generate is their closure
+under its tables. Both renumber a parent's meet and join tables onto the
+kept indices. Atoms, covers and law reports are counted off the tables too,
 with no subspace algebra. A law scan settles each instance either by an
 identity that holds in every lattice or by comparing two whole table
 rows with `map`, never by a Python loop per triple: the distributive
@@ -55,6 +57,7 @@ __all__ = [
 # The most elements close_and_build lets a closure reach, read at each call.
 MAX_ELEMENTS = 256
 Table = Sequence[Sequence[int]]
+Pairs = dict[tuple[int, int], int]
 
 
 class ClosureCapError(ValueError):
@@ -112,15 +115,19 @@ def close_and_build(
     """Close seeds under meet and join, adjoin bottom and top, build tables.
 
     The closure runs as a worklist: each element is paired once with every
-    element found before it, so each unordered pair is settled exactly
-    once. Dimension settles what it can (`_dimension_join`,
-    `_dimension_meet`); a pair it leaves open is settled by an identity
-    over pairs already settled when one applies (`by_laws` below), and by
-    one exact `join` or `meet` only when none does. An identity only names
-    an element already found, so the elements are found in the same order
-    as by exact algebra alone. The meet and join tables are filled in
-    discovery order off those pair results, then relabelled in sorted
-    order.
+    element found before it, so each unordered pair (i, k), i < k, of
+    discovery indices is settled exactly once. Index 0 is the bottom and
+    index 1 the top, and the dimension rules name an index: the join is k
+    when i is the bottom and the top when i is the top or both are
+    hyperplanes, and Grassmann's formula gives the meet as the bottom, i or
+    k. A pair they leave open is settled by an identity over pairs already
+    settled when one applies (`by_laws` below), which also returns an
+    index, and by one exact `join` or `meet` only when none does; only
+    those exact results are hashed to find their index (`locate`). An
+    identity only names an element already found, so the elements are
+    found in the same order as by exact algebra alone. The meet and join
+    tables are filled in discovery order off those pair results, then
+    relabelled in sorted order.
 
     Rebuilding from a lattice's own elements returns an equal lattice.
     Raises ClosureCapError if closure would exceed MAX_ELEMENTS and
@@ -142,23 +149,24 @@ def close_and_build(
             f"{len(found)} seed elements exceed the cap of {MAX_ELEMENTS}"
         )
     index = {s: k for k, s in enumerate(found)}
-    # meets[k][i] and joins[k][i] hold the discovery indices of the meet and
-    # the join of found[i] and found[k], for i < k; row k grows while found[k]
-    # is paired, and the rows past it are not made yet.
-    meets: list[list[int]] = []
-    joins: list[list[int]] = []
+    dim = [s.dim for s in found]
+    # meets[i, k] and joins[i, k] hold the discovery indices of the meet and
+    # the join of found[i] and found[k], for each settled pair i < k.
+    meets: Pairs = {}
+    joins: Pairs = {}
     # origin[x] is (table, p, q) when found[x] was first found as the meet
     # (table is meets) or the join (joins) of found[p] and found[q], and None
     # for the bottom, the top and the seeds.
-    origin: list[tuple[list[list[int]], int, int] | None] = [None] * len(found)
+    origin: list[tuple[Pairs, int, int] | None] = [None] * len(found)
 
-    def locate(x: Subspace, table: list[list[int]], i: int, k: int) -> int:
+    def locate(x: Subspace, table: Pairs, i: int, k: int) -> int:
         """Discovery index of x, found from the pair (i, k) in table; x is
         appended when new."""
         d = index.get(x)
         if d is None:
             d = index[x] = len(found)
             found.append(x)
+            dim.append(x.dim)
             origin.append((table, i, k))
             if len(found) > MAX_ELEMENTS:
                 raise ClosureCapError(
@@ -166,19 +174,16 @@ def close_and_build(
                 )
         return d
 
-    def settled(table: list[list[int]], x: int | None, y: int) -> int | None:
+    def settled(table: Pairs, x: int | None, y: int) -> int | None:
         """The pair (x, y) in table when it is settled already, else None
         (also when x is None)."""
         if x is None or x == y:
             return x
-        if x < y:
-            x, y = y, x
-        row = table[x] if x < len(table) else ()
-        return row[y] if y < len(row) else None
+        return table.get((x, y) if x < y else (y, x))
 
-    def by_laws(table: list[list[int]], i: int, k: int) -> Subspace | None:
-        """found[i] op found[k], op the operation of table, from settled pairs
-        when one of the two is a recorded p op' q:
+    def by_laws(table: Pairs, i: int, k: int) -> int | None:
+        """The index of found[i] op found[k], op the operation of table, from
+        settled pairs when one of the two is a recorded p op' q:
         - associativity, op' = op: s op (p op q) = (s op p) op q;
         - the modular law, op' the dual of op: s ^ (p v q) = p v (s ^ q)
           when p <= s, and s v (p ^ q) = p ^ (s v q) when s <= p; in both,
@@ -197,27 +202,28 @@ def close_and_build(
                 else:
                     continue
                 if x is not None:
-                    return found[x]
+                    return x
         return None
 
-    # Iterating over the growing list reaches the elements appended along
-    # the way.
+    # Index 0 is the bottom and index 1 the top. Iterating over the growing
+    # list reaches the elements appended along the way.
     for k, t in enumerate(found):
-        meets.append([])
-        joins.append([])
-        for i, s in enumerate(found[:k]):
-            j = _dimension_join(s, t, full) or by_laws(joins, i, k) or sub.join(s, t)
-            m = _dimension_meet(s, t, j, zero) or by_laws(meets, i, k) or sub.meet(s, t)
-            meets[k].append(locate(m, meets, i, k))
-            joins[k].append(locate(j, joins, i, k))
+        for i in range(k):
+            j = k if i == 0 else 1 if i == 1 or dim[i] == dim[k] == n - 1 else by_laws(joins, i, k)
+            exact = sub.join(found[i], t) if j is None else None
+            # Grassmann's formula: dim(s ^ t) + dim(s v t) = dim s + dim t.
+            d = dim[i] + dim[k] - (exact.dim if j is None else dim[j])
+            m = 0 if d == 0 else i if d == dim[i] else k if d == dim[k] else by_laws(meets, i, k)
+            pair = i, k  # one key object for both dicts
+            meets[pair] = locate(sub.meet(found[i], t), meets, i, k) if m is None else m
+            joins[pair] = locate(exact, joins, i, k) if j is None else j
 
     size = len(found)
     meet_table = [[k] * size for k in range(size)]
     join_table = [[k] * size for k in range(size)]
-    for k in range(size):
-        for i, (m, j) in enumerate(zip(meets[k], joins[k])):
-            meet_table[k][i] = meet_table[i][k] = m
-            join_table[k][i] = join_table[i][k] = j
+    for table, pairs in ((meet_table, meets), (join_table, joins)):
+        for (i, k), x in pairs.items():
+            table[i][k] = table[k][i] = x
     ranked = sorted(range(size), key=lambda k: found[k].sort_key())
     return _relabelled(found, meet_table, join_table, ranked)
 
@@ -233,27 +239,6 @@ def _relabelled(elements: Sequence[Subspace], meets: Table, joins: Table,
         return tuple(tuple([new[row[j]] for j in kept]) for row in rows)
 
     return FiniteLattice(tuple(elements[i] for i in kept), renumber(meets), renumber(joins))
-
-
-def _dimension_join(s: Subspace, t: Subspace, full: Subspace) -> Subspace | None:
-    """s v t for distinct s and t when dimension decides it: the other one
-    when either is the bottom, the top when either is the top or both are
-    hyperplanes; None otherwise."""
-    n = full.dim
-    if s.dim == 0 or t.dim == 0:
-        return t if s.dim == 0 else s
-    if s.dim == n or t.dim == n or s.dim == t.dim == n - 1:
-        return full
-    return None
-
-
-def _dimension_meet(s: Subspace, t: Subspace, j: Subspace, zero: Subspace) -> Subspace | None:
-    """s ^ t for distinct s and t with join j when dimension decides it.
-    Grassmann's formula, dim(s ^ t) + dim(s v t) = dim s + dim t, gives the
-    meet's dimension d: the bottom when d = 0, the smaller of s and t when d
-    is its dimension; None otherwise."""
-    d = s.dim + t.dim - j.dim
-    return zero if d == 0 else s if d == s.dim else t if d == t.dim else None
 
 
 def sublattice(lat: FiniteLattice, indices: Iterable[int]) -> FiniteLattice:
@@ -310,11 +295,12 @@ def orthocomplement_indices(
     out = []
     for s in lat.elements:
         c = complement(s)
-        if c not in lat:
+        i = lat._index.get(c)
+        if i is None:
             raise ValueError(
                 f"orthocomplement {c.span_str()} of {s.span_str()} is not a lattice element"
             )
-        out.append(lat.index_of(c))
+        out.append(i)
     return tuple(out)
 
 

@@ -203,6 +203,28 @@ def test_prime_standard(diamond):
     assert is_prime_standard(everything) is NOT_APPLICABLE
 
 
+def _reference_is_standard_filter(subset):
+    """The definition read literally: nonempty, proper, upward closed, and
+    closed under meets."""
+    if not subset.members or not subset.complement_members():
+        return False
+    closed, _ = is_upward_closed(subset)
+    return closed and is_downward_directed(subset)
+
+
+def test_standard_filter_matches_its_definition(
+    full_lattice, boolean_frame, non_atomistic_chain, mo5
+):
+    # A finite standard filter is up(a), a the meet of its members.
+    compared = 0
+    for lat in (full_lattice, boolean_frame, non_atomistic_chain, mo5):
+        for bits in itertools.product((0, 1), repeat=len(lat)):
+            subset = LatticeSubset(lat, frozenset(i for i, b in enumerate(bits) if b))
+            assert is_standard_filter(subset) is _reference_is_standard_filter(subset), bits
+            compared += 1
+    assert compared == 656
+
+
 def test_prime_standard_matches_all_pairs_definition(
     full_lattice, diamond, boolean_frame, mo5, three_chain, non_atomistic_chain
 ):

@@ -186,7 +186,8 @@ def test_orthomodular_requires_complements():
     lat = close_and_build([span([[1, 1]])])
     with pytest.raises(ValueError, match="not a lattice element"):
         check_orthomodular(lat)
-    with pytest.raises(ValueError, match="not a lattice element"):
+    message = r"^orthocomplement span\{\[1,-1\]\} of span\{\[1,1\]\} is not a lattice element$"
+    with pytest.raises(ValueError, match=message):
         orthocomplement_indices(lat)
 
 
@@ -559,13 +560,20 @@ def _random_unit_span(rng, n, dim):
 def test_closure_by_laws_matches_exact_closure_on_random_families(rng, monkeypatch):
     # 1-4 random rays and higher-dimensional spans of C^2-C^4: the same
     # discovery order and tables as the exact closure, or the same cap error.
+    # Every other list also holds some of {0}, C^n and a repeated seed at
+    # random positions: the pair loop reads index 0 as the bottom and index 1
+    # as the top, and the lattice is that of the seeds without them.
     monkeypatch.setattr(lattice, "MAX_ELEMENTS", 40)
-    closed, capped, spans, large = 0, 0, 0, 0
-    for _ in range(100):
+    closed, capped, spans, large, padded = 0, 0, 0, 0, 0
+    for trial in range(100):
         n = rng.choice((2, 3, 4, 4))
-        seeds = [_random_unit_span(rng, n, rng.randint(1, n - 1))
+        plain = [_random_unit_span(rng, n, rng.randint(1, n - 1))
                  for _ in range(rng.randint(1, 4))]
-        spans += any(s.dim > 1 for s in seeds)
+        spans += any(s.dim > 1 for s in plain)
+        seeds = list(plain)
+        extras = [Subspace.zero(n), Subspace.full(n), rng.choice(plain)]
+        for x in rng.sample(extras, rng.randint(1, 3)) if trial % 2 else ():
+            seeds.insert(rng.randint(0, len(seeds)), x)
         try:
             expected = _reference_discovery(seeds, n)
         except ClosureCapError as exc:
@@ -573,10 +581,15 @@ def test_closure_by_laws_matches_exact_closure_on_random_families(rng, monkeypat
                 close_and_build(seeds)
             capped += 1
             continue
-        assert _discovery(monkeypatch, seeds, n)[0] == expected, seeds
+        discovered, lat = _discovery(monkeypatch, seeds, n)
+        assert discovered == expected, seeds
+        assert discovered[0][:2] == extras[:2], seeds
         closed += 1
         large += len(expected[0]) >= 12
-    assert closed >= 50 and capped > 0 and spans > 0 and large >= 3
+        if seeds != plain:
+            assert lat == close_and_build(plain), seeds
+            padded += 1
+    assert closed >= 50 and capped > 0 and spans > 0 and large >= 3 and padded >= 25
 
 
 # The bodies below are the earlier accessor-based scans, kept verbatim as
