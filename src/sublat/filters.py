@@ -5,6 +5,14 @@ principal filter up(a), and joins exactly when its 0-set is empty or a
 principal ideal down(b), so the bounded two-valued homomorphisms are
 the indicators of the prime filters; each law is decided that way.
 
+Every verdict reads one row or column of a table per element it asks
+about, never a whole table: the meet-hom law looks its 1-set up among the
+order rows (the sets up(a)) and the join-hom law its 0-set among the order
+columns (the sets down(b)); an atom is an element whose meet row takes
+two values; paper primality reads the join row of each removed element
+at the removed elements; upward closure reads each member's order row at
+the non-members, and downward directedness its meet row at the members.
+
 Two regimes are implemented side by side, and every verdict is tagged
 with the convention that produced it:
 
@@ -25,13 +33,13 @@ filters rather than forcing a boolean.
 
 from __future__ import annotations
 
-import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .exactlin import ExactMatrix
-from .lattice import FiniteLattice, atoms, orthocomplement_indices
+from .lattice import FiniteLattice, is_atom, orthocomplement_indices
 from .subspace import StateVector, contains_vector, image, orthocomplement
 
 __all__ = [
@@ -98,9 +106,9 @@ class LatticeSubset:
 
     def __post_init__(self) -> None:
         members = frozenset(self.members)
-        for i in members:
-            if not (0 <= i < len(self.host)):
-                raise ValueError(f"member index {i} out of range")
+        if bad := members.difference(range(len(self.host))):
+            first = next(filter(bad.__contains__, members))
+            raise ValueError(f"member index {first} out of range")
         object.__setattr__(self, "members", members)
 
     def sorted_members(self) -> tuple[int, ...]:
@@ -128,22 +136,27 @@ class Bivaluation:
         object.__setattr__(self, "assignment", tuple(self.assignment))
         if len(self.assignment) != len(self.host):
             raise ValueError("assignment length must match the lattice size")
-        if any(v not in (0, 1) for v in self.assignment):
+        try:
+            binary = set(self.assignment) <= {0, 1}
+        except TypeError:  # an unhashable value is neither 0 nor 1
+            binary = False
+        if not binary:
             raise ValueError("assignment values must be 0 or 1")
         if self.convention not in _CONVENTIONS:
             raise ValueError(f"unknown convention {self.convention!r}")
 
     def ones(self) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.assignment) if v == 1)
+        return tuple(itertools.compress(range(len(self.assignment)), self.assignment))
 
 
 def coatom_complement_filter(host: FiniteLattice, w: int) -> LatticeSubset:
-    """The whole lattice minus {w}; w must be a nontrivial atom."""
+    """The whole lattice minus {w}; w must be a nontrivial atom, which its
+    meet row shows."""
     if not (0 <= w < len(host)):
         raise ValueError(f"element index {w} out of range")
     if w == host.bottom or w == host.top:
         raise ValueError("cannot remove the bottom or the top")
-    if w not in atoms(host):
+    if not is_atom(host, w):
         raise ValueError(
             f"{host.elements[w].span_str()} is not an atom of the lattice"
         )
@@ -156,19 +169,22 @@ def ideal_complement(subset: LatticeSubset) -> LatticeSubset:
 
 
 def is_downward_directed(subset: LatticeSubset) -> bool:
-    """Every pair of members has its meet inside the set."""
-    lat = subset.host
-    idx = subset.sorted_members()
-    return all(lat.meet(x, y) in subset for x, y in itertools.product(idx, repeat=2))
+    """Every pair of members has its meet inside the set: each member's meet
+    row, read at the members, names members only."""
+    members, meet = subset.members, subset.host.meet_table
+    return all(members.issuperset(map(meet[x].__getitem__, members)) for x in members)
 
 
 def is_upward_closed(subset: LatticeSubset) -> tuple[bool, Optional[tuple[int, int]]]:
-    """(True, None), or (False, (x, y)) with x a member, x <= y, y outside."""
-    lat = subset.host
+    """(True, None), or (False, (x, y)) with x a member, x <= y, y outside:
+    the least such x, and the least y for it, read off x's order row at the
+    non-members."""
+    outside = sorted(subset.complement_members())
     for x in subset.sorted_members():
-        for y in range(len(lat)):
-            if lat.leq(x, y) and y not in subset:
-                return (False, (x, y))
+        above = subset.host.order[x]
+        y = next(itertools.compress(outside, map(above.__getitem__, outside)), None)
+        if y is not None:
+            return (False, (x, y))
     return (True, None)
 
 
@@ -192,15 +208,13 @@ def is_prime_paper(subset: LatticeSubset) -> bool:
     """Literal primality: quantify joins against removed elements only.
 
     For every lattice element x and every w outside the set,
-    x v w inside the set forces x inside the set.
+    x v w inside the set forces x inside the set. A violation needs x
+    outside too, so each removed w's join row is read at the removed
+    elements only; a deleted-atom filter takes one lookup.
     """
-    lat = subset.host
-    outside = sorted(subset.complement_members())
-    for w in outside:
-        for x in range(len(lat)):
-            if lat.join(x, w) in subset and x not in subset:
-                return False
-    return True
+    outside = subset.complement_members()
+    join, inside = subset.host.join_table, subset.members.__contains__
+    return not any(any(map(inside, map(join[w].__getitem__, outside))) for w in outside)
 
 
 def is_prime_standard(subset: LatticeSubset):
@@ -225,20 +239,19 @@ def homomorphism_from_filter(
     With convention "paper" the removed element w gets 1 and every
     other element, including the top, gets 0. Convention "standard"
     flips the values. The filter must be the complement of a single
-    nontrivial atom.
+    nontrivial atom, which w's meet row shows.
     """
     outside = filt.complement_members()
     if len(outside) != 1:
         raise ValueError("filter is not the complement of a single element")
     (w,) = outside
-    if w in (filt.host.bottom, filt.host.top) or w not in atoms(filt.host):
+    if w in (filt.host.bottom, filt.host.top) or not is_atom(filt.host, w):
         raise ValueError("filter does not come from removing a nontrivial atom")
     if filt.host is not host and filt.host != host:
         raise ValueError("filter belongs to a different lattice")
-    if convention == CONVENTION_PAPER:
-        assignment = tuple(1 if i == w else 0 for i in range(len(host)))
-    else:
-        assignment = tuple(0 if i == w else 1 for i in range(len(host)))
+    rest, removed = (0, 1) if convention == CONVENTION_PAPER else (1, 0)
+    assignment = [rest] * len(host)
+    assignment[w] = removed
     return Bivaluation(host, assignment, convention)
 
 
@@ -257,12 +270,9 @@ def _meet_hom(host: FiniteLattice, v: tuple[int, ...]) -> bool:
 
 
 def _join_hom(host: FiniteLattice, v: tuple[int, ...]) -> bool:
-    """v preserves joins: its 0-set is empty or down(b), b the join of the 0-set."""
-    zeros = [i for i, b in enumerate(v) if b == 0]
-    if not zeros:
-        return True
-    b = functools.reduce(host.join, zeros)
-    return v[b] == 0 and all(v[x] == 0 for x, row in enumerate(host.order) if row[b])
+    """v preserves joins: its 0-set is empty or down(b) for some b, the join
+    of the 0-set; the sets down(b) are the columns of the order table."""
+    return all(v) or tuple(map(operator.not_, v)) in host.order_columns
 
 
 def _holds(host: FiniteLattice, v: tuple[int, ...], chosen, comp) -> bool:
@@ -270,7 +280,7 @@ def _holds(host: FiniteLattice, v: tuple[int, ...], chosen, comp) -> bool:
     return (
         (BOTTOM_TO_ZERO not in chosen or v[host.bottom] == 0)
         and (TOP_TO_ONE not in chosen or v[host.top] == 1)
-        and (comp is None or all(v[i] + v[c] == 1 for i, c in enumerate(comp)))
+        and (comp is None or all(map(operator.ne, v, map(v.__getitem__, comp))))
         and (MEET_HOM not in chosen or _meet_hom(host, v))
         and (JOIN_HOM not in chosen or _join_hom(host, v))
     )
@@ -307,7 +317,7 @@ def search_bivaluations(
         candidates = [(0,) * size] + [tuple(map(int, row)) for row in host.order]
         chosen -= {MEET_HOM}
     elif JOIN_HOM in chosen:
-        candidates = [(1,) * size] + [tuple(int(not x) for x in c) for c in zip(*host.order)]
+        candidates = [(1,) * size] + [tuple(map((1).__sub__, c)) for c in host.order_columns]
         chosen -= {JOIN_HOM}
     else:
         # bottom and top are left to the law check

@@ -19,7 +19,8 @@ when none applies, and only its result is hashed to find its index. The
 sublattice some elements of a built lattice generate is their closure
 under its tables. Both renumber a parent's meet and join tables onto the
 kept indices. Atoms, covers and law reports are counted off the tables too,
-with no subspace algebra. A law scan settles each instance either by an
+with no subspace algebra: an atom is read off its own meet row, whose
+values are its down-set. A law scan settles each instance either by an
 identity that holds in every lattice or by comparing two whole table
 rows with `map`, never by a Python loop per triple: the distributive
 sides agree when a and b are comparable and do not change when a and b
@@ -46,6 +47,7 @@ __all__ = [
     "close_and_build",
     "sublattice",
     "atoms",
+    "is_atom",
     "covers",
     "orthocomplement_indices",
     "check_distributive",
@@ -69,7 +71,8 @@ class FiniteLattice:
     """A lattice is its elements and its meet and join tables, which alone
     decide equality and the hash. The rest is read off them: `ambient_dim`,
     `order` (i <= j exactly when i ^ j = i), `bottom` (the meet of every
-    index) and `top` (the join of every index)."""
+    index) and `top` (the join of every index). `order_columns`, the
+    transposed order table, is filled on first use."""
 
     elements: tuple[Subspace, ...]
     meet_table: tuple[tuple[int, ...], ...]
@@ -107,6 +110,11 @@ class FiniteLattice:
 
     def spans(self) -> tuple[str, ...]:
         return tuple(s.span_str() for s in self.elements)
+
+    @functools.cached_property
+    def order_columns(self) -> tuple[tuple[bool, ...], ...]:
+        """Column j of the order table: the indicator of down(j)."""
+        return tuple(zip(*self.order))
 
 
 def close_and_build(
@@ -266,23 +274,26 @@ def _sublattice_kept(lat: FiniteLattice,
     return _relabelled(lat.elements, *tables, kept), kept
 
 
+def is_atom(lat: FiniteLattice, i: int) -> bool:
+    """i covers the bottom: i is an index other than the bottom and its meet
+    row takes exactly two values. The values of row i are its down-set, so
+    that set is {bottom, i}. An index out of range is no atom."""
+    return (0 <= i < len(lat) and i != lat.bottom
+            and len(set(lat.meet_table[i])) == 2)
+
+
 def atoms(lat: FiniteLattice) -> tuple[int, ...]:
-    """Indices of elements covering the bottom: a != bottom whose down-set,
-    its order column, is exactly {bottom, a}."""
-    return tuple(
-        i for i, column in enumerate(zip(*lat.order))
-        if i != lat.bottom and sum(column) == 2
-    )
+    """Indices of the elements covering the bottom, each read off its meet row."""
+    return tuple(i for i in range(len(lat)) if is_atom(lat, i))
 
 
 def covers(lat: FiniteLattice) -> tuple[tuple[int, int], ...]:
     """All covering pairs (i, j): i < j with nothing strictly between, that
     is, the interval {z : i <= z <= j} holds exactly i and j."""
-    columns = tuple(zip(*lat.order))
     return tuple(
         (i, j)
         for i, up in enumerate(lat.order)
-        for j, down in enumerate(columns)
+        for j, down in enumerate(lat.order_columns)
         if i != j and up[j] and sum(map(operator.and_, up, down)) == 2
     )
 
@@ -349,7 +360,7 @@ def check_distributive(lat: FiniteLattice, *, limit: int = 10) -> LawReport:
     total = 0
     # partners[a] lists, ascending, each b whose pair with a has a mismatch
     partners: list[list[int]] = [[] for _ in range(n)]
-    for a, (up, down) in enumerate(zip(order, zip(*order))):
+    for a, (up, down) in enumerate(zip(order, lat.order_columns)):
         comparable = list(map(operator.or_, up, down))
         for b in itertools.filterfalse(comparable.__getitem__, range(a + 1, n)):
             if bad := sum(map(operator.ne, meet[join[a][b]], right_row(a, b))):

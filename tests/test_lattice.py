@@ -136,6 +136,8 @@ def test_atoms(full_lattice, diamond, two_chain):
     assert atoms(full_lattice) == (1, 2, 3, 4, 5, 6)
     assert len(atoms(diamond)) == 2
     assert atoms(two_chain) == (1,)
+    assert not lattice.is_atom(two_chain, -1)
+    assert not lattice.is_atom(two_chain, len(two_chain))
     pair = close_and_build([span([[1, 0]]), span([[0, 1]])])
     assert {pair.elements[a].span_str() for a in atoms(pair)} == {
         "span{[1,0]}",
@@ -197,53 +199,18 @@ def test_orthocomplement_indices(full_lattice):
     assert all(comp[comp[i]] == i for i in range(8))
 
 
-# Subspace lattices are always modular, so the failure branch of the
-# scanner needs hand-built pentagon tables: bottom < a < c, bottom < b.
-_PENTAGON_ORDER = {
-    (0, 0), (0, 1), (0, 2), (0, 3), (0, 4),
-    (1, 1), (1, 3), (1, 4),
-    (2, 2), (2, 4),
-    (3, 3), (3, 4),
-    (4, 4),
-}
-
-
-def _pentagon():
-    size = 5
-    leq = [[(i, j) in _PENTAGON_ORDER for j in range(size)] for i in range(size)]
-
-    def meet(i, j):
-        lower = [z for z in range(size) if leq[z][i] and leq[z][j]]
-        return next(z for z in lower if all(leq[w][z] for w in lower))
-
-    def join(i, j):
-        upper = [z for z in range(size) if leq[i][z] and leq[j][z]]
-        return next(z for z in upper if all(leq[z][w] for w in upper))
-
-    meets = tuple(tuple(meet(i, j) for j in range(size)) for i in range(size))
-    joins = tuple(tuple(join(i, j) for j in range(size)) for i in range(size))
-    spans = [
-        Subspace.zero(5),
-        span([[1, 0, 0, 0, 0]]),
-        span([[0, 1, 0, 0, 0]]),
-        span([[1, 0, 0, 0, 0], [0, 0, 1, 0, 0]]),
-        Subspace.full(5),
-    ]
-    return FiniteLattice(elements=tuple(spans), meet_table=meets, join_table=joins)
-
-
-def test_non_modular_lattice_detected():
-    pentagon = _pentagon()
+def test_non_modular_lattice_detected(pentagon):
     assert not check_modular(pentagon).holds
     assert not check_distributive(pentagon).holds
 
 
-def test_pentagon_reads_its_order_off_its_tables():
+def test_pentagon_reads_its_order_off_its_tables(pentagon):
     # Built from its elements and two tables alone (and failing both laws,
     # above), the pentagon reads its order, bottom, top and ambient
     # dimension off them.
-    pentagon = _pentagon()
-    assert {(i, j) for i in range(5) for j in range(5) if pentagon.leq(i, j)} == _PENTAGON_ORDER
+    strict = {(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 4), (3, 4)}
+    assert {(i, j) for i in range(5) for j in range(5) if pentagon.leq(i, j)} == (
+        strict | {(i, i) for i in range(5)})
     assert (pentagon.bottom, pentagon.top, pentagon.ambient_dim) == (0, 4, 5)
 
 
@@ -750,9 +717,9 @@ def _outcome(check, lat, limit):
         return ("ValueError", str(exc))
 
 
-def test_table_counts_match_accessor_references(rng, full_lattice, diamond, two_chain):
+def test_table_counts_match_accessor_references(rng, full_lattice, diamond, two_chain, pentagon):
     lattices = {"qubit": full_lattice, "diamond": diamond, "2-chain": two_chain}
-    lattices["pentagon"] = _pentagon()
+    lattices["pentagon"] = pentagon
     for label, seeds in _closure_cases(rng).items():
         lat = lattices[label] = close_and_build(seeds)
         for k in (1, 2, 3):
@@ -777,38 +744,12 @@ def test_table_counts_match_accessor_references(rng, full_lattice, diamond, two_
     assert raised > 0
 
 
-def _set_family_lattice(rng):
-    """A random finite lattice: subsets of a small ground set, closed under
-    intersection and holding the ground set, ordered by inclusion, so the
-    meet is the intersection and the join the least member holding the
-    union. Every finite lattice arises this way, so these tables reach
-    laws that no subspace lattice breaks. The elements, rays of C^2, are
-    labels only, listed in a random order (the bottom is not always 0)."""
-    ground = range(rng.randint(4, 6))
-    family = {frozenset(ground)} | {
-        frozenset(rng.sample(ground, rng.randint(0, len(ground))))
-        for _ in range(rng.randint(3, 9))
-    }
-    while not (more := {x & y for x in family for y in family}) <= family:
-        family |= more
-    members = rng.sample(sorted(family, key=sorted), len(family))
-    index = {x: i for i, x in enumerate(members)}
-
-    def least_above(x):
-        return index[functools.reduce(frozenset.__and__, (z for z in members if x <= z))]
-
-    meets = tuple(tuple(index[x & y] for y in members) for x in members)
-    joins = tuple(tuple(least_above(x | y) for y in members) for x in members)
-    labels = tuple(span([[1, k]]) for k in range(len(members)))
-    return FiniteLattice(labels, meets, joins)
-
-
-def test_law_scans_match_references_on_set_family_lattices(rng):
+def test_law_scans_match_references_on_set_family_lattices(rng, set_family_lattice):
     # Each check equals its per-triple reference at every limit; the
     # orthomodular scan takes a random map as the complement.
     verdicts = set()
     for _ in range(30):
-        lat = _set_family_lattice(rng)
+        lat = set_family_lattice()
         size = len(lat)
         picks = [rng.randrange(size) for _ in range(size)]
 
