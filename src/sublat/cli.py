@@ -11,20 +11,25 @@ Scalars use the exact grammar of exactlin.parse_scalar. The parser is
 built once per process, on the first `main` call, and declares `file`,
 --ops and --format text|records once each: --format serves every
 subcommand (`dot` ignores it), `file` every one but demo-qubit and --ops
-invariant and burnside. `main` makes the one Reporter and hands it to
-the subcommand. Each fact goes through one Reporter call that carries
-both its text and its record: text mode prints the text, records mode
-prints one record per line as space-separated key=value fields (spaces
-inside values become underscores), so equal inputs produce
-byte-identical output. `contexts` checks its contexts before its first
-line, so a file it rejects leaves stdout empty; `burnside` prints its
-verdict before closing the declared subspaces, which can exceed the
-closure cap.
+invariant and burnside. `main` loads the document, which closes its
+declared subspaces once, on first use, and hands it and the one Reporter
+to the subcommand. demo-qubit runs a fixed list of subcommands on a
+built-in copy of the projectors and contexts of tests/data/qubit.sublat,
+each after a one-line step header, and passes a step when it exits 0;
+--seed picks the projector its filters step removes.
+
+Each fact goes through one Reporter call that carries both its text and
+its record: text mode prints the text, records mode prints one record
+per line as space-separated key=value fields (spaces inside values
+become underscores), so equal inputs produce byte-identical output.
+`contexts` checks its contexts before its first line, so a file it
+rejects leaves stdout empty; `burnside` prints its verdict before
+closing the declared subspaces, which can exceed the closure cap.
 
 Exit codes: 0 success, 1 input, parse or usage error (a negative
 --limit or --assert-count and a dot --name that is no DOT identifier
 included) or a stdout its reader closed early (nothing goes to stderr
-then), 2 a demo-qubit check or an --assert expectation failed.
+then), 2 an --assert expectation (a demo-qubit step's included) failed.
 """
 
 from __future__ import annotations
@@ -86,6 +91,19 @@ class InputDocument:
     rays: dict[str, StateVector] = field(default_factory=dict)
     projectors: dict[str, ExactMatrix] = field(default_factory=dict)
     contexts: dict[str, tuple[str, ...]] = field(default_factory=dict)
+
+    @functools.cached_property
+    def subspaces(self) -> dict[str, Subspace]:
+        """The subspace each declared name denotes: a projector's image or a
+        ray's span, projectors first, in declaration order."""
+        named = {name: sub.image(m) for name, m in self.projectors.items()}
+        named.update((name, sub.image(r.components)) for name, r in self.rays.items())
+        return named
+
+    @functools.cached_property
+    def lattice(self) -> FiniteLattice:
+        """The closure of the declared subspaces, built once, on first use."""
+        return lt.close_and_build(self.subspaces.values(), ambient_dim=self.ambient_dim)
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -259,7 +277,7 @@ def _record_value(value: object) -> str:
     if value is False:
         return "false"
     if isinstance(value, (list, tuple)):
-        return ",".join(_record_value(v) for v in value)
+        return ",".join(map(_record_value, value))
     return str(value).replace(" ", "_")
 
 
@@ -303,18 +321,6 @@ def _load_document(path: str) -> InputDocument:
     return parse_input(text)
 
 
-def _named_subspaces(doc: InputDocument) -> dict[str, Subspace]:
-    """The subspace each declared name denotes: a projector's image or a
-    ray's span, projectors first, in declaration order."""
-    named = {name: sub.image(m) for name, m in doc.projectors.items()}
-    named.update((name, sub.image(r.components)) for name, r in doc.rays.items())
-    return named
-
-
-def _build_lattice(doc: InputDocument) -> FiniteLattice:
-    return lt.close_and_build(_named_subspaces(doc).values(), ambient_dim=doc.ambient_dim)
-
-
 def _resolve_operators(doc: InputDocument, names: list[str]) -> list[ExactMatrix]:
     ops = []
     for name in names:
@@ -332,12 +338,6 @@ def _yes(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _element_rows(out: Reporter, lat: FiniteLattice) -> None:
-    for i, s in enumerate(lat.elements):
-        out(f"  [{i}] dim={s.dim} {s.span_str()}",
-            "element", index=i, dim=s.dim, span=s.span_str())
-
-
 def _sublattice_line(
     out: Reporter, label: str, kind: str, lat: FiniteLattice, **fields: object
 ) -> None:
@@ -349,22 +349,24 @@ def _sublattice_line(
 # Subcommands
 
 
-def _cmd_lattice(args: argparse.Namespace, out: Reporter) -> int:
-    lat = _build_lattice(_load_document(args.file))
+def _cmd_lattice(doc: InputDocument, args: argparse.Namespace, out: Reporter) -> int:
+    lat = doc.lattice
     n = len(lat)
     out(f"ambient dimension: {lat.ambient_dim}\nelements ({n}):",
         "lattice", ambient=lat.ambient_dim, elements=n, bottom=lat.bottom, top=lat.top)
-    _element_rows(out, lat)
+    for i, s in enumerate(lat.elements):
+        out(f"  [{i}] dim={s.dim} {s.span_str()}",
+            "element", index=i, dim=s.dim, span=s.span_str())
     out("order (bit j of row i: element i <= element j):")
-    for i in range(n):
-        bits = "".join("1" if lat.leq(i, j) else "0" for j in range(n))
+    for i, row in enumerate(lat.order):
+        bits = "".join(["01"[b] for b in row])
         out(f"  [{i}] {bits}", "order", row=i, bits=bits)
     for kind, symbol, table in (
         ("meet", "^", lat.meet_table), ("join", "v", lat.join_table)
     ):
         out(f"{kind} table (entry j of row i: index of i {symbol} j):")
         for i, row in enumerate(table):
-            out(f"  [{i}] {','.join(str(v) for v in row)}", kind, row=i, entries=row)
+            out(f"  [{i}] {','.join(map(str, row))}", kind, row=i, entries=row)
     return 0
 
 
@@ -375,8 +377,8 @@ _LAW_CHECKS = (
 )
 
 
-def _cmd_laws(args: argparse.Namespace, out: Reporter) -> int:
-    lat = _build_lattice(_load_document(args.file))
+def _cmd_laws(doc: InputDocument, args: argparse.Namespace, out: Reporter) -> int:
+    lat = doc.lattice
 
     def span(e: int) -> str:
         return lat.elements[e].span_str()
@@ -411,13 +413,11 @@ def _cmd_laws(args: argparse.Namespace, out: Reporter) -> int:
     return 0
 
 
-def _cmd_filters(args: argparse.Namespace, out: Reporter) -> int:
-    doc = _load_document(args.file)
-    named = _named_subspaces(doc)
-    if args.remove not in named:
+def _cmd_filters(doc: InputDocument, args: argparse.Namespace, out: Reporter) -> int:
+    if args.remove not in doc.subspaces:
         raise InputError(f"unknown ray or projector {args.remove!r}")
-    lat = lt.close_and_build(named.values(), ambient_dim=doc.ambient_dim)
-    target = named[args.remove]
+    lat = doc.lattice
+    target = doc.subspaces[args.remove]
     w = lat.index_of(target)
     filt = flt.coatom_complement_filter(lat, w)
     ideal = flt.ideal_complement(filt)
@@ -461,10 +461,9 @@ def _cmd_filters(args: argparse.Namespace, out: Reporter) -> int:
     return 0
 
 
-def _cmd_valuations(args: argparse.Namespace, out: Reporter) -> int:
-    doc = _load_document(args.file)
+def _cmd_valuations(doc: InputDocument, args: argparse.Namespace, out: Reporter) -> int:
     laws = sorted(flt._check_law_tokens(token for token in args.laws.split(",") if token))
-    lat = _build_lattice(doc)
+    lat = doc.lattice
     found = flt.search_bivaluations(lat, laws)
     out(f"laws: {', '.join(laws)}\nlattice: {len(lat)} elements",
         "search", laws=laws, elements=len(lat), found=len(found))
@@ -482,10 +481,9 @@ def _cmd_valuations(args: argparse.Namespace, out: Reporter) -> int:
     return 0
 
 
-def _cmd_invariant(args: argparse.Namespace, out: Reporter) -> int:
-    doc = _load_document(args.file)
+def _cmd_invariant(doc: InputDocument, args: argparse.Namespace, out: Reporter) -> int:
     ops = _resolve_operators(doc, args.ops)
-    universe = _build_lattice(doc)
+    universe = doc.lattice
     out(f"universe: {len(universe)} elements over C^{universe.ambient_dim}",
         "universe", elements=len(universe), ambient=universe.ambient_dim)
     for name, op in zip(args.ops, ops):
@@ -496,8 +494,7 @@ def _cmd_invariant(args: argparse.Namespace, out: Reporter) -> int:
     return 0
 
 
-def _cmd_burnside(args: argparse.Namespace, out: Reporter) -> int:
-    doc = _load_document(args.file)
+def _cmd_burnside(doc: InputDocument, args: argparse.Namespace, out: Reporter) -> int:
     ops = _resolve_operators(doc, args.ops)
     span = inv.algebra_span(ops)
     full = span.side * span.side
@@ -510,7 +507,7 @@ def _cmd_burnside(args: argparse.Namespace, out: Reporter) -> int:
         irreducible=irreducible)
     # The verdict is out before the universe is closed, which can hit the
     # closure cap.
-    common = inv.common_invariant_sublattice(ops, _build_lattice(doc))
+    common = inv.common_invariant_sublattice(ops, doc.lattice)
     out(f"common invariant subspaces ({len(common)}): {', '.join(common.spans())}",
         "common", elements=len(common), spans=common.spans())
     if args.assert_verdict not in (None, verdict):
@@ -520,11 +517,10 @@ def _cmd_burnside(args: argparse.Namespace, out: Reporter) -> int:
     return 0
 
 
-def _cmd_contexts(args: argparse.Namespace, out: Reporter) -> int:
-    doc = _load_document(args.file)
+def _cmd_contexts(doc: InputDocument, args: argparse.Namespace, out: Reporter) -> int:
     if not doc.contexts:
         raise InputError("no contexts declared")
-    universe = _build_lattice(doc)
+    universe = doc.lattice
     contexts = {
         name: inv.common_invariant_sublattice(_resolve_operators(doc, members), universe)
         for name, members in sorted(doc.contexts.items())
@@ -566,10 +562,9 @@ def _cmd_contexts(args: argparse.Namespace, out: Reporter) -> int:
     return 0
 
 
-def _cmd_dot(args: argparse.Namespace, out: Reporter) -> int:
+def _cmd_dot(doc: InputDocument, args: argparse.Namespace, out: Reporter) -> int:
     # --format is accepted and `out` ignored: DOT is its own format.
-    lat = _build_lattice(_load_document(args.file))
-    dot = lt.to_dot(lat, name=args.name)
+    dot = lt.to_dot(doc.lattice, name=args.name)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
@@ -586,176 +581,46 @@ def _cmd_dot(args: argparse.Namespace, out: Reporter) -> int:
 # demo-qubit
 
 
-# Written out by hand, independently of qubit.py, as ground truth.
-_EXPECTED_CATALOGUE = frozenset(
-    {
-        "{0}",
-        "span{[0,1]}",
-        "span{[1,-1]}",
-        "span{[1,-i]}",
-        "span{[1,0]}",
-        "span{[1,i]}",
-        "span{[1,1]}",
-        "C^2",
-    }
+def _qubit_document() -> InputDocument:
+    """The projectors and contexts of tests/data/qubit.sublat: P(q, n) of
+    qubit.projector is named by q's axis (x, y, z for q = 1, 2, 3) and n,
+    and context c<axis> holds the axis's two projectors."""
+    projectors = {f"{axis}{n}": qubit.projector(q, n)
+                  for q, axis in enumerate("xyz", start=1) for n in (1, 2)}
+    contexts = {f"c{axis}": (f"{axis}1", f"{axis}2") for axis in "xyz"}
+    return InputDocument(2, projectors=projectors, contexts=contexts)
+
+
+# The steps' commands and options, on the document of _qubit_document; P
+# stands for the projector the seed picks.
+_DEMO_STEPS = (
+    ("lattice",),
+    ("laws", "--assert", "modular", "--assert", "orthomodular"),
+    ("contexts",),
+    ("burnside", "--ops", "x1", "x2", "y1", "y2", "z1", "z2", "--assert", "irreducible"),
+    ("burnside", "--ops", "x1", "x2", "--assert", "reducible"),
+    ("filters", "--remove", "P"),
+    ("valuations", "--assert-count", "0"),
 )
-_EXPECTED_CONTEXT_SPANS = {
-    1: frozenset({"{0}", "span{[1,1]}", "span{[1,-1]}", "C^2"}),
-    2: frozenset({"{0}", "span{[1,i]}", "span{[1,-i]}", "C^2"}),
-    3: frozenset({"{0}", "span{[1,0]}", "span{[0,1]}", "C^2"}),
-}
 
 
-def _cmd_demo(args: argparse.Namespace, out: Reporter) -> int:
-    checks: list[bool] = []
+@functools.cache
+def _parse_step(step: tuple[str, ...]) -> argparse.Namespace:
+    """A step parsed once per process, with a placeholder for the file."""
+    return _build_parser().parse_args([step[0], "-", *step[1:]])
 
-    def check(name: str, ok: bool) -> None:
-        checks.append(ok)
-        out(f"check {name}: {'ok' if ok else 'FAILED'}", "check", name=name, ok=ok)
 
-    # Catalogue: closure of the six nontrivial projector images.
-    sigma = list(qubit.nontrivial_projectors())
-    contexts = {w: qubit.context(w) for w in (1, 2, 3)}
-    full_lattice = lt.close_and_build([sub.image(p) for p in sigma], ambient_dim=2)
-    out("subspace catalogue from the six nontrivial projectors:")
-    _element_rows(out, full_lattice)
-    check(
-        "catalogue",
-        frozenset(full_lattice.spans()) == _EXPECTED_CATALOGUE
-        and len(full_lattice) == 8,
-    )
-
-    # Context lattices.
-    context_lattices: dict[int, FiniteLattice] = {}
-    for w in (1, 2, 3):
-        lat = inv.common_invariant_sublattice(contexts[w], full_lattice)
-        context_lattices[w] = lat
-        out(f"invariant lattice for context {w}: {', '.join(lat.spans())}",
-            "context_lattice", w=w, spans=lat.spans())
-        check(
-            f"context-lattice-{w}",
-            frozenset(lat.spans()) == _EXPECTED_CONTEXT_SPANS[w],
-        )
-
-    # Algebra dimensions and irreducibility.
-    full_dim = inv.algebra_span(sigma).dim
-    single_dim = inv.algebra_span(contexts[1]).dim
-    common = inv.common_invariant_sublattice(sigma, full_lattice)
-    out(f"algebra dimension: full family {full_dim} of 4, single context "
-        f"{single_dim} of 4",
-        "algebra", full=full_dim, single_context=single_dim)
-    check("burnside-full-family", full_dim == 4)
-    check("burnside-single-context", single_dim == 2)
-    check(
-        "common-invariants-trivial",
-        frozenset(common.spans()) == frozenset({"{0}", "C^2"}),
-    )
-
-    # Distributivity counterexample and context-lattice distributivity.
-    k = full_lattice.index_of(sub.span([[1, 1]]))
-    m = full_lattice.index_of(sub.span([[1, -1]]))
-    o = full_lattice.index_of(sub.span([[1, 0]]))
-    lhs = full_lattice.meet(full_lattice.join(k, m), o)
-    rhs = full_lattice.join(full_lattice.meet(k, o), full_lattice.meet(m, o))
-    k_span, m_span, o_span, lhs_span, rhs_span = (
-        full_lattice.elements[i].span_str() for i in (k, m, o, lhs, rhs)
-    )
-    out(f"distributivity witness: ({k_span} v {m_span}) ^ {o_span} = {lhs_span}, "
-        f"({k_span} ^ {o_span}) v ({m_span} ^ {o_span}) = {rhs_span}",
-        "distributivity_witness", lhs=lhs_span, rhs=rhs_span)
-    check("distributivity-counterexample",
-          lhs == o and rhs == full_lattice.bottom and lhs != rhs)
-    check(
-        "context-lattices-distributive",
-        all(
-            lt.check_distributive(context_lattices[w]).holds for w in (1, 2, 3)
-        ),
-    )
-    check(
-        "full-lattice-orthomodular",
-        lt.check_orthomodular(full_lattice).holds
-        and lt.check_modular(full_lattice).holds,
-    )
-
-    # Filter battery over the six atoms.
-    battery_ok = True
-    for a in lt.atoms(full_lattice):
-        filt = flt.coatom_complement_filter(full_lattice, a)
-        directed = flt.is_downward_directed(filt)
-        closed, witness = flt.is_upward_closed(filt)
-        prime = flt.is_prime_paper(filt)
-        valuation = flt.homomorphism_from_filter(
-            full_lattice, filt, flt.CONVENTION_PAPER
-        )
-        expected_bits = tuple(
-            1 if i == a else 0 for i in range(len(full_lattice))
-        )
-        ok = (
-            directed
-            and not closed
-            and witness == (full_lattice.bottom, a)
-            and prime
-            and valuation.assignment == expected_bits
-        )
-        battery_ok = battery_ok and ok
-        span_name = full_lattice.elements[a].span_str()
-        out(f"filter battery at {span_name}: directed={_yes(directed)} "
-            f"upward-closed={_yes(closed)} prime-paper={_yes(prime)}",
-            "filter_battery", atom=span_name, directed=directed, upward_closed=closed,
-            prime_paper=prime, bits=_bits(valuation.assignment))
-    check("filter-battery", battery_ok)
-
-    # Valuation searches.
-    full_found = flt.search_bivaluations(full_lattice, flt.FULL_HOMOMORPHISM_LAWS)
-    per_context = [
-        len(flt.search_bivaluations(context_lattices[w], flt.FULL_HOMOMORPHISM_LAWS))
-        for w in (1, 2, 3)
-    ]
-    out(f"valuation search: full lattice {len(full_found)}, per context "
-        f"{per_context[0]}/{per_context[1]}/{per_context[2]}",
-        "valuation_search", full=len(full_found), per_context=per_context)
-    check(
-        "valuation-search",
-        len(full_found) == 0 and per_context == [2, 2, 2],
-    )
-
-    # Three-valued state valuation.
-    p11 = qubit.projector(1, 1)
-    results = (
-        flt.state_valuation(p11, sub.vector([1, 1])),
-        flt.state_valuation(p11, sub.vector([1, -1])),
-        flt.state_valuation(p11, sub.vector([1, 0])),
-    )
-    out(f"state valuation of P(1,1): [1,1] -> {results[0]}, [1,-1] -> "
-        f"{results[1]}, [1,0] -> {results[2]}",
-        "state_valuation", plus=str(results[0]), minus=str(results[1]),
-        up=str(results[2]))
-    check(
-        "state-valuation",
-        results == (1, 0, flt.INDETERMINATE),
-    )
-
-    # Seeded random spot check of the De Morgan and dimension identities,
-    # read off the complement, meet and join tables.
-    rng = random.Random(args.seed)
-    pairs = 25
-    comp = lt.orthocomplement_indices(full_lattice)
-    meet, join = full_lattice.meet_table, full_lattice.join_table
-    dim = [e.dim for e in full_lattice.elements]
-    spot_ok = True
-    for _ in range(pairs):
-        s = rng.randrange(len(full_lattice))
-        t = rng.randrange(len(full_lattice))
-        de_morgan = comp[join[s][t]] == meet[comp[s]][comp[t]]
-        dims = dim[meet[s][t]] + dim[join[s][t]] == dim[s] + dim[t]
-        spot_ok = spot_ok and de_morgan and dims
-    out(f"random spot check: {pairs} pairs at seed {args.seed}",
-        "spot_check", pairs=pairs, seed=args.seed)
-    check("random-identities", spot_ok)
-
-    failed = checks.count(False)
-    out(f"demo-qubit: {len(checks) - failed}/{len(checks)} checks passed",
-        "summary", checks=len(checks), failed=failed)
+def _cmd_demo(doc: InputDocument, args: argparse.Namespace, out: Reporter) -> int:
+    removed = random.Random(args.seed).choice(sorted(doc.projectors))
+    failed = 0
+    for step in _DEMO_STEPS:
+        step = tuple(removed if a == "P" else a for a in step)
+        out(f"step: {' '.join(step)}", "step", command=step[0], options=step[1:])
+        parsed = _parse_step(step)
+        failed += parsed.handler(doc, parsed, out) != 0
+    checks = len(_DEMO_STEPS)
+    out(f"demo-qubit: {checks - failed}/{checks} checks passed",
+        "summary", checks=checks, failed=failed)
     return 2 if failed else 0
 
 
@@ -885,14 +750,15 @@ def _build_parser() -> _ArgumentParser:
                    help="DOT graph name: letters, digits and _; no leading digit or keyword")
 
     p = command(
-        "demo-qubit", "self-checking tour of the qubit construction", _cmd_demo,
+        "demo-qubit", "the reports above on the built-in qubit document", _cmd_demo,
         parent=formatted,
     )
+    p.set_defaults(file=None)
     p.add_argument(
         "--seed",
         type=int,
         default=DEFAULT_SEED,
-        help="seed for the randomized spot checks",
+        help="seed that picks the projector the filters step removes",
     )
 
     return parser
@@ -901,7 +767,8 @@ def _build_parser() -> _ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        code = args.handler(args, Reporter(args.format))
+        doc = _qubit_document() if args.file is None else _load_document(args.file)
+        code = args.handler(doc, args, Reporter(args.format))
         sys.stdout.flush()
         return code
     except BrokenPipeError:

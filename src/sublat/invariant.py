@@ -307,7 +307,9 @@ def contextual_valuation_report(
     # Reading (b): one map on the union lattice, laws checked there.
     global_vals = flt.search_bivaluations(union, flt.FULL_HOMOMORPHISM_LAWS)
 
-    in_some = [universe.elements[i] for i in sorted(set().union(*held.values()))]
+    # x and y meet within some context when a context holds both.
+    in_some = sorted(set().union(*held.values()))
+    holders = [{name for name, indices in held.items() if i in indices} for i in in_some]
     return ContextualValuationReport(
         summaries=tuple(summaries),
         union_spans=union.spans(),
@@ -315,7 +317,7 @@ def contextual_valuation_report(
         per_lattice_consistent=tuple(consistent),
         global_valuations=global_vals,
         meet_defined_rows=tuple(
-            (x.span_str(), "".join(str(int(meet_defined(x, y, contexts))) for y in in_some))
-            for x in in_some
+            (universe.elements[i].span_str(), "".join(["01"[bool(h & g)] for g in holders]))
+            for i, h in zip(in_some, holders)
         ),
     )

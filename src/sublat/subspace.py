@@ -79,7 +79,7 @@ class Subspace:
     equal no matter how they were produced. Instances are immutable.
     """
 
-    __slots__ = ("ambient_dim", "dim", "_rows", "_hash", "_basis", "_perp")
+    __slots__ = ("ambient_dim", "dim", "_rows", "_hash", "_basis", "_perp", "_span")
 
     def __new__(cls, basis: ExactMatrix) -> "Subspace":
         reduced, pivots, _ = rref(basis.transpose())
@@ -126,15 +126,19 @@ class Subspace:
         return self._basis
 
     def span_str(self) -> str:
-        if self.dim == 0:
-            return "{0}"
-        if self.dim == self.ambient_dim:
-            return f"C^{self.ambient_dim}"
-        columns = []
-        for j in range(self.dim):
-            body = ",".join(format_scalar(self.basis[i, j]) for i in range(self.ambient_dim))
-            columns.append(f"[{body}]")
-        return "span{" + ",".join(columns) + "}"
+        """The canonical basis as text, formatted on first use."""
+        if self._span is None:
+            if self.dim == 0:
+                text = "{0}"
+            elif self.dim == self.ambient_dim:
+                text = f"C^{self.ambient_dim}"
+            else:
+                n, b = self.ambient_dim, self.basis
+                text = "span{" + ",".join(
+                    "[" + ",".join(format_scalar(b[i, j]) for i in range(n)) + "]"
+                    for j in range(self.dim)) + "}"
+            object.__setattr__(self, "_span", text)
+        return self._span
 
     def __str__(self) -> str:
         return self.span_str()
@@ -155,6 +159,7 @@ def _subspace(n: int, rows: Rows) -> Subspace:
     put(s, "_hash", hash((n, tuple(rows.values()))))
     put(s, "_basis", None)
     put(s, "_perp", None)
+    put(s, "_span", None)
     return s
 
 
@@ -266,13 +271,13 @@ def contains_vector(s: Subspace, psi: StateVector) -> bool:
 
 
 def maps_into(operator: ExactMatrix, s: Subspace) -> bool:
-    """True when operator carries every vector of s back into s: the
-    image of each canonical row lies in s."""
+    """True when operator carries every vector of s back into s: s is the
+    whole space, or the image of each canonical row lies in s."""
     if not operator.is_square() or operator.rows != s.ambient_dim:
         raise ValueError(
             f"operator must be {s.ambient_dim}x{s.ambient_dim}, "
             f"got {operator.rows}x{operator.cols}"
         )
     n = s.ambient_dim
-    return all(_in_span(_gaussian_product(operator.ints, row, n, n, 1), s)
-               for row in s._rows.values())
+    return s.dim == n or all(_in_span(_gaussian_product(operator.ints, row, n, n, 1), s)
+                             for row in s._rows.values())

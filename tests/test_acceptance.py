@@ -97,6 +97,12 @@ def test_criterion_2_context_sublattices():
         lat2 = _context_lattice(2)
         assert span([["1", "i"]]) in lat2
         assert span([["i", "1"]]) in lat2
+        # Inside the full lattice, each context's common invariant
+        # sublattice is its own closure.
+        full = _full_lattice()
+        for q in (1, 2, 3):
+            inside = common_invariant_sublattice(context(q), full)
+            assert set(inside.elements) == set(_context_lattice(q).elements)
 
 
 def test_criterion_3_full_family_irreducibility():

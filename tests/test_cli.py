@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from sublat import cli
 from sublat.cli import (
     MAX_AMBIENT_DIM,
     InputSyntaxError,
@@ -13,9 +14,6 @@ from sublat.cli import (
     main,
     parse_input,
 )
-from sublat.lattice import LawViolation, check_distributive, close_and_build
-from sublat.qubit import nontrivial_projectors
-from sublat.subspace import image, span
 
 DATA = Path(__file__).parent / "data" / "qubit.sublat"
 
@@ -607,37 +605,56 @@ def test_dot_name_replaces_only_the_graph_name(capsys, fmt):
 def test_demo_qubit(capsys):
     assert main(["demo-qubit"]) == 0
     out = capsys.readouterr().out
-    assert "demo-qubit: 14/14 checks passed" in out
-    assert "FAILED" not in out
-
-
-def test_demo_qubit_witness_is_a_scanned_violation(capsys):
-    # demo-qubit decides its counterexample from the triple's two sides
-    # alone; the law scan lists that triple among its violations too.
-    assert main(["demo-qubit"]) == 0
-    prefix = "distributivity witness: "
-    line = next(x for x in capsys.readouterr().out.splitlines() if x.startswith(prefix))
-    lat = close_and_build([image(p) for p in nontrivial_projectors()])
-    k, m, o = (lat.index_of(span([v])) for v in ([1, 1], [1, -1], [1, 0]))
-    k_span, m_span, o_span = (lat.elements[i].span_str() for i in (k, m, o))
-    assert line.startswith(f"{prefix}({k_span} v {m_span}) ^ {o_span} = {o_span}, ")
-    report = check_distributive(lat, limit=1000)
-    assert len(report.violations) == report.total_violations == 120
-    assert LawViolation((k, m, o), o, lat.bottom) in report.violations
+    assert out.endswith("demo-qubit: 7/7 checks passed\n")
+    assert "assertion failed" not in out
 
 
 def test_demo_qubit_other_seed(capsys):
     assert main(["demo-qubit", "--seed", "7"]) == 0
 
 
-def test_demo_records_byte_identical():
-    command = [sys.executable, "-m", "sublat", "demo-qubit", "--format", "records"]
-    first = subprocess.run(command, capture_output=True, timeout=120)
-    second = subprocess.run(command, capture_output=True, timeout=120)
-    assert first.returncode == 0
-    assert second.returncode == 0
-    assert first.stdout
-    assert first.stdout == second.stdout
+def _demo_sections(out, fmt):
+    """The demo's output cut at its step headers: (argv, section) pairs."""
+    sections = []
+    for line in out.splitlines(keepends=True):
+        if fmt == "text" and line.startswith("step: "):
+            sections.append((line[len("step: "):].split(), []))
+        elif fmt == "records" and line.startswith("step "):
+            fields = dict(f.split("=", 1) for f in line.split()[1:])
+            sections.append(([fields["command"], *filter(None, fields["options"].split(","))],
+                             []))
+        else:
+            sections[-1][1].append(line)
+    return [(argv, "".join(lines)) for argv, lines in sections]
+
+
+@pytest.mark.parametrize("fmt", ["text", "records"])
+@pytest.mark.parametrize("seed", ["7", "20250815"])
+def test_demo_steps_are_the_generic_reports_on_the_qubit_file(capsys, fmt, seed):
+    # Each fact of the demo has one printer: every step prints what its
+    # subcommand prints on tests/data/qubit.sublat, byte for byte.
+    assert main(["demo-qubit", "--seed", seed, "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    summary = ("demo-qubit: 7/7 checks passed\n" if fmt == "text"
+               else "summary checks=7 failed=0\n")
+    assert out.endswith(summary)
+    sections = _demo_sections(out[: -len(summary)], fmt)
+    assert [argv[0] for argv, _ in sections] == [
+        "lattice", "laws", "contexts", "burnside", "burnside", "filters", "valuations"]
+    assert sections[5][0][1:] == ["--remove", sections[5][0][2]]
+    assert sections[5][0][2] in ("x1", "x2", "y1", "y2", "z1", "z2")
+    for (command, *options), section in sections:
+        assert main([command, str(DATA), *options, "--format", fmt]) == 0
+        assert section == capsys.readouterr().out, command
+
+
+def test_demo_qubit_step_that_fails_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_DEMO_STEPS",
+                        cli._DEMO_STEPS + (("laws", "--assert", "distributive"),))
+    assert main(["demo-qubit", "--format", "records"]) == 2
+    out = capsys.readouterr().out
+    assert "assertion law=distributive ok=false\n" in out
+    assert out.endswith("summary checks=8 failed=1\n")
 
 
 def test_missing_file(capsys):

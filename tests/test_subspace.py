@@ -82,6 +82,13 @@ def test_span_str():
     assert span([[1, 0, 0], [0, 1, 0]]).span_str() == "span{[1,0,0],[0,1,0]}"
 
 
+def test_span_str_is_formatted_once():
+    for s in (Subspace.zero(2), Subspace.full(2), span([["i", "1"]])):
+        first = s.span_str()
+        assert s.span_str() is first
+        assert str(s) is first
+
+
 def test_leq():
     assert leq(Subspace.zero(2), span([[1, 1]]))
     assert leq(span([[1, 1]]), Subspace.full(2))
@@ -185,6 +192,8 @@ def test_maps_into():
         assert maps_into(ExactMatrix.zeros(2, 2), s)
     with pytest.raises(ValueError, match="operator"):
         maps_into(ExactMatrix.zeros(3, 3), span([[1, 1]]))
+    with pytest.raises(ValueError, match="operator"):
+        maps_into(ExactMatrix.zeros(3, 3), Subspace.full(2))
 
 
 def test_span_validation():
