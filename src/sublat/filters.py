@@ -303,7 +303,7 @@ def search_bivaluations(
     """All {0,1} assignments satisfying the law set, as sorted bit tuples.
 
     Under meet-hom the candidates are the zero map and the principal
-    filters up(a), the rows of the order table; under join-hom alone,
+    filters up(a), the order table's 0/1 rows; under join-hom alone,
     the all-ones map and the complements of the principal ideals down(b).
     Otherwise they are a product over k free bits, one per element or
     per orthocomplement pair, and more than SEARCH_FREE_BIT_CAP free bits
@@ -314,7 +314,7 @@ def search_bivaluations(
     size = len(host)
     comp = orthocomplement_indices(host) if COMPLEMENT_LAW in chosen else None
     if MEET_HOM in chosen:
-        candidates = [(0,) * size] + [tuple(map(int, row)) for row in host.order]
+        candidates = [(0,) * size, *host.order]
         chosen -= {MEET_HOM}
     elif JOIN_HOM in chosen:
         candidates = [(1,) * size] + [tuple(map((1).__sub__, c)) for c in host.order_columns]

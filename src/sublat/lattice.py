@@ -2,30 +2,29 @@
 
 A FiniteLattice is a closed family of subspaces of one ambient space and
 its meet and join tables over element indices; the rest (the order, the
-bottom and the top) is read off those tables. Elements are sorted by
-(dimension, basis entries), so index 0 is the zero subspace and the last
-index is the full space, and rebuilding from the same family reproduces
-the same object. Closure is a worklist that settles each pair of
-elements once, by discovery index: index 0 is the bottom and index 1 the
-top. Dimension gives the join with the bottom, with the top or of two
-hyperplanes, and Grassmann's formula gives the meet when its dimension
-is 0 or that of the smaller element. A pair that dimension leaves open is
-settled off pairs settled before it when one of the two was first found
-as p v q or p ^ q: by associativity, s v (p v q) = (s v p) v q and
-dually, or by the modular law, which every subspace lattice obeys:
-s ^ (p v q) = p v (s ^ q) when p <= s, and s v (p ^ q) = p ^ (s v q)
-when s <= p. These rules name an index; exact meet or join runs only
-when none applies, and only its result is hashed to find its index. The
-sublattice some elements of a built lattice generate is their closure
-under its tables. Both renumber a parent's meet and join tables onto the
-kept indices. Atoms, covers and law reports are counted off the tables too,
-with no subspace algebra: an atom is read off its own meet row, whose
-values are its down-set. A law scan settles each instance either by an
-identity that holds in every lattice or by comparing two whole table
-rows with `map`, never by a Python loop per triple: the distributive
-sides agree when a and b are comparable and do not change when a and b
-swap, and the modular sides agree when a is the bottom, c = a or c is
-the top.
+bottom and the top) is read off those tables, and row a of the order is
+the 0/1 indicator of up(a). Elements are sorted by (dimension, basis
+entries), so index 0 is the zero subspace and the last index is the full
+space, and rebuilding from the same family reproduces the same object.
+Closure is a worklist that settles each pair of elements once, by
+discovery index, and appends the result to the table rows of both:
+index 0 is the bottom and index 1 the top. A pair that dimension leaves
+open (see `close_and_build`) is settled off pairs settled before it when
+one of the two was first found as p v q or p ^ q: by associativity,
+s v (p v q) = (s v p) v q and dually, or by the modular law, which every
+subspace lattice obeys: s ^ (p v q) = p v (s ^ q) when p <= s, and
+s v (p ^ q) = p ^ (s v q) when s <= p. These rules name an index; exact
+meet or join runs only when none applies, and only its result is hashed
+to find its index. The sublattice some elements of a built lattice
+generate is their closure under its tables. Both renumber a parent's
+meet and join tables onto the kept indices. Atoms, covers and law
+reports are counted off the tables too, with no subspace algebra: an
+atom is read off its own meet row, whose values are its down-set. A law
+scan settles each instance either by an identity that holds in every
+lattice or by comparing two whole table rows with `map`, never by a
+Python loop per triple: the distributive sides agree when a and b are
+comparable and do not change when a and b swap, and the modular sides
+agree when a is the bottom, c = a or c is the top.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ __all__ = [
 # The most elements close_and_build lets a closure reach, read at each call.
 MAX_ELEMENTS = 256
 Table = Sequence[Sequence[int]]
-Pairs = dict[tuple[int, int], int]
 
 
 class ClosureCapError(ValueError):
@@ -70,9 +68,10 @@ class ClosureCapError(ValueError):
 class FiniteLattice:
     """A lattice is its elements and its meet and join tables, which alone
     decide equality and the hash. The rest is read off them: `ambient_dim`,
-    `order` (i <= j exactly when i ^ j = i), `bottom` (the meet of every
-    index) and `top` (the join of every index). `order_columns`, the
-    transposed order table, is filled on first use."""
+    `order` (0/1 ints: entry j of row i is 1 exactly when i ^ j = i, so row
+    i is the indicator of up(i)), `bottom` (the meet of every index) and
+    `top` (the join of every index). `order_columns`, the transposed order
+    table, is filled on first use; `leq` answers a bool."""
 
     elements: tuple[Subspace, ...]
     meet_table: tuple[tuple[int, ...], ...]
@@ -82,7 +81,8 @@ class FiniteLattice:
         meet, join = self.meet_table, self.join_table
         put = object.__setattr__
         put(self, "ambient_dim", self.elements[0].ambient_dim)
-        put(self, "order", tuple(tuple([m == i for m in row]) for i, row in enumerate(meet)))
+        put(self, "order",
+            tuple(tuple([1 if m == i else 0 for m in row]) for i, row in enumerate(meet)))
         put(self, "bottom", functools.reduce(lambda a, b: meet[a][b], range(len(meet))))
         put(self, "top", functools.reduce(lambda a, b: join[a][b], range(len(join))))
         put(self, "_index", {s: i for i, s in enumerate(self.elements)})
@@ -100,7 +100,7 @@ class FiniteLattice:
         return s in self._index
 
     def leq(self, i: int, j: int) -> bool:
-        return self.order[i][j]
+        return self.order[i][j] == 1
 
     def meet(self, i: int, j: int) -> int:
         return self.meet_table[i][j]
@@ -112,7 +112,7 @@ class FiniteLattice:
         return tuple(s.span_str() for s in self.elements)
 
     @functools.cached_property
-    def order_columns(self) -> tuple[tuple[bool, ...], ...]:
+    def order_columns(self) -> tuple[tuple[int, ...], ...]:
         """Column j of the order table: the indicator of down(j)."""
         return tuple(zip(*self.order))
 
@@ -134,7 +134,7 @@ def close_and_build(
     those exact results are hashed to find their index (`locate`). An
     identity only names an element already found, so the elements are
     found in the same order as by exact algebra alone. The meet and join
-    tables are filled in discovery order off those pair results, then
+    tables are filled in discovery order, row by row as pairs settle, then
     relabelled in sorted order.
 
     Rebuilding from a lattice's own elements returns an equal lattice.
@@ -158,23 +158,25 @@ def close_and_build(
         )
     index = {s: k for k, s in enumerate(found)}
     dim = [s.dim for s in found]
-    # meets[i, k] and joins[i, k] hold the discovery indices of the meet and
-    # the join of found[i] and found[k], for each settled pair i < k.
-    meets: Pairs = {}
-    joins: Pairs = {}
+    # Row x of meets (joins) lists the meets (joins) of found[x] with found[0],
+    # found[1], ... in that order, as they settle: entry y is settled exactly
+    # when y < len(row).
+    meets: list[list[int]] = [[] for _ in found]
+    joins: list[list[int]] = [[] for _ in found]
     # origin[x] is (table, p, q) when found[x] was first found as the meet
     # (table is meets) or the join (joins) of found[p] and found[q], and None
     # for the bottom, the top and the seeds.
-    origin: list[tuple[Pairs, int, int] | None] = [None] * len(found)
+    origin: list[tuple[Table, int, int] | None] = [None] * len(found)
 
-    def locate(x: Subspace, table: Pairs, i: int, k: int) -> int:
-        """Discovery index of x, found from the pair (i, k) in table; x is
-        appended when new."""
+    def locate(x: Subspace, table: Table, i: int, k: int) -> int:
+        """Discovery index of x, found from (i, k) in table; appended, with empty rows, if new."""
         d = index.get(x)
         if d is None:
             d = index[x] = len(found)
             found.append(x)
             dim.append(x.dim)
+            meets.append([])
+            joins.append([])
             origin.append((table, i, k))
             if len(found) > MAX_ELEMENTS:
                 raise ClosureCapError(
@@ -182,14 +184,13 @@ def close_and_build(
                 )
         return d
 
-    def settled(table: Pairs, x: int | None, y: int) -> int | None:
-        """The pair (x, y) in table when it is settled already, else None
-        (also when x is None)."""
+    def settled(table: Table, x: int | None, y: int) -> int | None:
+        """Entry (x, y) of table when it is settled, else None (also when x is None)."""
         if x is None or x == y:
             return x
-        return table.get((x, y) if x < y else (y, x))
+        return table[x][y] if y < len(table[x]) else None
 
-    def by_laws(table: Pairs, i: int, k: int) -> int | None:
+    def by_laws(table: Table, i: int, k: int) -> int | None:
         """The index of found[i] op found[k], op the operation of table, from
         settled pairs when one of the two is a recorded p op' q:
         - associativity, op' = op: s op (p op q) = (s op p) op q;
@@ -222,18 +223,17 @@ def close_and_build(
             # Grassmann's formula: dim(s ^ t) + dim(s v t) = dim s + dim t.
             d = dim[i] + dim[k] - (exact.dim if j is None else dim[j])
             m = 0 if d == 0 else i if d == dim[i] else k if d == dim[k] else by_laws(meets, i, k)
-            pair = i, k  # one key object for both dicts
-            meets[pair] = locate(sub.meet(found[i], t), meets, i, k) if m is None else m
-            joins[pair] = locate(exact, joins, i, k) if j is None else j
+            m = locate(sub.meet(found[i], t), meets, i, k) if m is None else m
+            j = locate(exact, joins, i, k) if j is None else j
+            meets[i].append(m)
+            meets[k].append(m)
+            joins[i].append(j)
+            joins[k].append(j)
+        meets[k].append(k)
+        joins[k].append(k)
 
-    size = len(found)
-    meet_table = [[k] * size for k in range(size)]
-    join_table = [[k] * size for k in range(size)]
-    for table, pairs in ((meet_table, meets), (join_table, joins)):
-        for (i, k), x in pairs.items():
-            table[i][k] = table[k][i] = x
-    ranked = sorted(range(size), key=lambda k: found[k].sort_key())
-    return _relabelled(found, meet_table, join_table, ranked)
+    ranked = sorted(range(len(found)), key=lambda k: found[k].sort_key())
+    return _relabelled(found, meets, joins, ranked)
 
 
 def _relabelled(elements: Sequence[Subspace], meets: Table, joins: Table,

@@ -1,11 +1,13 @@
 import functools
 import itertools
+import tracemalloc
 
 import pytest
 
 from sublat import lattice
 from sublat import subspace as sub
 from sublat.exactlin import GaussianRational, as_scalar
+from sublat.filters import MEET_HOM, search_bivaluations
 from sublat.lattice import (
     ClosureCapError,
     FiniteLattice,
@@ -433,6 +435,21 @@ def test_close_and_build_operation_counts(monkeypatch, frame_c4_rays):
     assert counts == {"meet": 0, "join": 13, "leq": 0}
 
 
+def test_closure_of_253_lines_stays_under_5_mb():
+    # A closure at the cap's size holds its two discovery-order tables and
+    # the returned lattice: about 2.9 MB traced on CPython 3.11. Pair results
+    # kept in dicts beside the tables would take it past 7 MB.
+    seeds = [span([[1, k]]) for k in range(253)]
+    tracemalloc.start()
+    try:
+        lat = close_and_build(seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(lat) == 255
+    assert peak < 5_000_000
+
+
 def _reference_settle(s, t, zero, full):
     """Meet and join of distinct s and t by dimension, else by exact algebra:
     the join is t when s is the bottom or t the top, the full space when
@@ -676,10 +693,12 @@ def test_sublattice_matches_exact_reclosure(rng):
     assert whole > 0 and proper > 0
 
 
-def test_lattice_is_its_elements_and_two_tables(rng, monkeypatch):
-    # Closed families, random unit-ray families of C^3 and generated
-    # sublattices of each: the three fields rebuild an equal lattice, and the
-    # order, bottom, top and ambient dimension are read off them.
+def test_lattice_is_its_elements_and_two_tables(rng, monkeypatch, pentagon):
+    # Closed families, random unit-ray families of C^3, generated sublattices
+    # of each and the pentagon: the three fields rebuild an equal lattice, and
+    # the order, bottom, top and ambient dimension are read off them. The
+    # order rows are 0/1 ints, so with the zero map they are the meet-hom
+    # valuations as they stand, and leq still answers a bool.
     lattices = [close_and_build(seeds) for seeds in _closure_cases(rng).values()]
     monkeypatch.setattr(lattice, "MAX_ELEMENTS", 24)
     rays = 0
@@ -697,13 +716,18 @@ def test_lattice_is_its_elements_and_two_tables(rng, monkeypatch):
     for lat in list(lattices):
         for k in (0, 1, 2, 3):
             lattices.append(sublattice(lat, rng.sample(range(len(lat)), min(k, len(lat)))))
+    for lat in [*lattices, pentagon]:
+        size = len(lat)
+        assert all(type(b) is int and b in (0, 1) for row in lat.order for b in row)
+        assert all(type(lat.leq(i, j)) is bool for i in range(size) for j in range(size))
+        assert search_bivaluations(lat, {MEET_HOM}) == tuple(sorted([(0,) * size, *lat.order]))
     for lat in lattices:
         size, n = len(lat), lat.ambient_dim
         rebuilt = FiniteLattice(lat.elements, lat.meet_table, lat.join_table)
         assert rebuilt == lat and hash(rebuilt) == hash(lat)
         assert (rebuilt.order, rebuilt.bottom, rebuilt.top) == (lat.order, lat.bottom, lat.top)
         assert lat.order == tuple(
-            tuple(lat.meet_table[i][j] == i for j in range(size)) for i in range(size)
+            tuple(int(lat.meet_table[i][j] == i) for j in range(size)) for i in range(size)
         )
         assert lat.bottom == 0 and lat.elements[0] == Subspace.zero(n)
         assert lat.top == size - 1 and lat.elements[-1] == Subspace.full(n)
