@@ -350,7 +350,10 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls(n, n, tuple(ONE if i == j else ZERO for i in range(n) for j in range(n)))
+        """The n x n identity: its unit ints over den 1, no coercion."""
+        if n < 0:
+            raise ValueError("matrix dimensions must be nonnegative")
+        return _matrix(n, n, tuple((int(i == j), 0) for i in range(n) for j in range(n)), 1)
 
     @classmethod
     def column(cls, values: Sequence[ScalarLike]) -> "ExactMatrix":

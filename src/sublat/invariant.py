@@ -8,9 +8,11 @@ intersection and sum, so the sublattice these elements generate in the
 universe holds them and nothing more.
 The generated unital algebra is spanned by closing {identity, generators}
 under left multiplication by the generators, one product at a time, and
-stopping at n^2 members; a product is kept when inserting its integer
-parts into the canonical rows of the members so far, exactlin's one
-elimination routine, finds it independent. Irreducibility is decided by its
+stopping at n^2 members. The walk starts at the generators, since g @ I = g
+was tried when g went in. A product stays Gaussian-integer parts until
+inserting them into the canonical rows of the members so far, exactlin's
+one elimination routine, finds it independent; only a kept product becomes
+a matrix. Irreducibility is decided by its
 dimension: by Burnside's theorem it is the full matrix algebra, of
 dimension n^2, exactly when no nontrivial subspace is invariant.
 
@@ -31,7 +33,7 @@ from typing import Iterable, Mapping, Sequence
 from . import filters as flt
 from . import lattice as lt
 from . import subspace as sub
-from .exactlin import ExactMatrix, Rows, _insert_row, _lowest, rank
+from .exactlin import ExactMatrix, Rows, _gaussian_product, _insert_row, _lowest, rank
 from .lattice import FiniteLattice
 from .subspace import Subspace
 
@@ -87,15 +89,18 @@ def algebra_span(generators: Iterable[ExactMatrix]) -> AlgebraBasis:
     The algebra is the span of all words in the generators: the smallest
     subspace of M_n that holds the identity and is closed under left
     multiplication by each generator. The basis starts as the identity
-    and the generators, and is then walked as a queue: for each member b
-    and each generator g, the product g @ b joins the basis when it is
-    independent of the members so far. The walk ends when the queue is
-    exhausted or the basis has n^2 members, which is all of M_n.
+    and the generators, and is then walked as a queue from the first
+    member after the identity, since g @ I = g was tried already: for each
+    member b and each generator g, the product g @ b joins the basis when
+    it is independent of the members so far. The walk ends when the queue
+    is exhausted or the basis has n^2 members, which is all of M_n.
 
     A candidate is a member when exactlin's _insert_row finds its
     Gaussian-integer parts independent of the canonical rows of the
     members so far; the matrix is those parts over a nonzero scale, which
-    changes no independence.
+    changes no independence, and the canonical rows do not depend on the
+    scale either. So a product stays the raw parts of g's and b's ints
+    until it is kept, and only then is put in lowest terms as g @ b.
     """
     gens = list(generators)
     if not gens:
@@ -110,22 +115,20 @@ def algebra_span(generators: Iterable[ExactMatrix]) -> AlgebraBasis:
     full = n * n
     members: list[ExactMatrix] = []
     rows: Rows = {}
-
-    def try_add(m: ExactMatrix) -> None:
+    for m in (ExactMatrix.identity(n), *gens):
         if _insert_row(rows, m.ints):
             members.append(m)
-
-    try_add(ExactMatrix.identity(n))
-    for g in gens:
-        try_add(g)
-    queued = 0
+    # g @ I = g was tried above, so the walk starts at the generators.
+    queued = 1
     while queued < len(members) < full:
         b = members[queued]
         queued += 1
         for g in gens:
-            try_add(g @ b)
-            if len(members) == full:
-                break
+            product = _gaussian_product(g.ints, b.ints, n, n, n)
+            if _insert_row(rows, product):
+                members.append(_lowest(n, n, product, g.den * b.den))
+                if len(members) == full:
+                    break
     return AlgebraBasis(n, tuple(members))
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sublat import invariant
+from sublat import exactlin, invariant
 from sublat.exactlin import (
     ZERO,
     ExactMatrix,
@@ -653,3 +653,35 @@ def test_algebra_span_members_and_order_match_reference(rng, random_matrix):
         for m in got:
             assert all(type(e) is GaussianRational and type(e.real) is Fraction
                        and type(e.imag) is Fraction for e in m.entries)
+
+
+def _c4_two_blocks():
+    """M_2 (+) M_2 in C^4: rays e1, [1,1,0,0], e3, [0,0,1,1] and the
+    projector onto the first block, so the algebra has dimension 8."""
+    rays = ([1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 1])
+    block = projector_of(span([[1, 0, 0, 0], [0, 1, 0, 0]]))
+    return [_ray_projector(v) for v in rays] + [block]
+
+
+@pytest.mark.parametrize("case, dim, products", [
+    # The queue runs dry: 7 members after the identity, 5 generators each.
+    (_c4_two_blocks, 8, 35),
+    (_c4_rays_and_all_ones, 16, 25),
+    # The identity and three generators already span M_2.
+    (lambda: list(nontrivial_projectors()), 4, 0),
+], ids=["c4-two-blocks", "c4-rays-and-all-ones", "qubit"])
+def test_algebra_span_forms_no_product_it_knows(monkeypatch, case, dim, products):
+    gens = case()
+    n = gens[0].rows
+    unit = ExactMatrix.identity(n).ints
+    right_factors = []
+    for module in (exactlin, invariant):
+        original = getattr(module, "_gaussian_product", None)
+        if original is not None:
+            def counted(a, b, *shape, original=original):
+                right_factors.append(tuple(b))
+                return original(a, b, *shape)
+            monkeypatch.setattr(module, "_gaussian_product", counted)
+    assert algebra_span(gens).dim == dim
+    assert len(right_factors) == products
+    assert unit not in right_factors

@@ -360,6 +360,15 @@ def test_negative_dimensions_are_refused():
     with pytest.raises(ValueError) as err:
         ExactMatrix(-1, 0, ())
     assert str(err.value) == "matrix dimensions must be nonnegative"
+    with pytest.raises(ValueError) as err:
+        ExactMatrix.identity(-1)
+    assert str(err.value) == "matrix dimensions must be nonnegative"
+    # The identity writes its unit ints down; the constructor would coerce
+    # ONE and ZERO to the same matrix.
+    for n in range(5):
+        built = ExactMatrix(n, n, [ONE if i == j else ZERO for i in range(n) for j in range(n)])
+        unit = ExactMatrix.identity(n)
+        assert (unit.ints, unit.den, hash(unit)) == (built.ints, built.den, hash(built))
 
 
 def test_zero_width_edges():
