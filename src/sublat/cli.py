@@ -272,13 +272,11 @@ def parse_input(text: str) -> InputDocument:
 
 
 def _record_value(value: object) -> str:
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, (list, tuple)):
-        return ",".join(map(_record_value, value))
-    return str(value).replace(" ", "_")
+    """A bool as true/false, a flat list or tuple comma-joined; spaces as _."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    text = ",".join(map(str, value)) if isinstance(value, (list, tuple)) else str(value)
+    return text.replace(" ", "_")
 
 
 class Reporter:
@@ -297,8 +295,7 @@ class Reporter:
             if text is not None:
                 print(text)
         elif kind is not None:
-            parts = [kind] + [f"{k}={_record_value(v)}" for k, v in fields.items()]
-            print(" ".join(parts))
+            print(" ".join([kind] + [f"{k}={_record_value(v)}" for k, v in fields.items()]))
 
 
 # --------------------------------------------------------------------------
@@ -341,8 +338,9 @@ def _yes(flag: bool) -> str:
 def _sublattice_line(
     out: Reporter, label: str, kind: str, lat: FiniteLattice, **fields: object
 ) -> None:
-    out(f"{label} ({len(lat)} elements): {', '.join(lat.spans())}",
-        kind, **fields, elements=len(lat), spans=lat.spans())
+    spans = lat.spans()
+    out(f"{label} ({len(lat)} elements): {', '.join(spans)}",
+        kind, **fields, elements=len(lat), spans=spans)
 
 
 # --------------------------------------------------------------------------
@@ -366,7 +364,8 @@ def _cmd_lattice(doc: InputDocument, args: argparse.Namespace, out: Reporter) ->
     ):
         out(f"{kind} table (entry j of row i: index of i {symbol} j):")
         for i, row in enumerate(table):
-            out(f"  [{i}] {','.join(map(str, row))}", kind, row=i, entries=row)
+            entries = ",".join(map(str, row))
+            out(f"  [{i}] {entries}", kind, row=i, entries=entries)
     return 0
 
 
@@ -430,11 +429,12 @@ def _cmd_filters(doc: InputDocument, args: argparse.Namespace, out: Reporter) ->
     def spans(members: list[int]) -> str:
         return ", ".join(lat.elements[i].span_str() for i in members)
 
+    members = filt.sorted_members()
     out(f"lattice: {len(lat)} elements over C^{lat.ambient_dim}\n"
         f"removed element: {target.span_str()} (index {w})\n"
-        f"filter ({len(filt)} members): {spans(filt.sorted_members())}",
+        f"filter ({len(filt)} members): {spans(members)}",
         "filter", removed=target.span_str(), removed_index=w, size=len(filt),
-        members=filt.sorted_members())
+        members=members)
     out(f"downward directed: {_yes(directed)}",
         "property", name="downward-directed", value=directed)
     if closed:
@@ -453,8 +453,9 @@ def _cmd_filters(doc: InputDocument, args: argparse.Namespace, out: Reporter) ->
     else:
         out(f"prime (standard convention): {_yes(prime_standard)}",
             "property", name="prime-standard", value=prime_standard)
-    out(f"ideal ({len(ideal)} members): {spans(ideal.sorted_members())}",
-        "ideal", size=len(ideal), members=ideal.sorted_members())
+    members = ideal.sorted_members()
+    out(f"ideal ({len(ideal)} members): {spans(members)}",
+        "ideal", size=len(ideal), members=members)
     out("\n".join([f"valuation ({valuation.convention} convention):"] + [
         f"  v({s.span_str()}) = {b}" for s, b in zip(lat.elements, valuation.assignment)
     ]), "valuation", convention=valuation.convention, bits=_bits(valuation.assignment))
@@ -508,8 +509,9 @@ def _cmd_burnside(doc: InputDocument, args: argparse.Namespace, out: Reporter) -
     # The verdict is out before the universe is closed, which can hit the
     # closure cap.
     common = inv.common_invariant_sublattice(ops, doc.lattice)
-    out(f"common invariant subspaces ({len(common)}): {', '.join(common.spans())}",
-        "common", elements=len(common), spans=common.spans())
+    spans = common.spans()
+    out(f"common invariant subspaces ({len(common)}): {', '.join(spans)}",
+        "common", elements=len(common), spans=spans)
     if args.assert_verdict not in (None, verdict):
         out(f"assertion failed: expected {args.assert_verdict}, got {verdict}",
             "assertion", expected=args.assert_verdict, ok=False)
@@ -536,12 +538,12 @@ def _cmd_contexts(doc: InputDocument, args: argparse.Namespace, out: Reporter) -
     for summary in report.summaries:
         out(f"valuations in context {summary.name}:\n"
             f"  elements: {', '.join(summary.element_spans)}")
-        for atom_span, bits in zip(summary.atom_spans, summary.paper_valuations):
-            out(f"  paper valuation at {atom_span}: {_bits(bits)}",
-                "paper_valuation", context=summary.name, atom=atom_span, bits=_bits(bits))
-        for bits in summary.standard_valuations:
-            out(f"  standard valuation: {_bits(bits)}",
-                "standard_valuation", context=summary.name, bits=_bits(bits))
+        for atom_span, bits in zip(summary.atom_spans, map(_bits, summary.paper_valuations)):
+            out(f"  paper valuation at {atom_span}: {bits}",
+                "paper_valuation", context=summary.name, atom=atom_span, bits=bits)
+        for bits in map(_bits, summary.standard_valuations):
+            out(f"  standard valuation: {bits}",
+                "standard_valuation", context=summary.name, bits=bits)
         if summary.excluded_atom_spans:
             out("  domain excludes (meet undefined): "
                 + ", ".join(summary.excluded_atom_spans),
@@ -555,8 +557,8 @@ def _cmd_contexts(doc: InputDocument, args: argparse.Namespace, out: Reporter) -
         ("global valuations on the union lattice", "global", report.global_valuations),
     ):
         out(f"{header}: {len(found)}")
-        for bits in found:
-            out(f"  {_bits(bits)}", kind, bits=_bits(bits))
+        for bits in map(_bits, found):
+            out(f"  {bits}", kind, bits=bits)
     out(None, "summary", consistent=len(report.per_lattice_consistent),
         global_valuations=len(report.global_valuations))
     return 0

@@ -8,8 +8,8 @@ lowest terms. The form is unique, so equality and hashing compare ints,
 and every operation works on them; a matrix's GaussianRational entries
 are formed on first use. Everything downstream rests on the four exact
 algorithms here: reduced row echelon form, kernel bases, conjugate
-transposition, and inversion, with kernels and inverses read off the
-reduced form.
+transposition, and inversion, with kernels and inverses read off
+canonical rows.
 
 Elimination runs over the Gaussian integers Z[i], in one routine,
 _insert_row, which rref, the subspace layer and the algebra span share.
@@ -24,7 +24,8 @@ pivot c from the vector x with d*x - x[c]*row, d the row's pivot, which
 needs no division. A nonzero residual is made canonical, its pivot is
 cleared from the kept rows the same way, and it joins them. rref puts
 the canonical rows over the lcm of their pivots, and kernels are read
-straight off them. No floating point is used anywhere.
+straight off them, as inverses are off the canonical rows of [m | I].
+No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ __all__ = [
     "rank",
     "kernel_basis",
     "invert",
-    "hstack",
 ]
 
 ScalarLike = Union["GaussianRational", Fraction, int, str]
@@ -368,11 +368,6 @@ class ExactMatrix:
     def row(self, i: int) -> tuple[GaussianRational, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def take_cols(self, indices: Iterable[int]) -> "ExactMatrix":
-        idx, c = list(indices), self.cols
-        return _lowest(self.rows, len(idx),
-                       [self.ints[i * c + j] for i in range(self.rows) for j in idx], self.den)
-
     def __neg__(self) -> "ExactMatrix":
         return _matrix(self.rows, self.cols, tuple((-re, -im) for re, im in self.ints), self.den)
 
@@ -635,28 +630,19 @@ def kernel_basis(m: ExactMatrix) -> ExactMatrix:
 
 
 def invert(m: ExactMatrix) -> ExactMatrix:
-    """Inverse of a square matrix via Gauss-Jordan; ValueError if singular."""
+    """Inverse of a square matrix, read off canonical rows; ValueError if
+    singular.
+
+    The rows [m.ints | m.den*I] have rank n, and m is singular exactly when
+    a pivot lies at column n or beyond. Otherwise canonical row c is
+    d_c*[e_c | row c of m^-1], so their echelon matrix is [I | m^-1].
+    """
     if not m.is_square():
         raise ValueError(f"cannot invert a {m.rows}x{m.cols} matrix")
-    n = m.rows
-    reduced, pivots, r = rref(hstack(m, ExactMatrix.identity(n)))
-    if r < n or pivots != tuple(range(n)):
+    n, unit = m.rows, (m.den, 0)
+    rows = _reduced_rows((*x, *(unit if j == i else _GZERO for j in range(n)))
+                         for i, x in enumerate(_int_rows(m)))
+    if any(c >= n for c in rows):
         raise ValueError("matrix is singular")
-    return reduced.take_cols(range(n, 2 * n))
-
-
-def hstack(*matrices: ExactMatrix) -> ExactMatrix:
-    """Concatenate matrices side by side; all must share a row count."""
-    if not matrices:
-        raise ValueError("hstack needs at least one matrix")
-    nrows = matrices[0].rows
-    for m in matrices:
-        if m.rows != nrows:
-            raise ValueError("hstack requires a common row count")
-    den = lcm(*(m.den for m in matrices))
-    ints: list[GaussianInteger] = []
-    for i in range(nrows):
-        for m in matrices:
-            q = den // m.den
-            ints.extend((re * q, im * q) for re, im in m.ints[i * m.cols : (i + 1) * m.cols])
-    return _lowest(nrows, sum(m.cols for m in matrices), ints, den)
+    reduced = _echelon(rows, n, 2 * n)
+    return _lowest(n, n, [x for row in _int_rows(reduced) for x in row[n:]], reduced.den)

@@ -52,6 +52,18 @@ def random_matrix(rng, random_scalar):
 
 
 @pytest.fixture
+def reference_hstack():
+    """Matrices side by side, built from their entries; all share a row count."""
+    def hstack(*matrices):
+        nrows = matrices[0].rows
+        flat = [e for i in range(nrows) for m in matrices
+                for e in m.entries[i * m.cols : (i + 1) * m.cols]]
+        return ExactMatrix(nrows, sum(m.cols for m in matrices), tuple(flat))
+
+    return hstack
+
+
+@pytest.fixture
 def frame_c4_rays():
     """The four orthogonal rays of tests/data/frame_c4.sublat; their closure
     has 16 elements and makes exact meets."""

@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+from sublat import exactlin
 from sublat import subspace as sub
 from sublat.exactlin import (
     ONE,
@@ -16,7 +17,6 @@ from sublat.exactlin import (
     _insert_row,
     _lowest,
     _reduced_rows,
-    hstack,
     invert,
     kernel_basis,
     rank,
@@ -103,13 +103,6 @@ def _reference_take_cols(m: ExactMatrix, indices) -> ExactMatrix:
     return ExactMatrix(m.rows, len(indices), tuple(flat))
 
 
-def _reference_hstack(*matrices: ExactMatrix) -> ExactMatrix:
-    nrows = matrices[0].rows
-    flat = [e for i in range(nrows) for m in matrices
-            for e in m.entries[i * m.cols : (i + 1) * m.cols]]
-    return ExactMatrix(nrows, sum(m.cols for m in matrices), tuple(flat))
-
-
 def _reference_kernel_basis(m: ExactMatrix) -> ExactMatrix:
     reduced, pivots, _ = _reference_rref(m)
     free = [c for c in range(m.cols) if c not in pivots]
@@ -125,10 +118,10 @@ def _reference_kernel_basis(m: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(m.cols, len(free), tuple(flat))
 
 
-def _reference_invert(m: ExactMatrix) -> ExactMatrix | None:
+def _reference_invert(m: ExactMatrix, hstack) -> ExactMatrix | None:
     """The inverse, or None for a singular matrix."""
     n = m.rows
-    reduced, pivots, r = _reference_rref(_reference_hstack(m, ExactMatrix.identity(n)))
+    reduced, pivots, r = _reference_rref(hstack(m, ExactMatrix.identity(n)))
     if r < n or pivots != tuple(range(n)):
         return None
     return _reference_take_cols(reduced, range(n, 2 * n))
@@ -377,7 +370,6 @@ def test_zero_width_edges():
     assert rank(empty) == 0
     assert kernel_basis(empty) == ExactMatrix.zeros(0, 0)
     assert invert(ExactMatrix.zeros(0, 0)) == ExactMatrix.zeros(0, 0)
-    assert hstack(empty, ExactMatrix.identity(2)) == ExactMatrix.identity(2)
 
 
 def test_matrix_algebra(random_matrix):
@@ -389,16 +381,6 @@ def test_matrix_algebra(random_matrix):
         assert (a @ b).conjugate_transpose() == b.conjugate_transpose() @ a.conjugate_transpose()
         assert 2 * a == a + a
         assert GaussianRational(Fraction(0), Fraction(1)) * a != a or a.is_zero()
-
-
-def test_hstack():
-    a = M([[1], [2]])
-    b = M([[3], [4]])
-    assert hstack(a, b) == M([[1, 3], [2, 4]])
-    with pytest.raises(ValueError, match="common row count"):
-        hstack(a, ExactMatrix.zeros(3, 1))
-    with pytest.raises(ValueError, match="^hstack needs at least one matrix$"):
-        hstack()
 
 
 @pytest.mark.parametrize("i", [2, -1])
@@ -477,7 +459,6 @@ def test_matrix_operations_match_references(rng, random_matrix, random_scalar):
     for m in _elimination_cases(rng, random_matrix) + [random_matrix(0, 3), random_matrix(3, 0)]:
         other = random_matrix(m.rows, m.cols)
         z = rng.choice([random_scalar(), ZERO, ONE, GaussianRational(Fraction(0), Fraction(1, 3))])
-        cols = [rng.randrange(m.cols) for _ in range(rng.randint(0, 4))] if m.cols else []
         _assert_same(-m, _reference_neg(m))
         _assert_same(m + other, _reference_add(m, other))
         _assert_same(m + -m, ExactMatrix.zeros(m.rows, m.cols))
@@ -486,20 +467,32 @@ def test_matrix_operations_match_references(rng, random_matrix, random_scalar):
         _assert_same(z * m, _reference_scale(m, z))
         _assert_same(m.transpose(), _reference_transpose(m))
         _assert_same(m.conjugate_transpose(), _reference_conjugate_transpose(m))
-        _assert_same(m.take_cols(cols), _reference_take_cols(m, cols))
-        _assert_same(hstack(m, other, m), _reference_hstack(m, other, m))
         _assert_same(kernel_basis(m), _reference_kernel_basis(m))
         _assert_same(rref(m).matrix, _reference_rref(m).matrix)
-        if m.is_square():
-            want = _reference_invert(m)
-            if want is None:
-                with pytest.raises(ValueError, match="singular"):
-                    invert(m)
-            else:
-                _assert_same(invert(m), want)
     for m in _hermitian_and_idempotent_cases(rng, random_matrix):
         assert m.is_hermitian() == _reference_is_hermitian(m), str(m)
         assert m.is_idempotent() == _reference_is_idempotent(m), str(m)
+
+
+def test_invert_reads_off_the_rows(monkeypatch, rng, random_matrix, reference_hstack):
+    # The last row is (1 - i) times the first plus i times the second.
+    deficient = M([[1, "i", 2], ["1+i", 0, "1-i"], [0, "1+i", "3-i"]])
+    assert rank(deficient) == 2
+    cases = _elimination_cases(rng, random_matrix) + [random_matrix(0, 3), random_matrix(3, 0)]
+    cases += [ExactMatrix.zeros(0, 0), M([["2-3i"]]), deficient]
+
+    def no_rref(m):
+        raise AssertionError("invert called rref")
+
+    # invert reads the inverse off the canonical rows of [m | I].
+    monkeypatch.setattr(exactlin, "rref", no_rref)
+    for m in filter(ExactMatrix.is_square, cases):
+        want = _reference_invert(m, reference_hstack)
+        if want is None:
+            with pytest.raises(ValueError, match="^matrix is singular$"):
+                invert(m)
+        else:
+            _assert_same(invert(m), want)
 
 
 def test_representation_is_unique_immutable_and_copies(rng, random_matrix, random_scalar):
@@ -550,8 +543,7 @@ def test_internal_constructions_hold_exact_scalars(rng, random_matrix):
     for m in _elimination_cases(rng, random_matrix)[:20]:
         reduced = rref(m).matrix
         results = [reduced, kernel_basis(m), m.transpose(), m.conjugate_transpose(),
-                   m.take_cols(range(0, m.cols, 2)),
-                   hstack(m, reduced), -m, m + m, m - reduced, m * 3,
+                   -m, m + m, m - reduced, m * 3,
                    GaussianRational(Fraction(0), Fraction(1, 2)) * m]
         if m.is_square() and rank(m) == m.rows:
             results.append(invert(m))

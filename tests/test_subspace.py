@@ -9,7 +9,6 @@ from sublat.exactlin import (
     ExactMatrix,
     GaussianRational,
     format_scalar,
-    hstack,
     kernel_basis,
     rank,
     rref,
@@ -137,14 +136,15 @@ def test_join_examples():
     )
 
 
-def test_de_morgan_and_dimension_over_all_pairs():
+def test_de_morgan_and_dimension_over_all_pairs(reference_hstack):
+    hstack = reference_hstack
     for s, t in itertools.product(CATALOGUE, repeat=2):
         # meet is defined by De Morgan's law, so both sides of each law are
         # checked against the kernel-of-hstack references instead.
         sp, tp = orthocomplement(s).basis, orthocomplement(t).basis
-        assert orthocomplement(join(s, t)) == Subspace(_reference_meet(sp, tp))
-        assert orthocomplement(Subspace(_reference_meet(s.basis, t.basis))) == Subspace(
-            _reference_join(sp, tp))
+        assert orthocomplement(join(s, t)) == Subspace(_reference_meet(sp, tp, hstack))
+        assert orthocomplement(Subspace(_reference_meet(s.basis, t.basis, hstack))) == Subspace(
+            _reference_join(sp, tp, hstack))
         assert meet(s, t).dim + join(s, t).dim == s.dim + t.dim
         assert leq(s, t) == (meet(s, t) == s)
         assert leq(s, t) == (join(s, t) == t)
@@ -280,12 +280,13 @@ def _random_subspace(rng, n):
 
 
 @pytest.mark.parametrize("n, pairs", [(3, 40), (4, 25)])
-def test_join_matches_orthocomplement_identity(rng, n, pairs):
+def test_join_matches_orthocomplement_identity(rng, reference_hstack, n, pairs):
     # join is the direct span; (s v t) = (s' ^ t')' must agree with it, the
     # meet taken by the reference, as meet itself is defined from join
     for _ in range(pairs):
         s, t = _random_subspace(rng, n), _random_subspace(rng, n)
-        met = _reference_meet(orthocomplement(s).basis, orthocomplement(t).basis)
+        met = _reference_meet(orthocomplement(s).basis, orthocomplement(t).basis,
+                              reference_hstack)
         assert join(s, t) == orthocomplement(Subspace(met))
 
 
@@ -312,7 +313,8 @@ def test_orthocomplement_is_computed_once(monkeypatch, frame_c4_rays):
 # The bodies below are the former ExactMatrix implementations of the
 # subspace operations, kept as references for the Gaussian-integer rows.
 # Each works on canonical basis matrices (one basis vector per column) and
-# returns a canonical basis matrix or a verdict.
+# returns a canonical basis matrix or a verdict; hstack is the
+# reference_hstack fixture.
 
 
 def _reference_column_canonical(m: ExactMatrix) -> ExactMatrix:
@@ -321,13 +323,13 @@ def _reference_column_canonical(m: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(m.rows, r, flat)
 
 
-def _reference_leq(bs: ExactMatrix, bt: ExactMatrix) -> bool:
+def _reference_leq(bs: ExactMatrix, bt: ExactMatrix, hstack) -> bool:
     if bs.cols == 0:
         return True
     return rank(hstack(bt, bs)) == bt.cols
 
 
-def _reference_meet(bs: ExactMatrix, bt: ExactMatrix) -> ExactMatrix:
+def _reference_meet(bs: ExactMatrix, bt: ExactMatrix, hstack) -> ExactMatrix:
     coeffs = kernel_basis(hstack(bs, bt))
     x_part = ExactMatrix.from_rows([coeffs.row(i) for i in range(bs.cols)])
     return _reference_column_canonical(bs @ x_part)
@@ -337,15 +339,15 @@ def _reference_orthocomplement(bs: ExactMatrix) -> ExactMatrix:
     return _reference_column_canonical(kernel_basis(bs.conjugate_transpose()))
 
 
-def _reference_join(bs: ExactMatrix, bt: ExactMatrix) -> ExactMatrix:
+def _reference_join(bs: ExactMatrix, bt: ExactMatrix, hstack) -> ExactMatrix:
     return _reference_column_canonical(hstack(bs, bt))
 
 
-def _reference_contains_vector(bs: ExactMatrix, psi: StateVector) -> bool:
+def _reference_contains_vector(bs: ExactMatrix, psi: StateVector, hstack) -> bool:
     return rank(hstack(bs, psi.components)) == bs.cols
 
 
-def _reference_maps_into(operator: ExactMatrix, bs: ExactMatrix) -> bool:
+def _reference_maps_into(operator: ExactMatrix, bs: ExactMatrix, hstack) -> bool:
     return rank(hstack(bs, operator @ bs)) == bs.cols
 
 
@@ -372,7 +374,7 @@ def _small_scalar(rng):
     return GaussianRational(Fraction(rng.randint(-2, 2), den), Fraction(rng.randint(-2, 2), den))
 
 
-def _generator(rng, n, kind):
+def _generator(rng, n, kind, hstack):
     """A spanning matrix: of {0} for kind 0, of C^n for kind 1, else of 1
     to n+1 random columns, sometimes with one column a combination of two
     others."""
@@ -383,7 +385,7 @@ def _generator(rng, n, kind):
     if kind == 1:
         return hstack(m, ExactMatrix.identity(n) * GaussianRational(1, 1))
     if cols > 1 and rng.random() < 0.3:
-        m = hstack(m, m.take_cols([0]) * _small_scalar(rng) + m.take_cols([1]))
+        m = hstack(m, m @ ExactMatrix.column([_small_scalar(rng), 1] + [0] * (cols - 2)))
     return m
 
 
@@ -404,23 +406,25 @@ def _assert_matches(got: Subspace, expected: ExactMatrix) -> None:
 
 
 @pytest.mark.parametrize("n, cases", [(1, 15), (2, 40), (3, 40), (4, 25)])
-def test_operations_match_their_references(rng, n, cases):
+def test_operations_match_their_references(rng, reference_hstack, n, cases):
+    hstack = reference_hstack
     verdicts = {"leq": set(), "contains_vector": set(), "maps_into": set()}
     dims = set()
     for case in range(cases):
-        gs, gt = _generator(rng, n, case % 10), _generator(rng, n, rng.randrange(10))
+        gs = _generator(rng, n, case % 10, hstack)
+        gt = _generator(rng, n, rng.randrange(10), hstack)
         s, t = image(gs), image(gt)
         bs, bt = _reference_column_canonical(gs), _reference_column_canonical(gt)
         dims.add(s.dim)
         _assert_matches(s, bs)
-        _assert_matches(meet(s, t), _reference_meet(bs, bt))
-        _assert_matches(join(s, t), _reference_join(bs, bt))
+        _assert_matches(meet(s, t), _reference_meet(bs, bt, hstack))
+        _assert_matches(join(s, t), _reference_join(bs, bt, hstack))
         _assert_matches(orthocomplement(s), _reference_orthocomplement(bs))
 
         joined, met = join(s, t), meet(s, t)
         for a, b in ((s, t), (t, s), (s, joined), (met, s), (joined, t)):
             got = leq(a, b)
-            assert got == _reference_leq(a.basis, b.basis)
+            assert got == _reference_leq(a.basis, b.basis, hstack)
             verdicts["leq"].add(got)
 
         vectors = [_random_column(rng, n)]
@@ -429,7 +433,7 @@ def test_operations_match_their_references(rng, n, cases):
         for v in vectors:
             if not v.is_zero():
                 got = contains_vector(s, StateVector(v))
-                assert got == _reference_contains_vector(bs, StateVector(v))
+                assert got == _reference_contains_vector(bs, StateVector(v), hstack)
                 verdicts["contains_vector"].add(got)
 
         # An operator whose image lies in s maps s into s.
@@ -438,7 +442,7 @@ def test_operations_match_their_references(rng, n, cases):
             _small_scalar(rng) for _ in range(bs.cols * n)))
         for op in (projector_of(t), random_op, into_s):
             got = maps_into(op, s)
-            assert got == _reference_maps_into(op, bs)
+            assert got == _reference_maps_into(op, bs, hstack)
             verdicts["maps_into"].add(got)
     assert dims == set(range(n + 1))
     assert verdicts == {"leq": {True, False}, "contains_vector": {True, False},
@@ -447,11 +451,11 @@ def test_operations_match_their_references(rng, n, cases):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_operations_leave_the_basis_unbuilt(rng, n):
+def test_operations_leave_the_basis_unbuilt(rng, reference_hstack, n):
     # Every operation reads the canonical rows; none builds the basis matrix.
     for case in range(20):
-        s = image(_generator(rng, n, case % 10))
-        t = image(_generator(rng, n, rng.randrange(10)))
+        s = image(_generator(rng, n, case % 10, reference_hstack))
+        t = image(_generator(rng, n, rng.randrange(10), reference_hstack))
         op = ExactMatrix(n, n, tuple(_small_scalar(rng) for _ in range(n * n)))
         results = [meet(s, t), join(s, t), orthocomplement(s)]
         leq(s, t)
