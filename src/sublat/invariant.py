@@ -20,7 +20,8 @@ Contexts are named sublattices of one universe lattice whose pairwise
 overlaps are trivial; meets between elements of different contexts are
 then undefined, and the contextual report spells out what each
 per-context valuation can and cannot see. Their union lattice is the
-sublattice of the universe that the contexts' elements generate.
+sublattice of the universe that the contexts' elements generate. The
+report reads every per-context fact off one owner map (see its docstring).
 """
 
 from __future__ import annotations
@@ -221,6 +222,13 @@ def contextual_valuation_report(
     lattice; a context that is just {bottom, top} is rejected. Raises
     ValueError, before listing any, when more than CONSISTENT_CAP
     assignments are consistent with every context separately.
+
+    Past those checks, each context element but the bottom and the top is a
+    union atom that one context alone holds, and every context has the
+    universe's bottom and top. So the owner map, from such an element's
+    universe index to its context, decides each per-context fact: a
+    context's atoms are those it owns, it excludes those the others own,
+    and x and y meet inside a context when either is trivial or one owns both.
     """
     if not contexts:
         raise ValueError("the contexts mapping is empty")
@@ -255,8 +263,8 @@ def contextual_valuation_report(
             "the bottom and the top"
         )
 
-    union, kept = lt._sublattice_kept(universe, owner)
-    union_atoms = [kept[a] for a in lt.atoms(union)]
+    union = lt.sublattice(universe, owner)
+    union_atoms = [universe.index_of(union.elements[a]) for a in lt.atoms(union)]
     stray = [i for i in owner if i not in union_atoms]
     if stray:
         raise ValueError(
@@ -264,35 +272,26 @@ def contextual_valuation_report(
             " is neither trivial nor an atom of the union lattice"
         )
 
-    summaries = []
-    for name, lat in items:
-        lat_atoms = lt.atoms(lat)
-        paper_vals = tuple(tuple(int(i == a) for i in range(len(lat))) for a in lat_atoms)
-        standard_vals = flt.search_bivaluations(lat, flt.FULL_HOMOMORPHISM_LAWS)
-        # A meet of a local atom with another context's atom is defined only
-        # in a context holding both, and none does.
-        excluded = sorted(universe.elements[i].span_str() for i, o in owner.items() if o != name)
-        summaries.append(
-            LatticeValuationSummary(
-                name=name,
-                element_spans=lat.spans(),
-                atom_spans=tuple(lat.elements[a].span_str() for a in lat_atoms),
-                paper_valuations=paper_vals,
-                standard_valuations=standard_vals,
-                excluded_atom_spans=tuple(excluded),
-            )
-        )
-
     # Reading (a): one bit per union atom, laws checked inside each context
     # separately. The contexts' atoms are disjoint, so a consistent
-    # assignment picks one standard valuation per context and either bit on
-    # each union atom that lies in no context; they are counted before any
-    # is listed.
-    parts = [
-        [{i: b for i, b in zip(held[name], bits) if owner.get(i) == name}
-         for bits in summary.standard_valuations]
-        for name, summary in zip(held, summaries)
-    ]
+    # assignment picks one standard valuation per context (its bits on the
+    # atoms the context owns) and either bit on each union atom that lies
+    # in no context; they are counted before any is listed.
+    summaries = []
+    parts = []
+    for name, lat in items:
+        owned = [(k, i) for k, i in enumerate(held[name]) if owner.get(i) == name]
+        standard_vals = flt.search_bivaluations(lat, flt.FULL_HOMOMORPHISM_LAWS)
+        parts.append([{i: bits[k] for k, i in owned} for bits in standard_vals])
+        summaries.append(LatticeValuationSummary(
+            name=name,
+            element_spans=lat.spans(),
+            atom_spans=tuple(lat.elements[k].span_str() for k, _ in owned),
+            paper_valuations=tuple(tuple(int(j == k) for j in range(len(lat))) for k, _ in owned),
+            standard_valuations=standard_vals,
+            excluded_atom_spans=tuple(sorted(
+                universe.elements[i].span_str() for i, o in owner.items() if o != name)),
+        ))
     parts += [[{i: 0}, {i: 1}] for i in union_atoms if i not in owner]
     count = math.prod(map(len, parts))
     if count > CONSISTENT_CAP:
@@ -310,9 +309,8 @@ def contextual_valuation_report(
     # Reading (b): one map on the union lattice, laws checked there.
     global_vals = flt.search_bivaluations(union, flt.FULL_HOMOMORPHISM_LAWS)
 
-    # x and y meet within some context when a context holds both.
-    in_some = sorted(set().union(*held.values()))
-    holders = [{name for name, indices in held.items() if i in indices} for i in in_some]
+    # x and y meet in some context when either is trivial or one context owns both.
+    in_some = sorted({universe.bottom, universe.top, *owner})
     return ContextualValuationReport(
         summaries=tuple(summaries),
         union_spans=union.spans(),
@@ -320,7 +318,9 @@ def contextual_valuation_report(
         per_lattice_consistent=tuple(consistent),
         global_valuations=global_vals,
         meet_defined_rows=tuple(
-            (universe.elements[i].span_str(), "".join(["01"[bool(h & g)] for g in holders]))
-            for i, h in zip(in_some, holders)
+            (universe.elements[i].span_str(),
+             "".join(["01"[i not in owner or j not in owner or owner[i] == owner[j]]
+                      for j in in_some]))
+            for i in in_some
         ),
     )

@@ -253,13 +253,6 @@ def sublattice(lat: FiniteLattice, indices: Iterable[int]) -> FiniteLattice:
     """The sublattice that the indices, the bottom and the top generate: their
     closure under lat's tables, with no subspace algebra, in lat's order;
     when that is every index, lat itself."""
-    return _sublattice_kept(lat, indices)[0]
-
-
-def _sublattice_kept(lat: FiniteLattice,
-                     indices: Iterable[int]) -> tuple[FiniteLattice, list[int]]:
-    """`sublattice(lat, indices)` and, sorted, the indices in lat of its
-    elements: element k of the sublattice is element kept[k] of lat."""
     picks = sorted(set(indices))
     for i in picks[:1] + picks[-1:]:  # the least and the greatest index
         if not 0 <= i < len(lat):
@@ -268,10 +261,9 @@ def _sublattice_kept(lat: FiniteLattice,
     tables = (lat.meet_table, lat.join_table)
     while (grown := {t[i][j] for t in tables for i in kept for j in kept}) != kept:
         kept = grown
-    kept = sorted(kept)
     if len(kept) == len(lat):
-        return lat, kept
-    return _relabelled(lat.elements, *tables, kept), kept
+        return lat
+    return _relabelled(lat.elements, *tables, sorted(kept))
 
 
 def is_atom(lat: FiniteLattice, i: int) -> bool:

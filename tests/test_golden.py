@@ -1,6 +1,8 @@
-"""Byte-for-byte stdout of every subcommand on the qubit file, and of the
-lattice commands on the C^4 frame file (whose closure makes exact meets), in
-both formats.
+"""Byte-for-byte stdout, in both formats, of three input files:
+tests/data/qubit.sublat under every subcommand, tests/data/frame_c4.sublat
+(whose closure makes exact meets) under the lattice commands, and
+tests/data/contexts_mixed.sublat (a pair context beside a one-projector
+context) under `contexts`.
 
 Each case's stdout is stored in tests/data/golden/<name>.<ext>, with the
 extension `txt` for `--format text` and `records` for `--format records`;
@@ -22,6 +24,7 @@ DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
 QUBIT = str(DATA / "qubit.sublat")
 FRAME = str(DATA / "frame_c4.sublat")
+MIXED = str(DATA / "contexts_mixed.sublat")
 
 # --format value -> golden file extension
 FORMATS = {"text": "txt", "records": "records"}
@@ -42,6 +45,7 @@ CASES = {
     "invariant": (["invariant", QUBIT, "--ops", "x1", "z1"], 0),
     "burnside": (["burnside", QUBIT, "--ops", "x1", "y1", "z1"], 0),
     "contexts": (["contexts", QUBIT], 0),
+    "contexts_mixed": (["contexts", MIXED], 0),
     "dot": (["dot", QUBIT], 0),
     "demo_qubit": (["demo-qubit", "--seed", "7"], 0),
     "frame_lattice": (["lattice", FRAME], 0),

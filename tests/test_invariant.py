@@ -345,6 +345,19 @@ def _lines_case():
                       for i, s in enumerate(lines)}
 
 
+def _c2_case(*contexts):
+    """One context per list of rays of C^2: the sublattice those lines
+    generate in the universe that every listed line generates."""
+    u = close_and_build([span([r]) for rays in contexts for r in rays])
+    return u, {f"C{k}": sublattice(u, [u.index_of(span([r])) for r in rays])
+               for k, rays in enumerate(contexts)}
+
+
+_MO3 = ([1, 0], [1, 1], [1, 2])
+_PAIR = ([1, "i"], [1, "-i"])
+_LINE = ([0, 1],)
+
+
 @pytest.mark.parametrize(
     "case, union_size, consistent, global_count",
     [
@@ -353,8 +366,13 @@ def _lines_case():
         (lambda: _pairs_case(4), 10, 16, 0),
         (lambda: _pairs_case(5), 12, 32, 0),
         (_lines_case, 8, 8, 3),
+        # An MO_3 context has no standard valuation, so nothing is consistent.
+        (lambda: _c2_case(_MO3, _PAIR, _LINE), 8, 0, 0),
+        (lambda: _c2_case(_PAIR, _LINE), 5, 4, 0),
+        (lambda: _c2_case(_LINE, ([1, 3],)), 4, 4, 2),
     ],
-    ids=["qubit", "single", "pairs4", "pairs5", "lines_c3"],
+    ids=["qubit", "single", "pairs4", "pairs5", "lines_c3", "mo3_pair_line",
+         "pair_line", "two_lines"],
 )
 def test_contextual_report_matches_enumeration_reference(
     case, union_size, consistent, global_count
