@@ -1,15 +1,23 @@
 """Exact arithmetic over the Gaussian rationals.
 
 Scalars are complex numbers whose real and imaginary parts are rationals
-in lowest terms, backed by fractions.Fraction. Matrices are immutable and
-row-major, and this module alone knows how they are stored: as
-Gaussian-integer (re, im) int pairs over one positive denominator, in
-lowest terms. The form is unique, so equality and hashing compare ints,
-and every operation works on them; a matrix's GaussianRational entries
-are formed on first use. Everything downstream rests on the four exact
-algorithms here: reduced row echelon form, kernel bases, conjugate
-transposition, and inversion, with kernels and inverses read off
-canonical rows.
+in lowest terms, backed by fractions.Fraction. A scalar's arithmetic
+takes another scalar, an int or a Fraction on either side and coerces it
+once; any other operand, a float or a str among them, gets
+NotImplemented, so Python raises TypeError. Scalar text is a term, a term
+and then 'i', or a term, a second term that starts with its sign, and
+'i'. A term is an optional sign and then a fraction, p or p/q in ASCII
+digits with q not 0 and at most MAX_LITERAL_DIGITS to a literal, or the
+sign alone before 'i', which reads as 1.
+
+Matrices are immutable and row-major, and this module alone knows how
+they are stored: as Gaussian-integer (re, im) int pairs over one positive
+denominator, in lowest terms. The form is unique, so equality and hashing
+compare ints, and every operation works on them; a matrix's
+GaussianRational entries are formed on first use. Everything downstream
+rests on the four exact algorithms here: reduced row echelon form, kernel
+bases, conjugate transposition, and inversion, with kernels and inverses
+read off canonical rows.
 
 Elimination runs over the Gaussian integers Z[i], in one routine,
 _insert_row, which rref, the subspace layer and the algebra span share.
@@ -34,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 __all__ = [
     "GaussianRational",
@@ -68,6 +76,41 @@ class ScalarParseError(ValueError):
         self.position = position
 
 
+def _operators(fn: Callable) -> tuple[Callable, Callable]:
+    """The forward and the reflected operator of fn(a, b). Each coerces the
+    operand that is not self by the operand rule of the module docstring,
+    and the reflected one passes it to fn first."""
+
+    def forward(a, b):
+        b = _coerce(b)
+        return NotImplemented if b is None else fn(a, b)
+
+    def reflected(b, a):
+        a = _coerce(a)
+        return NotImplemented if a is None else fn(a, b)
+
+    return forward, reflected
+
+
+def _add(a: "GaussianRational", b: "GaussianRational") -> "GaussianRational":
+    return GaussianRational(a.real + b.real, a.imag + b.imag)
+
+
+def _sub(a: "GaussianRational", b: "GaussianRational") -> "GaussianRational":
+    return GaussianRational(a.real - b.real, a.imag - b.imag)
+
+
+def _mul(a: "GaussianRational", b: "GaussianRational") -> "GaussianRational":
+    return GaussianRational(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
+def _truediv(a: "GaussianRational", b: "GaussianRational") -> "GaussianRational":
+    norm = b.real * b.real + b.imag * b.imag
+    if norm == 0:
+        raise ZeroDivisionError("division by zero scalar")
+    return _mul(a, GaussianRational(b.real / norm, -b.imag / norm))
+
+
 @dataclass(frozen=True)
 class GaussianRational:
     """A complex number with rational real and imaginary parts."""
@@ -84,9 +127,6 @@ class GaussianRational:
         if type(self.imag) is not Fraction:
             object.__setattr__(self, "imag", _exact_part(self.imag))
 
-    def __repr__(self) -> str:
-        return f"GaussianRational({format_scalar(self)!r})"
-
     def __str__(self) -> str:
         return format_scalar(self)
 
@@ -102,51 +142,10 @@ class GaussianRational:
     def __neg__(self) -> "GaussianRational":
         return GaussianRational(-self.real, -self.imag)
 
-    def __add__(self, other: ScalarLike) -> "GaussianRational":
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.real + o.real, self.imag + o.imag)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: ScalarLike) -> "GaussianRational":
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.real - o.real, self.imag - o.imag)
-
-    def __rsub__(self, other: ScalarLike) -> "GaussianRational":
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other: ScalarLike) -> "GaussianRational":
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(
-            self.real * o.real - self.imag * o.imag,
-            self.real * o.imag + self.imag * o.real,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: ScalarLike) -> "GaussianRational":
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        norm = o.real * o.real + o.imag * o.imag
-        if norm == 0:
-            raise ZeroDivisionError("division by zero scalar")
-        return self * GaussianRational(o.real / norm, -o.imag / norm)
-
-    def __rtruediv__(self, other: ScalarLike) -> "GaussianRational":
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
+    __add__, __radd__ = _operators(_add)
+    __sub__, __rsub__ = _operators(_sub)
+    __mul__, __rmul__ = _operators(_mul)
+    __truediv__, __rtruediv__ = _operators(_truediv)
 
     def sort_key(self) -> tuple[Fraction, Fraction]:
         return (self.real, self.imag)
@@ -182,13 +181,10 @@ I_UNIT = GaussianRational(Fraction(0), Fraction(1))
 
 
 def parse_scalar(text: str) -> GaussianRational:
-    """Parse canonical scalar text.
+    """Parse scalar text in the term grammar of the module docstring.
 
-    Accepted forms: `[-]p[/q]`, `[-]p[/q](+|-)[r[/s]]i`, and the pure
-    imaginary `[-][r[/s]]i`. An omitted imaginary coefficient means 1.
-    Digits are ASCII 0-9, at most MAX_LITERAL_DIGITS to a literal. Raises
-    ScalarParseError (with a position) on malformed text, a longer literal
-    or a zero denominator.
+    Raises ScalarParseError (with a position) on malformed text, a literal
+    longer than MAX_LITERAL_DIGITS or a zero denominator.
     """
     s = text
     n = len(s)
@@ -196,14 +192,6 @@ def parse_scalar(text: str) -> GaussianRational:
 
     def fail(message: str, at: int) -> None:
         raise ScalarParseError(message, at)
-
-    def read_sign() -> int:
-        nonlocal pos
-        if pos < n and s[pos] in "+-":
-            sign = -1 if s[pos] == "-" else 1
-            pos += 1
-            return sign
-        return 1
 
     def read_int() -> int:
         nonlocal pos
@@ -216,9 +204,15 @@ def parse_scalar(text: str) -> GaussianRational:
             fail(f"more than {MAX_LITERAL_DIGITS} digits", start)
         return int(s[start:pos])
 
-    def read_fraction() -> Fraction:
+    def read_term() -> Fraction:
+        """One term of the module docstring's grammar, its sign on the numerator."""
         nonlocal pos
-        numerator = read_int()
+        negative = pos < n and s[pos] == "-"
+        if pos < n and s[pos] in "+-":
+            pos += 1
+        if pos < n and s[pos] == "i":
+            return Fraction(-1 if negative else 1)
+        numerator = -read_int() if negative else read_int()
         if pos < n and s[pos] == "/":
             pos += 1
             dstart = pos
@@ -228,23 +222,17 @@ def parse_scalar(text: str) -> GaussianRational:
             return Fraction(numerator, denominator)
         return Fraction(numerator)
 
-    def read_coefficient() -> Fraction:
-        """A fraction, or 1 when it is omitted before 'i'."""
-        return Fraction(1) if pos < n and s[pos] == "i" else read_fraction()
-
     if n == 0:
         fail("empty scalar", 0)
-    sign = read_sign()
-    coefficient = read_coefficient()
+    first = read_term()
     if pos == n:
-        return GaussianRational(sign * coefficient)
+        return GaussianRational(first)
     if s[pos] == "i":
-        real, imag = Fraction(0), sign * coefficient
+        real, imag = Fraction(0), first
     else:
         if s[pos] not in "+-":
             fail("expected '+', '-' or 'i'", pos)
-        real = sign * coefficient
-        imag = read_sign() * read_coefficient()
+        real, imag = first, read_term()
         if pos == n or s[pos] != "i":
             fail("expected 'i' after the imaginary part", pos)
     pos += 1
@@ -383,16 +371,15 @@ class ExactMatrix:
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         return self + -other
 
-    def __mul__(self, scalar: ScalarLike) -> "ExactMatrix":
-        z = _coerce(scalar)
-        if z is None:
-            return NotImplemented
+    def _scaled(self, z: GaussianRational) -> "ExactMatrix":
         # The entries as a column times the 1x1 matrix z.
         s = ExactMatrix(1, 1, (z,))
         product = _gaussian_product(self.ints, s.ints, len(self.ints), 1, 1)
         return _lowest(self.rows, self.cols, product, self.den * s.den)
 
-    __rmul__ = __mul__
+    # Scaling commutes, so the forward operator, which coerces the scalar,
+    # serves on both sides.
+    __mul__ = __rmul__ = _operators(_scaled)[0]
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         """The matrix product: the product of the Gaussian-integer parts over

@@ -229,6 +229,9 @@ def contextual_valuation_report(
     universe index to its context, decides each per-context fact: a
     context's atoms are those it owns, it excludes those the others own,
     and x and y meet inside a context when either is trivial or one owns both.
+    A union atom that no context owns takes either bit in reading (a);
+    hand-built tables reach one, such as the meet of two joins of context
+    atoms that lies in no context.
     """
     if not contexts:
         raise ValueError("the contexts mapping is empty")

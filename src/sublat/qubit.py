@@ -16,8 +16,6 @@ from .exactlin import ExactMatrix, GaussianRational
 
 __all__ = ["projector", "context", "nontrivial_projectors"]
 
-_HALF = Fraction(1, 2)
-
 
 def projector(q: int, n: int) -> ExactMatrix:
     """The projector P(q, n), built from Kronecker deltas on q.
@@ -35,10 +33,10 @@ def projector(q: int, n: int) -> ExactMatrix:
     d2 = 1 if q == 2 else 0
     d3 = 1 if q == 3 else 0
     s = (-1) ** n
-    a = GaussianRational(_HALF * (1 + s * (d0 - d3)))
-    b = GaussianRational(_HALF * s * (-d1), _HALF * s * d2)
-    c = GaussianRational(_HALF * s * (-d1), -_HALF * s * d2)
-    d = GaussianRational(_HALF * (1 + s * (d0 + d3)))
+    a = GaussianRational(Fraction(1 + s * (d0 - d3), 2))
+    b = GaussianRational(Fraction(-s * d1, 2), Fraction(s * d2, 2))
+    c = GaussianRational(Fraction(-s * d1, 2), Fraction(-s * d2, 2))
+    d = GaussianRational(Fraction(1 + s * (d0 + d3), 2))
     return ExactMatrix(2, 2, (a, b, c, d))
 
 

@@ -383,6 +383,21 @@ def test_closed_stdout_exits_one_quietly(tmp_path, rays):
     assert (proc.returncode, err) == (1, b"")
 
 
+def test_reader_that_stops_after_one_line_ends_the_run_quietly(tmp_path):
+    # The 253 lines [1, k] of C^2 print 482,298 bytes of records, far more
+    # than a pipe holds, so the writer is still running when the reader goes.
+    path = tmp_path / "lines.sublat"
+    path.write_text("dim 2\n" + "".join(f"ray r{k} = [1, {k}]\n" for k in range(253)),
+                    encoding="utf-8")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sublat", "lattice", str(path), "--format", "records"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (1, b"")
+
+
 def test_invariant_command(capsys):
     assert main(["invariant", str(DATA), "--ops", "x1", "z1"]) == 0
     out = capsys.readouterr().out

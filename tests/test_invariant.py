@@ -23,7 +23,7 @@ from sublat.invariant import (
     is_irreducible,
     meet_defined,
 )
-from sublat.lattice import atoms, close_and_build, sublattice
+from sublat.lattice import FiniteLattice, atoms, check_modular, close_and_build, sublattice
 from sublat.qubit import context, nontrivial_projectors, projector
 from sublat.subspace import Subspace, image, maps_into, projector_of, span
 
@@ -272,6 +272,44 @@ def test_contextual_report_checks_shared_elements_before_atoms():
 def test_contextual_report_empty_registry(universe):
     with pytest.raises(ValueError, match="empty"):
         contextual_valuation_report(universe, {})
+
+
+def _two_tents():
+    """Hand-built tables with rays [1, k] of C^2 as labels: the bottom; atoms
+    a, b, e, f and x; c above a, b and x; d above e, f and x; the top. So
+    c ^ d = x, an atom that a union of contexts holding a, b, e and f
+    generates but no context holds. The tables are not a subspace closure."""
+    names = ["0", "a", "b", "e", "f", "x", "c", "d", "1"]
+    below = {"0": "0", "1": "".join(names)}
+    below.update({atom: "0" + atom for atom in "abefx"})
+    below.update(c="0abxc", d="0efxd")
+    size = len(names)
+    leq = [[names[i] in below[names[j]] for j in range(size)] for i in range(size)]
+
+    def extreme(i, j, bound):
+        bounds = [z for z in range(size) if bound(i, z) and bound(j, z)]
+        return next(z for z in bounds if all(bound(z, w) for w in bounds))
+
+    meets = tuple(tuple(extreme(i, j, lambda u, z: leq[z][u]) for j in range(size))
+                  for i in range(size))
+    joins = tuple(tuple(extreme(i, j, lambda u, z: leq[u][z]) for j in range(size))
+                  for i in range(size))
+    labels = tuple(span([[1, k]]) for k in range(size))
+    return FiniteLattice(labels, meets, joins), names
+
+
+def test_contextual_report_leaves_a_free_atom_free():
+    universe, names = _two_tents()
+    assert universe.meet(names.index("c"), names.index("d")) == names.index("x")
+    assert check_modular(universe).total_violations == 8
+    contexts = {name: sublattice(universe, [names.index(name)]) for name in "abef"}
+    report = contextual_valuation_report(universe, contexts)
+    assert len(report.union_spans) == 9
+    assert report.union_atom_spans == tuple(
+        universe.elements[names.index(atom)].span_str() for atom in "abefx")
+    # x lies in no context, so its bit is free: every 5-bit tuple is consistent.
+    assert report.per_lattice_consistent == tuple(itertools.product((0, 1), repeat=5))
+    assert report.global_valuations == ()
 
 
 def _reference_report(contexts):

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import re
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sublat.exactlin import (
+    ExactMatrix,
     GaussianRational,
     I_UNIT,
     MAX_LITERAL_DIGITS,
@@ -18,6 +20,7 @@ from sublat.exactlin import (
     format_scalar,
     parse_scalar,
 )
+from sublat.subspace import Subspace, span
 
 
 def gr(re, im=0):
@@ -253,6 +256,54 @@ def test_mixed_arithmetic_with_ints_and_fractions():
     assert z * Fraction(1, 2) == gr(Fraction(1, 2), 1)
     assert 2 - z == gr(1, -2)
     assert as_scalar("1/2-i") == gr(Fraction(1, 2), -1)
+
+
+def _reference_op(op, a, b):
+    """a op b on (re, im) pairs of Fractions, written out part by part."""
+    (ar, ai), (br, bi) = a, b
+    if op is operator.add:
+        return ar + br, ai + bi
+    if op is operator.sub:
+        return ar - br, ai - bi
+    if op is operator.mul:
+        return ar * br - ai * bi, ar * bi + ai * br
+    norm = br * br + bi * bi
+    return (ar * br + ai * bi) / norm, (ai * br - ar * bi) / norm
+
+
+_OPERATORS = [operator.add, operator.sub, operator.mul, operator.truediv]
+
+
+@pytest.mark.parametrize("op", _OPERATORS, ids=lambda op: op.__name__)
+@pytest.mark.parametrize("operand", [3, Fraction(-2, 5)], ids=["int", "Fraction"])
+def test_int_and_fraction_operands_work_on_either_side(op, operand):
+    z = gr(Fraction(3, 4), Fraction(-2, 7))
+    parts = (z.real, z.imag)
+    other = (Fraction(operand), Fraction(0))
+    for result, expected in ((op(z, operand), _reference_op(op, parts, other)),
+                             (op(operand, z), _reference_op(op, other, parts))):
+        assert type(result) is GaussianRational
+        assert (result.real, result.imag) == expected
+
+
+@pytest.mark.parametrize("op", _OPERATORS, ids=lambda op: op.__name__)
+@pytest.mark.parametrize("operand", [0.5, "1/2"], ids=["float", "str"])
+def test_inexact_operands_raise_type_error_on_either_side(op, operand):
+    z = gr(Fraction(3, 4), Fraction(-2, 7))
+    with pytest.raises(TypeError):
+        op(z, operand)
+    with pytest.raises(TypeError):
+        op(operand, z)
+
+
+def test_repr_evaluates_back():
+    z = gr(Fraction(1, 2), -1)
+    assert repr(z) == "GaussianRational(real=Fraction(1, 2), imag=Fraction(-1, 1))"
+    namespace = {"Fraction": Fraction, "GaussianRational": GaussianRational,
+                 "ExactMatrix": ExactMatrix, "Subspace": Subspace}
+    m = ExactMatrix.from_rows([[z, 0], ["i", Fraction(-3, 7)]])
+    for x in (z, ZERO, I_UNIT, m, span([[1, "i"], [0, "1/2-i"]]), span([[2, "-i"]])):
+        assert eval(repr(x), namespace) == x
 
 
 @pytest.mark.parametrize("real,imag,expected", [
