@@ -5,13 +5,17 @@ principal filter up(a), and joins exactly when its 0-set is empty or a
 principal ideal down(b), so the bounded two-valued homomorphisms are
 the indicators of the prime filters; each law is decided that way.
 
-Every verdict reads one row or column of a table per element it asks
-about, never a whole table: the meet-hom law looks its 1-set up among the
-order rows (the sets up(a)) and the join-hom law its 0-set among the order
-columns (the sets down(b)); an atom is an element whose meet row takes
-two values; paper primality reads the join row of each removed element
-at the removed elements; upward closure reads each member's order row at
-the non-members, and downward directedness its meet row at the members.
+Every verdict reads a fact that the lattice or the subset computed once,
+or one row or column of a table per element it asks about, never a whole
+table. The meet-hom law is one hashed lookup of its 1-set among the order
+rows (the sets up(a), `FiniteLattice.up_sets`) and the join-hom law one of
+its 0-set among the order columns (the sets down(b),
+`FiniteLattice.down_sets`); an atom test is one lookup in
+`FiniteLattice.atom_set`; the lattice fills each of these on first use. A
+subset stores its complement when it is made. Paper primality reads the
+join row of each removed element at the removed elements; upward closure
+reads each member's order row at the non-members, and downward
+directedness its meet row at the members.
 
 Two regimes are implemented side by side, and every verdict is tagged
 with the convention that produced it:
@@ -99,23 +103,27 @@ NOT_APPLICABLE = _Sentinel("not-applicable")
 
 @dataclass(frozen=True)
 class LatticeSubset:
-    """A subset of one lattice's elements, held as indices."""
+    """A subset of one lattice's elements, held as indices. Its complement
+    is stored when it is made, outside the fields, so equality, the hash
+    and the repr read the host and the members only."""
 
     host: FiniteLattice
     members: frozenset[int]
 
     def __post_init__(self) -> None:
         members = frozenset(self.members)
-        if bad := members.difference(range(len(self.host))):
+        everything = frozenset(range(len(self.host)))
+        if bad := members - everything:
             first = next(filter(bad.__contains__, members))
             raise ValueError(f"member index {first} out of range")
         object.__setattr__(self, "members", members)
+        object.__setattr__(self, "_complement", everything - members)
 
     def sorted_members(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
 
     def complement_members(self) -> frozenset[int]:
-        return frozenset(range(len(self.host))) - self.members
+        return self._complement
 
     def __contains__(self, index: int) -> bool:
         return index in self.members
@@ -265,14 +273,14 @@ def _check_law_tokens(laws: Iterable[str]) -> frozenset[str]:
 
 def _meet_hom(host: FiniteLattice, v: tuple[int, ...]) -> bool:
     """v preserves meets: its 1-set is empty or up(a) for some a, the meet of
-    the 1-set; the sets up(a) are the rows of the order table."""
-    return not any(v) or tuple(v) in host.order
+    the 1-set; one hashed lookup among the rows of the order table."""
+    return not any(v) or v in host.up_sets
 
 
 def _join_hom(host: FiniteLattice, v: tuple[int, ...]) -> bool:
     """v preserves joins: its 0-set is empty or down(b) for some b, the join
-    of the 0-set; the sets down(b) are the columns of the order table."""
-    return all(v) or tuple(map(operator.not_, v)) in host.order_columns
+    of the 0-set; one hashed lookup among the columns of the order table."""
+    return all(v) or tuple(map(operator.not_, v)) in host.down_sets
 
 
 def _holds(host: FiniteLattice, v: tuple[int, ...], chosen, comp) -> bool:
@@ -307,8 +315,12 @@ def search_bivaluations(
     the all-ones map and the complements of the principal ideals down(b).
     Otherwise they are a product over k free bits, one per element or
     per orthocomplement pair, and more than SEARCH_FREE_BIT_CAP free bits
-    are refused before any of the 2^k is listed. Each candidate is then
-    checked for the laws its source does not guarantee.
+    are refused before any of the 2^k is listed. Under complement-law a
+    plan gives each element the free bit it reads and whether to flip it:
+    the lesser index of a pair reads its bit and the greater one the
+    flipped bit, so every candidate keeps the law. No element is its own
+    orthocomplement, as x = x' would force {0} = C^n. Each candidate is
+    then checked for the laws its source does not guarantee.
     """
     chosen = _check_law_tokens(laws)
     size = len(host)
@@ -329,13 +341,19 @@ def search_bivaluations(
                 "without meet-hom or join-hom, whose valuations are listed "
                 f"one by one (2^{len(free)} candidates)"
             )
-        bit_maps = (
-            dict(zip(free, bits)) for bits in itertools.product((0, 1), repeat=len(free))
-        )
-        candidates = (
-            tuple(b[i] if i in b else 1 - b[comp[i]] for i in range(size))
-            for b in bit_maps
-        )
+        candidates = itertools.product((0, 1), repeat=len(free))
+        if comp is not None:
+            # Two products give each candidate's free bits and their flips in
+            # lockstep; the plan reads free bit k of element i at k in
+            # bits + flips, or at len(free) + k when i is the flipped one. A
+            # lattice with orthocomplements has two elements or more, so the
+            # itemgetter returns a tuple.
+            slot = {i: k for k, i in enumerate(free)}
+            read = operator.itemgetter(
+                *(slot[i] if i in slot else len(free) + slot[comp[i]] for i in range(size)))
+            flipped = itertools.product((1, 0), repeat=len(free))
+            candidates = (read(bits + flips) for bits, flips in zip(candidates, flipped))
+            comp = None  # the plan keeps the complement law
     return tuple(sorted(v for v in candidates if _holds(host, v, chosen, comp)))
 
 

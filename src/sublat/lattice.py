@@ -19,12 +19,16 @@ to find its index. The sublattice some elements of a built lattice
 generate is their closure under its tables. Both renumber a parent's
 meet and join tables onto the kept indices. Atoms, covers and law
 reports are counted off the tables too, with no subspace algebra: an
-atom is read off its own meet row, whose values are its down-set. A law
-scan settles each instance either by an identity that holds in every
-lattice or by comparing two whole table rows with `map`, never by a
-Python loop per triple: the distributive sides agree when a and b are
-comparable and do not change when a and b swap, and the modular sides
-agree when a is the bottom, c = a or c is the top.
+atom is read off its own meet row, whose values are its down-set. The
+atom set, and the order rows and columns as hashed sets, are lazily
+filled facts of the lattice, each computed once on first use, so an
+atom test, or asking whether a 0/1 tuple is some up(a) or down(b), is
+one hashed lookup. A law scan settles each instance either by an
+identity that holds in every lattice or by comparing two whole table
+rows with `map`, never by a Python loop per triple: the distributive
+sides agree when a and b are comparable and do not change when a and b
+swap, and the modular sides agree when a is the bottom, c = a or c is
+the top.
 """
 
 from __future__ import annotations
@@ -70,8 +74,12 @@ class FiniteLattice:
     decide equality and the hash. The rest is read off them: `ambient_dim`,
     `order` (0/1 ints: entry j of row i is 1 exactly when i ^ j = i, so row
     i is the indicator of up(i)), `bottom` (the meet of every index) and
-    `top` (the join of every index). `order_columns`, the transposed order
-    table, is filled on first use; `leq` answers a bool."""
+    `top` (the join of every index). Four more facts are filled on first
+    use and stay out of equality, the hash and the repr: `order_columns`,
+    the transposed order table; `up_sets` and `down_sets`, its rows and
+    its columns as hashed sets, so asking whether a 0/1 tuple is some
+    up(a) or some down(b) is one hashed lookup; and `atom_set`, the
+    indices covering the bottom. `leq` answers a bool."""
 
     elements: tuple[Subspace, ...]
     meet_table: tuple[tuple[int, ...], ...]
@@ -115,6 +123,24 @@ class FiniteLattice:
     def order_columns(self) -> tuple[tuple[int, ...], ...]:
         """Column j of the order table: the indicator of down(j)."""
         return tuple(zip(*self.order))
+
+    @functools.cached_property
+    def up_sets(self) -> frozenset[tuple[int, ...]]:
+        """The order rows, hashed: the indicators of the sets up(a)."""
+        return frozenset(self.order)
+
+    @functools.cached_property
+    def down_sets(self) -> frozenset[tuple[int, ...]]:
+        """The order columns, hashed: the indicators of the sets down(b)."""
+        return frozenset(self.order_columns)
+
+    @functools.cached_property
+    def atom_set(self) -> frozenset[int]:
+        """The indices other than the bottom whose meet row takes exactly two
+        values. The values of row i are its down-set, so that set is
+        {bottom, i}: i covers the bottom."""
+        return frozenset(i for i, row in enumerate(self.meet_table)
+                         if i != self.bottom and len(set(row)) == 2)
 
 
 def close_and_build(
@@ -267,16 +293,14 @@ def sublattice(lat: FiniteLattice, indices: Iterable[int]) -> FiniteLattice:
 
 
 def is_atom(lat: FiniteLattice, i: int) -> bool:
-    """i covers the bottom: i is an index other than the bottom and its meet
-    row takes exactly two values. The values of row i are its down-set, so
-    that set is {bottom, i}. An index out of range is no atom."""
-    return (0 <= i < len(lat) and i != lat.bottom
-            and len(set(lat.meet_table[i])) == 2)
+    """i covers the bottom: one hashed lookup in `lat.atom_set`, which reads
+    each atom off its meet row once. An index out of range is no atom."""
+    return i in lat.atom_set
 
 
 def atoms(lat: FiniteLattice) -> tuple[int, ...]:
-    """Indices of the elements covering the bottom, each read off its meet row."""
-    return tuple(i for i in range(len(lat)) if is_atom(lat, i))
+    """Indices of the elements covering the bottom, ascending."""
+    return tuple(sorted(lat.atom_set))
 
 
 def covers(lat: FiniteLattice) -> tuple[tuple[int, int], ...]:

@@ -1,12 +1,15 @@
+import copy
 import functools
 import itertools
+import pickle
 import re
+from fractions import Fraction
 
 import pytest
 
 from sublat import lattice
 from sublat import subspace as sub
-from sublat.exactlin import ExactMatrix
+from sublat.exactlin import ExactMatrix, GaussianRational
 from sublat.filters import (
     BOTTOM_TO_ZERO,
     Bivaluation,
@@ -33,7 +36,9 @@ from sublat.filters import (
     search_bivaluations,
     state_valuation,
 )
-from sublat.lattice import ClosureCapError, atoms, close_and_build, orthocomplement_indices
+from sublat.lattice import (
+    ClosureCapError, atoms, close_and_build, is_atom, orthocomplement_indices,
+)
 from sublat.qubit import nontrivial_projectors, projector
 from sublat.subspace import image, span, vector
 
@@ -398,6 +403,105 @@ def test_search_size_guard():
     assert len(mo16) == 18
     with pytest.raises(ValueError, match="18 elements and 18 free bits"):
         search_bivaluations(mo16, {TOP_TO_ONE})
+
+
+COMPLEMENT_LAW_SETS = [laws for laws in ALL_LAW_SETS if COMPLEMENT_LAW in laws]
+
+
+def _reference_complement_candidates(lat):
+    """The complement-law candidates as the search once listed them: one
+    dict of free bits per candidate, the lesser index of each
+    orthocomplement pair free and the greater one its flip."""
+    size = len(lat)
+    comp = orthocomplement_indices(lat)
+    free = [i for i in range(size) if i <= comp[i]]
+    bit_maps = (dict(zip(free, bits)) for bits in itertools.product((0, 1), repeat=len(free)))
+    return [tuple(b[i] if i in b else 1 - b[comp[i]] for i in range(size)) for b in bit_maps]
+
+
+def _random_orthopairs(rng, p):
+    """MO_2p: p lines [1, z] of C^2 with random slopes and their
+    orthocomplements. Each slope has a positive real part and each
+    orthocomplement's slope, -1/conj(z), a negative one, so the 2p lines
+    are distinct."""
+    slopes = set()
+    while len(slopes) < p:
+        slopes.add(GaussianRational(Fraction(rng.randint(1, 9), rng.randint(1, 9)),
+                                    Fraction(rng.randint(-9, 9), rng.randint(1, 9))))
+    lines = [span([[1, z]]) for z in slopes]
+    return close_and_build(lines + [sub.orthocomplement(s) for s in lines])
+
+
+def _random_frame(rng, n):
+    """2^n: the columns of |v|^2 I - 2 v v*, a scaled Householder
+    reflection, for a random nonzero Gaussian-integer v; they are n
+    orthogonal rays of C^n."""
+    v = [(0, 0)] * n
+    while v == [(0, 0)] * n:
+        v = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n)]
+    norm = sum(a * a + b * b for a, b in v)
+
+    def entry(i, j):  # |v|^2 [i = j] - 2 v_i conj(v_j)
+        (a, b), (c, d) = v[i], v[j]
+        return GaussianRational(Fraction(norm * (i == j) - 2 * (a * c + b * d)),
+                                Fraction(-2 * (b * c - a * d)))
+
+    return close_and_build([span([[entry(i, j) for i in range(n)]]) for j in range(n)])
+
+
+def test_complement_search_matches_reference_candidates(rng):
+    # The naive oracle lists all 2^n maps, so it stops near 10 elements;
+    # here the reference lists the 2^k complement-law candidates of MO_2p up
+    # to the 16-free-bit cap (p pairs and the bottom-top pair) and of the
+    # frames 2^3 and 2^4. satisfies_laws decides each law alone on each
+    # candidate, and a law set holds where each of its laws does.
+    lattices = [_random_orthopairs(rng, p) for p in range(1, 16)]
+    lattices += [_random_frame(rng, n) for n in (3, 4)]
+    assert [len(lat) for lat in lattices] == [2 * p + 2 for p in range(1, 16)] + [8, 16]
+    for lat in lattices:
+        candidates = _reference_complement_candidates(lat)
+        held = [frozenset(law for law in KNOWN_LAWS if satisfies_laws(lat, v, {law}))
+                for v in candidates]
+        for laws in COMPLEMENT_LAW_SETS:
+            expected = sorted(v for v, ok in zip(candidates, held) if laws <= ok)
+            assert list(search_bivaluations(lat, laws)) == expected, (len(lat), sorted(laws))
+    assert len(search_bivaluations(lattices[14], {COMPLEMENT_LAW})) == 2 ** 16
+
+
+def test_cached_facts_stay_out_of_equality_hash_and_copies():
+    # The lattice's lazily filled facts and the subset's stored complement
+    # are read before any comparison or copy; fresh has none of them yet.
+    lat = close_and_build([image(p) for p in nontrivial_projectors()])
+    fresh = close_and_build(lat.elements)
+    text = repr(lat)
+
+    def facts(host):
+        return host.atom_set, host.up_sets, host.down_sets, host.order_columns
+
+    read = facts(lat)
+    assert repr(lat) == text and lat == fresh and hash(lat) == hash(fresh)
+    w = atoms(lat)[0]
+    subset = coatom_complement_filter(lat, w)
+    assert subset.complement_members() == {w}
+    assert subset == LatticeSubset(fresh, subset.members)
+    assert hash(subset) == hash(LatticeSubset(fresh, subset.members))
+    assert repr(subset) == f"LatticeSubset(host={text}, members={subset.members!r})"
+    bit_vectors = list(itertools.product((0, 1), repeat=len(lat)))
+
+    def answers(host):
+        return (atoms(host), [is_atom(host, i) for i in range(-1, len(host) + 1)],
+                [(satisfies_laws(host, v, {MEET_HOM}), satisfies_laws(host, v, {JOIN_HOM}))
+                 for v in bit_vectors])
+
+    expected = answers(lat)
+    for duplicate in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
+        for original, host_of in ((lat, lambda x: x), (subset, lambda x: x.host)):
+            twin = duplicate(original)
+            assert twin == original and hash(twin) == hash(original)
+            assert facts(host_of(twin)) == read and answers(host_of(twin)) == expected
+        twin = duplicate(subset)
+        assert twin.complement_members() == {w}
+        assert is_prime_paper(twin) and is_upward_closed(twin) == is_upward_closed(subset)
 
 
 def test_satisfies_laws(full_lattice):
