@@ -5,17 +5,18 @@ principal filter up(a), and joins exactly when its 0-set is empty or a
 principal ideal down(b), so the bounded two-valued homomorphisms are
 the indicators of the prime filters; each law is decided that way.
 
-Every verdict reads a fact that the lattice or the subset computed once,
-or one row or column of a table per element it asks about, never a whole
-table. The meet-hom law is one hashed lookup of its 1-set among the order
-rows (the sets up(a), `FiniteLattice.up_sets`) and the join-hom law one of
-its 0-set among the order columns (the sets down(b),
-`FiniteLattice.down_sets`); an atom test is one lookup in
-`FiniteLattice.atom_set`; the lattice fills each of these on first use. A
-subset stores its complement when it is made. Paper primality reads the
-join row of each removed element at the removed elements; upward closure
-reads each member's order row at the non-members, and downward
-directedness its meet row at the members.
+The lattice verdicts read lattice data only, never a subspace: each reads
+a fact that the lattice or the subset computed once, or one row or column
+of a table per element it asks about, never a whole table. The meet-hom
+law is one hashed lookup of its 1-set among the order rows (the sets
+up(a), `FiniteLattice.up_sets`) and the join-hom law one of its 0-set
+among the order columns (the sets down(b), `FiniteLattice.down_sets`); an
+atom test is one lookup in `FiniteLattice.atom_set`; the complement law
+reads `FiniteLattice.orthocomplements`. The lattice fills each of these on
+first use, and a subset stores its complement when it is made. Paper
+primality reads the join row of each removed element at the removed
+elements; upward closure reads each member's order row at the
+non-members, and downward directedness its meet row at the members.
 
 Two regimes are implemented side by side, and every verdict is tagged
 with the convention that produced it:
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .exactlin import ExactMatrix
-from .lattice import FiniteLattice, is_atom, orthocomplement_indices
+from .lattice import FiniteLattice
 from .subspace import StateVector, contains_vector, image, orthocomplement
 
 __all__ = [
@@ -164,7 +165,7 @@ def coatom_complement_filter(host: FiniteLattice, w: int) -> LatticeSubset:
         raise ValueError(f"element index {w} out of range")
     if w == host.bottom or w == host.top:
         raise ValueError("cannot remove the bottom or the top")
-    if not is_atom(host, w):
+    if w not in host.atom_set:
         raise ValueError(
             f"{host.elements[w].span_str()} is not an atom of the lattice"
         )
@@ -253,7 +254,7 @@ def homomorphism_from_filter(
     if len(outside) != 1:
         raise ValueError("filter is not the complement of a single element")
     (w,) = outside
-    if w in (filt.host.bottom, filt.host.top) or not is_atom(filt.host, w):
+    if w in (filt.host.bottom, filt.host.top) or w not in filt.host.atom_set:
         raise ValueError("filter does not come from removing a nontrivial atom")
     if filt.host is not host and filt.host != host:
         raise ValueError("filter belongs to a different lattice")
@@ -283,12 +284,15 @@ def _join_hom(host: FiniteLattice, v: tuple[int, ...]) -> bool:
     return all(v) or tuple(map(operator.not_, v)) in host.down_sets
 
 
-def _holds(host: FiniteLattice, v: tuple[int, ...], chosen, comp) -> bool:
-    """v satisfies each law in chosen; comp is None without the complement law."""
+def _holds(host: FiniteLattice, v: tuple[int, ...], chosen) -> bool:
+    """v satisfies each law in chosen, read off the lattice's facts. The
+    complement law goes first, so a lattice without orthocomplements raises
+    its ValueError whatever v is."""
     return (
-        (BOTTOM_TO_ZERO not in chosen or v[host.bottom] == 0)
+        (COMPLEMENT_LAW not in chosen
+         or all(map(operator.ne, v, map(v.__getitem__, host.orthocomplements))))
+        and (BOTTOM_TO_ZERO not in chosen or v[host.bottom] == 0)
         and (TOP_TO_ONE not in chosen or v[host.top] == 1)
-        and (comp is None or all(map(operator.ne, v, map(v.__getitem__, comp))))
         and (MEET_HOM not in chosen or _meet_hom(host, v))
         and (JOIN_HOM not in chosen or _join_hom(host, v))
     )
@@ -300,9 +304,8 @@ def satisfies_laws(
     """Full check of a {0,1} assignment against the chosen law set;
     ValueError, as from Bivaluation, when it is not one."""
     chosen = _check_law_tokens(laws)
-    comp = orthocomplement_indices(host) if COMPLEMENT_LAW in chosen else None
     v = Bivaluation(host, assignment, CONVENTION_STANDARD).assignment
-    return _holds(host, v, chosen, comp)
+    return _holds(host, v, chosen)
 
 
 def search_bivaluations(
@@ -319,12 +322,13 @@ def search_bivaluations(
     plan gives each element the free bit it reads and whether to flip it:
     the lesser index of a pair reads its bit and the greater one the
     flipped bit, so every candidate keeps the law. No element is its own
-    orthocomplement, as x = x' would force {0} = C^n. Each candidate is
-    then checked for the laws its source does not guarantee.
+    orthocomplement, as x = x' would force {0} = C^n. Each source drops
+    the law it guarantees from the law set, and each candidate is checked
+    for the laws left; a lattice without orthocomplements raises under
+    complement-law whichever source lists the candidates.
     """
     chosen = _check_law_tokens(laws)
     size = len(host)
-    comp = orthocomplement_indices(host) if COMPLEMENT_LAW in chosen else None
     if MEET_HOM in chosen:
         candidates = [(0,) * size, *host.order]
         chosen -= {MEET_HOM}
@@ -333,7 +337,8 @@ def search_bivaluations(
         chosen -= {JOIN_HOM}
     else:
         # bottom and top are left to the law check
-        free = [i for i in range(size) if comp is None or i <= comp[i]]
+        comp = host.orthocomplements if COMPLEMENT_LAW in chosen else range(size)
+        free = [i for i, c in enumerate(comp) if i <= c]
         if len(free) > SEARCH_FREE_BIT_CAP:
             raise ValueError(
                 f"lattice has {size} elements and {len(free)} free bits; the "
@@ -342,7 +347,7 @@ def search_bivaluations(
                 f"one by one (2^{len(free)} candidates)"
             )
         candidates = itertools.product((0, 1), repeat=len(free))
-        if comp is not None:
+        if COMPLEMENT_LAW in chosen:
             # Two products give each candidate's free bits and their flips in
             # lockstep; the plan reads free bit k of element i at k in
             # bits + flips, or at len(free) + k when i is the flipped one. A
@@ -353,8 +358,8 @@ def search_bivaluations(
                 *(slot[i] if i in slot else len(free) + slot[comp[i]] for i in range(size)))
             flipped = itertools.product((1, 0), repeat=len(free))
             candidates = (read(bits + flips) for bits, flips in zip(candidates, flipped))
-            comp = None  # the plan keeps the complement law
-    return tuple(sorted(v for v in candidates if _holds(host, v, chosen, comp)))
+            chosen -= {COMPLEMENT_LAW}
+    return tuple(sorted(v for v in candidates if _holds(host, v, chosen)))
 
 
 def state_valuation(p: ExactMatrix, psi: StateVector):

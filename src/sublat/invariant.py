@@ -216,8 +216,10 @@ def contextual_valuation_report(
 
     The contexts are sublattices of universe, reported in sorted name
     order; their union lattice is the sublattice of universe that their
-    elements generate, read off its tables. Requires
-    every pair of contexts to intersect exactly in {bottom, top}, and every
+    elements generate, read off its tables. Requires each context to be
+    the sublattice of universe that its own elements generate, so that it
+    holds the universe's bottom and top and its tables are the universe's;
+    every pair of contexts to intersect exactly in {bottom, top}; and every
     context element to be the bottom, the top, or an atom of the union
     lattice; a context that is just {bottom, top} is rejected. Raises
     ValueError, before listing any, when more than CONSISTENT_CAP
@@ -236,6 +238,7 @@ def contextual_valuation_report(
     if not contexts:
         raise ValueError("the contexts mapping is empty")
     items = [(name, contexts[name]) for name in sorted(contexts)]
+    held: dict[str, list[int]] = {}
     for name, lat in items:
         stray = [s for s in lat.elements if s not in universe]
         if stray:
@@ -243,12 +246,17 @@ def contextual_valuation_report(
                 f"context {name!r} element {stray[0].span_str()} is not an "
                 "element of the universe"
             )
+        held[name] = [universe.index_of(s) for s in lat.elements]
+        if lt.sublattice(universe, held[name]) != lat:
+            raise ValueError(
+                f"context {name!r} is not the sublattice of the universe that "
+                "its elements generate"
+            )
         if len(lat) == 2:
             raise ValueError(
                 f"context {name!r} has no element besides {{0}} and "
                 f"C^{lat.ambient_dim}"
             )
-    held = {name: [universe.index_of(s) for s in lat.elements] for name, lat in items}
     # Each context element but the bottom and the top, by universe index, to
     # the first context in name order holding it. A later holder records a
     # pair; the least is the least overlapping pair, as the first holder

@@ -20,15 +20,16 @@ generate is their closure under its tables. Both renumber a parent's
 meet and join tables onto the kept indices. Atoms, covers and law
 reports are counted off the tables too, with no subspace algebra: an
 atom is read off its own meet row, whose values are its down-set. The
-atom set, and the order rows and columns as hashed sets, are lazily
-filled facts of the lattice, each computed once on first use, so an
-atom test, or asking whether a 0/1 tuple is some up(a) or down(b), is
-one hashed lookup. A law scan settles each instance either by an
-identity that holds in every lattice or by comparing two whole table
-rows with `map`, never by a Python loop per triple: the distributive
-sides agree when a and b are comparable and do not change when a and b
-swap, and the modular sides agree when a is the bottom, c = a or c is
-the top.
+atom set, the order rows and columns as hashed sets, and the index of
+each element's orthocomplement are lazily filled facts of the lattice,
+each computed once on first use, so an atom test, or asking whether a
+0/1 tuple is some up(a) or down(b), is one hashed lookup, and the
+filters layer reads lattice data only. A law scan settles each instance
+either by an identity that holds in every lattice or by comparing two
+whole table rows with `map`, never by a Python loop per triple: the
+distributive sides agree when a and b are comparable and do not change
+when a and b swap, and the modular sides agree when a is the bottom,
+c = a or c is the top.
 """
 
 from __future__ import annotations
@@ -74,12 +75,13 @@ class FiniteLattice:
     decide equality and the hash. The rest is read off them: `ambient_dim`,
     `order` (0/1 ints: entry j of row i is 1 exactly when i ^ j = i, so row
     i is the indicator of up(i)), `bottom` (the meet of every index) and
-    `top` (the join of every index). Four more facts are filled on first
+    `top` (the join of every index). Five more facts are filled on first
     use and stay out of equality, the hash and the repr: `order_columns`,
     the transposed order table; `up_sets` and `down_sets`, its rows and
     its columns as hashed sets, so asking whether a 0/1 tuple is some
-    up(a) or some down(b) is one hashed lookup; and `atom_set`, the
-    indices covering the bottom. `leq` answers a bool."""
+    up(a) or some down(b) is one hashed lookup; `atom_set`, the indices
+    covering the bottom; and `orthocomplements`, the index of each
+    element's orthocomplement. `leq` answers a bool."""
 
     elements: tuple[Subspace, ...]
     meet_table: tuple[tuple[int, ...], ...]
@@ -141,6 +143,13 @@ class FiniteLattice:
         {bottom, i}: i covers the bottom."""
         return frozenset(i for i, row in enumerate(self.meet_table)
                          if i != self.bottom and len(set(row)) == 2)
+
+    @functools.cached_property
+    def orthocomplements(self) -> tuple[int, ...]:
+        """Entry i is the index of element i's orthocomplement, as
+        `orthocomplement_indices` gives it; a lattice that misses one raises
+        its ValueError each time the fact is read."""
+        return orthocomplement_indices(self)
 
 
 def close_and_build(
@@ -436,6 +445,7 @@ def check_modular(lat: FiniteLattice, *, limit: int = 10) -> LawReport:
 
 def check_orthomodular(
     lat: FiniteLattice,
+    # a parameter, not lat.orthocomplements: perfbench/test_perfbench.py pins this default
     complement: Callable[[Subspace], Subspace] = sub.orthocomplement,
     *,
     limit: int = 10,

@@ -408,6 +408,46 @@ def test_search_size_guard():
 COMPLEMENT_LAW_SETS = [laws for laws in ALL_LAW_SETS if COMPLEMENT_LAW in laws]
 
 
+def test_complement_law_refuses_a_lattice_without_orthocomplements():
+    # MO_3 of three lines holds no orthocomplement of span{[1,0]}. Every law
+    # set with complement-law names it, whatever the assignment and whichever
+    # source lists the search's candidates; an assignment of the wrong
+    # length is reported first.
+    mo3 = close_and_build([span([r]) for r in ([1, 0], [1, 1], [1, 2])])
+    assert len(mo3) == 5
+    message = "^" + re.escape(
+        "orthocomplement span{[0,1]} of span{[1,0]} is not a lattice element") + "$"
+    for laws in COMPLEMENT_LAW_SETS:
+        for v in itertools.product((0, 1), repeat=len(mo3)):
+            with pytest.raises(ValueError, match=message):
+                satisfies_laws(mo3, v, laws)
+        with pytest.raises(ValueError, match=message):
+            search_bivaluations(mo3, laws)
+        with pytest.raises(ValueError, match="length"):
+            satisfies_laws(mo3, (0,) * 4, laws)
+
+
+def test_orthocomplements_are_computed_once_per_lattice(monkeypatch):
+    # The lattice keeps its orthocomplement table, so many law checks and a
+    # search through each candidate source build it once between them.
+    lat = close_and_build([image(p) for p in nontrivial_projectors()])
+    calls = []
+    original = lattice.orthocomplement_indices
+
+    def counted(host, *args):
+        calls.append(host)
+        return original(host, *args)
+
+    monkeypatch.setattr(lattice, "orthocomplement_indices", counted)
+    bit_vectors = itertools.cycle(itertools.product((0, 1), repeat=len(lat)))
+    for v in itertools.islice(bit_vectors, 100):
+        satisfies_laws(lat, v, {COMPLEMENT_LAW})
+    assert len(search_bivaluations(lat, {COMPLEMENT_LAW})) == 16
+    for laws in ({MEET_HOM, COMPLEMENT_LAW}, {JOIN_HOM, COMPLEMENT_LAW}):
+        search_bivaluations(lat, laws)
+    assert calls == [lat]
+
+
 def _reference_complement_candidates(lat):
     """The complement-law candidates as the search once listed them: one
     dict of free bits per candidate, the lesser index of each
@@ -476,7 +516,8 @@ def test_cached_facts_stay_out_of_equality_hash_and_copies():
     text = repr(lat)
 
     def facts(host):
-        return host.atom_set, host.up_sets, host.down_sets, host.order_columns
+        return (host.atom_set, host.up_sets, host.down_sets, host.order_columns,
+                host.orthocomplements)
 
     read = facts(lat)
     assert repr(lat) == text and lat == fresh and hash(lat) == hash(fresh)

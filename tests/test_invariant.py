@@ -222,6 +222,33 @@ def test_contextual_report_rejects_trivial_context(universe, contexts):
     assert str(err.value) == "context 'bad' has no element besides {0} and C^2"
 
 
+def test_contextual_report_requires_the_sublattice_each_context_generates():
+    # Each context must equal the sublattice of the universe its elements
+    # generate, so it holds the universe's bottom and top and reads the
+    # universe's tables. {0, span{[0,1]}} lacks the top, span{[0,1]} alone
+    # lacks both, and in C^3 a context whose join table puts e1 v e2 at C^3
+    # misses the plane that e1 v e2 is in the universe. {0, C^2} is a
+    # sublattice and keeps its own message.
+    message = "context 'c' is not the sublattice of the universe that its elements generate"
+    u = close_and_build([span([r]) for r in ([1, 0], [0, 1], [1, 1], [1, -1])])
+    zero, ray = Subspace.zero(2), span([[0, 1]])
+    no_top = FiniteLattice((zero, ray), ((0, 0), (0, 1)), ((0, 1), (1, 1)))
+    alone = FiniteLattice((ray,), ((0,),), ((0,),))
+    e1, e2, e3 = (span([r]) for r in ([1, 0, 0], [0, 1, 0], [0, 0, 1]))
+    frame = close_and_build([e1, e2, e3])
+    meets = ((0, 0, 0, 0), (0, 1, 0, 1), (0, 0, 2, 2), (0, 1, 2, 3))
+    joins = ((0, 1, 2, 3), (1, 1, 3, 3), (2, 3, 2, 3), (3, 3, 3, 3))
+    wide = FiniteLattice((Subspace.zero(3), e2, e1, Subspace.full(3)), meets, joins)
+    assert [frame.index_of(s) for s in wide.elements] == sorted(map(frame.index_of, wide.elements))
+    for universe, bad in ((u, no_top), (u, alone), (frame, wide)):
+        with pytest.raises(ValueError) as err:
+            contextual_valuation_report(universe, {"c": bad})
+        assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        contextual_valuation_report(u, {"c": close_and_build([], ambient_dim=2)})
+    assert str(err.value) == "context 'c' has no element besides {0} and C^2"
+
+
 def test_contextual_report_rejects_mid_rank_elements():
     deep = close_and_build([span([[1, 0, 0]]), span([[1, 0, 0], [0, 1, 0]])])
     with pytest.raises(ValueError, match="atom"):
