@@ -13,11 +13,14 @@ sign alone before 'i', which reads as 1.
 Matrices are immutable and row-major, and this module alone knows how
 they are stored: as Gaussian-integer (re, im) int pairs over one positive
 denominator, in lowest terms. The form is unique, so equality and hashing
-compare ints, and every operation works on them; a matrix's
-GaussianRational entries are formed on first use. Everything downstream
-rests on the four exact algorithms here: reduced row echelon form, kernel
-bases, conjugate transposition, and inversion, with kernels and inverses
-read off canonical rows.
+compare ints, and every operation works on them. Two facts are formed on
+first use: a matrix's GaussianRational entries, and its terms, the
+(column, re, im) of each row's nonzero entries. A product reads the left
+factor's terms against the right factor's columns, so it multiplies
+nonzero terms only. Everything downstream rests on the four exact
+algorithms here: reduced row echelon form, kernel bases, conjugate
+transposition, and inversion, with kernels and inverses read off
+canonical rows.
 
 Elimination runs over the Gaussian integers Z[i], in one routine,
 _insert_row, which rref, the subspace layer and the algebra span share.
@@ -29,11 +32,12 @@ is the row of the reduced row echelon form times the one positive
 rational that makes it primitive, so the canonical rows of a span are
 unique, whatever the order of insertion. An insert clears each kept
 pivot c from the vector x with d*x - x[c]*row, d the row's pivot, which
-needs no division. A nonzero residual is made canonical, its pivot is
-cleared from the kept rows the same way, and it joins them. rref puts
-the canonical rows over the lcm of their pivots, and kernels are read
-straight off them, as inverses are off the canonical rows of [m | I].
-No floating point is used anywhere.
+needs no division; that one clearing step changes only the entries where
+the row is nonzero, past the d* scaling, which d = 1 skips. A nonzero
+residual is made canonical, its pivot is cleared from the kept rows by the
+same step, and it joins them. rref puts the canonical rows over the lcm of
+their pivots, and kernels are read straight off them, as inverses are off
+the canonical rows of [m | I]. No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -253,8 +257,10 @@ def format_scalar(value: ScalarLike) -> str:
     return f"{real}{sign}{body}i"
 
 
-# A Gaussian integer a+bi as the int pair (a, b).
+# A Gaussian integer a+bi as the int pair (a, b), and as a nonzero term
+# (column, a, b) of a matrix row.
 GaussianInteger = tuple[int, int]
+Term = tuple[int, int, int]
 _GZERO: GaussianInteger = (0, 0)
 
 
@@ -265,11 +271,13 @@ class ExactMatrix:
     iterable of ints, Fractions, scalar text or GaussianRationals. A matrix
     keeps them as Gaussian-integer (re, im) pairs, `ints`, over one
     positive denominator, `den`, in lowest terms. That form is unique, so
-    equality and the hash compare ints; `entries`, the GaussianRationals,
-    is built on first use.
+    equality and the hash compare ints. Two facts are built on first use
+    and kept out of equality, the hash, the repr and copies: `entries`, the
+    GaussianRationals, and `terms`, each row's nonzero (column, re, im),
+    which every product reads for its left factor.
     """
 
-    __slots__ = ("rows", "cols", "ints", "den", "_entries")
+    __slots__ = ("rows", "cols", "ints", "den", "_entries", "_terms")
 
     def __new__(cls, rows: int, cols: int, entries: Iterable[ScalarLike]) -> "ExactMatrix":
         if rows < 0 or cols < 0:
@@ -280,14 +288,7 @@ class ExactMatrix:
                 f"expected {rows * cols} entries for a "
                 f"{rows}x{cols} matrix, got {len(entries)}"
             )
-        # Over the lcm of the denominators the entries are in lowest terms: a
-        # part whose denominator holds the most factors p of it stays prime to p.
-        den = lcm(*(p.denominator for e in entries for p in (e.real, e.imag)))
-        return _matrix(rows, cols, tuple(
-            (e.real.numerator * (den // e.real.denominator),
-             e.imag.numerator * (den // e.imag.denominator))
-            for e in entries
-        ), den)
+        return _matrix(rows, cols, *_integer_parts(entries))
 
     def __setattr__(self, name: str, *value: object) -> None:
         raise AttributeError(f"cannot set or delete {name!r}: ExactMatrix is immutable")
@@ -320,6 +321,19 @@ class ExactMatrix:
                 for x in self.ints
             ))
         return self._entries
+
+    @property
+    def terms(self) -> tuple[tuple[Term, ...], ...]:
+        """For each row, the (column, re, im) of its nonzero Gaussian-integer
+        entries, in column order."""
+        if self._terms is None:
+            c = self.cols
+            object.__setattr__(self, "_terms", tuple(
+                tuple((j, re, im) for j, (re, im) in enumerate(self.ints[i * c : (i + 1) * c])
+                      if re or im)
+                for i in range(self.rows)
+            ))
+        return self._terms
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[ScalarLike]]) -> "ExactMatrix":
@@ -372,10 +386,10 @@ class ExactMatrix:
         return self + -other
 
     def _scaled(self, z: GaussianRational) -> "ExactMatrix":
-        # The entries as a column times the 1x1 matrix z.
-        s = ExactMatrix(1, 1, (z,))
-        product = _gaussian_product(self.ints, s.ints, len(self.ints), 1, 1)
-        return _lowest(self.rows, self.cols, product, self.den * s.den)
+        # z is (a+bi)/d, so each entry's parts times a+bi over den*d.
+        ((a, b),), d = _integer_parts((z,))
+        return _lowest(self.rows, self.cols, [
+            (xr * a - xi * b, xr * b + xi * a) for xr, xi in self.ints], self.den * d)
 
     # Scaling commutes, so the forward operator, which coerces the scalar,
     # serves on both sides.
@@ -391,7 +405,7 @@ class ExactMatrix:
                 f"shapes {self.rows}x{self.cols} and {other.rows}x{other.cols} "
                 "are not conformable"
             )
-        product = _gaussian_product(self.ints, other.ints, self.rows, self.cols, other.cols)
+        product = _gaussian_product(self.terms, _columns(other))
         return _lowest(self.rows, other.cols, product, self.den * other.den)
 
     def transpose(self) -> "ExactMatrix":
@@ -442,7 +456,20 @@ def _matrix(rows: int, cols: int, ints: tuple[GaussianInteger, ...], den: int) -
     put(m, "ints", ints)
     put(m, "den", den)
     put(m, "_entries", None)
+    put(m, "_terms", None)
     return m
+
+
+def _integer_parts(entries: Sequence[GaussianRational]) -> tuple[tuple[GaussianInteger, ...], int]:
+    """The entries as Gaussian-integer parts over the lcm of their
+    denominators, which is in lowest terms: a part whose denominator holds
+    the most factors p of the lcm stays prime to p."""
+    den = lcm(*(p.denominator for e in entries for p in (e.real, e.imag)))
+    return tuple(
+        (e.real.numerator * (den // e.real.denominator),
+         e.imag.numerator * (den // e.imag.denominator))
+        for e in entries
+    ), den
 
 
 def _lowest(rows: int, cols: int, ints: Sequence[GaussianInteger], den: int) -> ExactMatrix:
@@ -460,25 +487,27 @@ def _int_rows(m: ExactMatrix) -> Iterable[Sequence[GaussianInteger]]:
     return (m.ints[i * c : (i + 1) * c] for i in range(m.rows))
 
 
-def _gaussian_product(
-    a: Sequence[GaussianInteger],
-    b: Sequence[GaussianInteger],
-    rows: int,
-    inner: int,
-    cols: int,
-) -> list[GaussianInteger]:
-    """The row-major product of a (rows x inner) and b (inner x cols) over Z[i].
+def _columns(m: ExactMatrix) -> list[Sequence[GaussianInteger]]:
+    """The columns of m's Gaussian-integer parts."""
+    c = m.cols
+    return [m.ints[k::c] for k in range(c)]
 
-    Zero terms add nothing, so only each row's nonzero entries of a are
-    multiplied, and only by nonzero entries of b.
+
+def _gaussian_product(
+    terms: Sequence[Sequence[Term]],
+    columns: Sequence[Sequence[GaussianInteger]],
+) -> list[GaussianInteger]:
+    """The row-major product over Z[i] of a left factor, given by the
+    nonzero terms of each row, and a right factor, given by its columns.
+
+    Zero terms add nothing, so each row's nonzero terms are multiplied, and
+    only by nonzero entries of the column.
     """
-    columns = [b[k::cols] for k in range(cols)]
     out: list[GaussianInteger] = []
-    for i in range(rows):
-        terms = [(j, x) for j, x in enumerate(a[i * inner : (i + 1) * inner]) if x != _GZERO]
+    for row in terms:
         for column in columns:
             re = im = 0
-            for j, (xr, xi) in terms:
+            for j, xr, xi in row:
                 yr, yi = column[j]
                 if yr or yi:
                     re += xr * yr - xi * yi
@@ -507,9 +536,25 @@ def _canonical_row(row: Sequence[GaussianInteger], pivot: int) -> Row:
     return tuple((xr // g, xi // g) for xr, xi in row) if g > 1 else tuple(row)
 
 
+def _cleared(x: Sequence[GaussianInteger], c: int, row: Row) -> list[GaussianInteger]:
+    """d*x - f*row, d the row's pivot entry at c and f = x[c]: x with c cleared.
+
+    Past the d* scaling, which d = 1 skips, only the entries where the row
+    is nonzero change.
+    """
+    fr, fi = x[c]
+    d = row[c][0]
+    x = list(x) if d == 1 else [(d * xr, d * xi) for xr, xi in x]
+    for j, (yr, yi) in enumerate(row):
+        if yr or yi:
+            xr, xi = x[j]
+            x[j] = (xr - fr * yr + fi * yi, xi - fr * yi - fi * yr)
+    return x
+
+
 def _residual(rows: Rows, x: Sequence[GaussianInteger]) -> Sequence[GaussianInteger]:
-    """x with every pivot of the canonical rows cleared, each by
-    d*x - x[c]*row, d the row's pivot entry and c its column.
+    """x with every pivot c of the canonical rows cleared, each by one
+    _cleared step.
 
     Each row is 0 at the other rows' pivots, so one pass clears them all,
     and the residual is 0 exactly when x lies in the span of the rows.
@@ -517,11 +562,7 @@ def _residual(rows: Rows, x: Sequence[GaussianInteger]) -> Sequence[GaussianInte
     for c, row in rows.items():
         fr, fi = x[c]
         if fr or fi:
-            d = row[c][0]
-            x = [
-                (d * xr - fr * yr + fi * yi, d * xi - fr * yi - fi * yr)
-                for (xr, xi), (yr, yi) in zip(x, row)
-            ]
+            x = _cleared(x, c, row)
     return x
 
 
@@ -533,13 +574,15 @@ def _insert_row(rows: Rows, x: Sequence[GaussianInteger]) -> bool:
     p is cleared from every kept row, which is made canonical again.
     """
     x = _residual(rows, x)
-    p = next((c for c, e in enumerate(x) if e != _GZERO), None)
-    if p is None:
+    for p, (re, im) in enumerate(x):
+        if re or im:
+            break
+    else:
         return False
     new = _canonical_row(x, p)
     for c, row in rows.items():
         if row[p] != _GZERO:
-            rows[c] = _canonical_row(_residual({p: new}, row), c)
+            rows[c] = _canonical_row(_cleared(row, p, new), c)
     rows[p] = new
     return True
 

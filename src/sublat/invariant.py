@@ -9,10 +9,11 @@ universe holds them and nothing more.
 The generated unital algebra is spanned by closing {identity, generators}
 under left multiplication by the generators, one product at a time, and
 stopping at n^2 members. The walk starts at the generators, since g @ I = g
-was tried when g went in. A product stays Gaussian-integer parts until
-inserting them into the canonical rows of the members so far, exactlin's
-one elimination routine, finds it independent; only a kept product becomes
-a matrix. Irreducibility is decided by its
+was tried when g went in. Each member's columns are cut once and multiplied
+by every generator's nonzero terms. A product stays Gaussian-integer parts
+until inserting them into the canonical rows of the members so far,
+exactlin's one elimination routine, finds it independent; only a kept
+product becomes a matrix. Irreducibility is decided by its
 dimension: by Burnside's theorem it is the full matrix algebra, of
 dimension n^2, exactly when no nontrivial subspace is invariant.
 
@@ -34,7 +35,8 @@ from typing import Iterable, Mapping, Sequence
 from . import filters as flt
 from . import lattice as lt
 from . import subspace as sub
-from .exactlin import ExactMatrix, Rows, _gaussian_product, _insert_row, _lowest, rank
+from .exactlin import (
+    ExactMatrix, Rows, _columns, _gaussian_product, _insert_row, _lowest, rank)
 from .lattice import FiniteLattice
 from .subspace import Subspace
 
@@ -101,7 +103,9 @@ def algebra_span(generators: Iterable[ExactMatrix]) -> AlgebraBasis:
     members so far; the matrix is those parts over a nonzero scale, which
     changes no independence, and the canonical rows do not depend on the
     scale either. So a product stays the raw parts of g's and b's ints
-    until it is kept, and only then is put in lowest terms as g @ b.
+    until it is kept, and only then is put in lowest terms as g @ b. It
+    reads g's terms, built once per generator, against b's columns, cut
+    once per member for every generator.
     """
     gens = list(generators)
     if not gens:
@@ -124,8 +128,9 @@ def algebra_span(generators: Iterable[ExactMatrix]) -> AlgebraBasis:
     while queued < len(members) < full:
         b = members[queued]
         queued += 1
+        columns = _columns(b)
         for g in gens:
-            product = _gaussian_product(g.ints, b.ints, n, n, n)
+            product = _gaussian_product(g.terms, columns)
             if _insert_row(rows, product):
                 members.append(_lowest(n, n, product, g.den * b.den))
                 if len(members) == full:

@@ -272,12 +272,12 @@ def contains_vector(s: Subspace, psi: StateVector) -> bool:
 
 def maps_into(operator: ExactMatrix, s: Subspace) -> bool:
     """True when operator carries every vector of s back into s: s is the
-    whole space, or the image of each canonical row lies in s."""
+    whole space, or the image of each canonical row, the operator's
+    nonzero terms times the row, lies in s."""
     if not operator.is_square() or operator.rows != s.ambient_dim:
         raise ValueError(
             f"operator must be {s.ambient_dim}x{s.ambient_dim}, "
             f"got {operator.rows}x{operator.cols}"
         )
-    n = s.ambient_dim
-    return s.dim == n or all(_in_span(_gaussian_product(operator.ints, row, n, n, 1), s)
-                             for row in s._rows.values())
+    return s.dim == s.ambient_dim or all(
+        _in_span(_gaussian_product(operator.terms, [row]), s) for row in s._rows.values())

@@ -756,15 +756,42 @@ def _c4_two_blocks():
 def test_algebra_span_forms_no_product_it_knows(monkeypatch, case, dim, products):
     gens = case()
     n = gens[0].rows
-    unit = ExactMatrix.identity(n).ints
+    unit = tuple(exactlin._columns(ExactMatrix.identity(n)))
     right_factors = []
     for module in (exactlin, invariant):
         original = getattr(module, "_gaussian_product", None)
         if original is not None:
-            def counted(a, b, *shape, original=original):
-                right_factors.append(tuple(b))
-                return original(a, b, *shape)
+            def counted(terms, columns, original=original):
+                right_factors.append(tuple(columns))
+                return original(terms, columns)
             monkeypatch.setattr(module, "_gaussian_product", counted)
     assert algebra_span(gens).dim == dim
     assert len(right_factors) == products
     assert unit not in right_factors
+
+
+def test_terms_are_built_once_per_matrix(monkeypatch, universe):
+    # Each matrix builds its nonzero terms on its first read, however often
+    # the walk, Burnside's test and the invariance checks read them.
+    builds = []
+    read = ExactMatrix.terms.fget
+
+    def counted(m):
+        if m._terms is None:
+            builds.append(m)
+        return read(m)
+
+    monkeypatch.setattr(ExactMatrix, "terms", property(counted))
+    families = [_c4_two_blocks(), _c4_rays_and_all_ones()]
+    for gens in families:
+        algebra_span(gens)
+        is_irreducible(gens)
+        for _ in range(3):
+            assert all(maps_into(g, image(g)) for g in gens)
+    qubit = list(nontrivial_projectors())
+    for _ in range(3):
+        common_invariant_sublattice(qubit, universe)
+    built = [id(m) for m in builds]
+    assert len(set(built)) == len(built)
+    assert {id(g) for gens in families for g in gens} <= set(built)
+    assert any(id(p) in built for p in qubit)

@@ -431,6 +431,77 @@ def test_matmul_matches_reference(rng, random_matrix):
         assert (got.rows, got.cols) == (a.rows, b.cols)
 
 
+def _nonzero_gaussian(rng) -> tuple[int, int]:
+    while (x := (rng.randint(-9, 9), rng.randint(-9, 9))) == (0, 0):
+        pass
+    return x
+
+
+def _gaussian_ints(rng, rows: int, cols: int) -> list[tuple[int, int]]:
+    """rows x cols Gaussian integers (re, im), row-major, at least half of them 0."""
+    cells = rows * cols
+    nonzero = set(rng.sample(range(cells), rng.randint(0, cells // 2)))
+    return [_nonzero_gaussian(rng) if k in nonzero else (0, 0) for k in range(cells)]
+
+
+def _over(ints, rows: int, cols: int, den: int) -> ExactMatrix:
+    """The matrix ints / den, through the public gate."""
+    return ExactMatrix(rows, cols, [GaussianRational(Fraction(re, den), Fraction(im, den))
+                                    for re, im in ints])
+
+
+def _dense_product(a, b, rows: int, inner: int, cols: int) -> list[tuple[int, int]]:
+    """The row-major product of two Gaussian-integer matrices, a triple loop
+    over every entry, zeros included."""
+    out = []
+    for i in range(rows):
+        for k in range(cols):
+            re = im = 0
+            for j in range(inner):
+                (xr, xi), (yr, yi) = a[i * inner + j], b[j * cols + k]
+                re += xr * yr - xi * yi
+                im += xr * yi + xi * yr
+            out.append((re, im))
+    return out
+
+
+def test_sparse_products_match_a_dense_triple_loop(rng):
+    shapes = [(0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0), (1, 1, 1)]
+    shapes += [tuple(rng.randint(1, 7) for _ in range(3)) for _ in range(40)]
+    for r, k, c in shapes:
+        a_ints, b_ints = _gaussian_ints(rng, r, k), _gaussian_ints(rng, k, c)
+        da, db = rng.choice((1, 2, 6)), rng.choice((1, 3, 4))
+        a, b = _over(a_ints, r, k, da), _over(b_ints, k, c, db)
+        assert a @ b == _over(_dense_product(a_ints, b_ints, r, k, c), r, c, da * db)
+        z = rng.choice([(0, 0), (1, 0), (0, -1), _nonzero_gaussian(rng)])
+        dz = rng.choice((1, 5))
+        scaled = _over(_dense_product(a_ints, [z], r * k, 1, 1), r, k, da * dz)
+        zq = GaussianRational(Fraction(z[0], dz), Fraction(z[1], dz))
+        assert a * zq == scaled and zq * a == scaled
+    # An operator B @ R carries C^n into the span of B's columns, so it
+    # leaves that span invariant; one more nonzero entry may break that.
+    verdicts = set()
+    for _ in range(60):
+        n, k = rng.randint(1, 6), rng.randint(0, 3)
+        b_ints = _gaussian_ints(rng, n, k)
+        op_ints = rng.choice([
+            _gaussian_ints(rng, n, n),
+            _dense_product(b_ints, _gaussian_ints(rng, k, n), n, k, n),
+        ])
+        if rng.random() < 0.3:
+            op_ints = list(op_ints)
+            op_ints[rng.randrange(n * n)] = _nonzero_gaussian(rng)
+        image_ints = _dense_product(op_ints, b_ints, n, n, k)
+        stacked = _over([x for i in range(n) for x in b_ints[i * k : (i + 1) * k]
+                         + image_ints[i * k : (i + 1) * k]], n, 2 * k, 1)
+        want = _reference_rref(stacked).rank == _reference_rref(_over(b_ints, n, k, 1)).rank
+        operator = _over(op_ints, n, n, rng.choice((1, 2)))
+        got = sub.maps_into(operator, sub.image(_over(b_ints, n, k, 1)))
+        assert got == want, (n, k, op_ints, b_ints)
+        verdicts.add(got)
+    assert verdicts == {False, True}
+
+
 def _assert_lowest(m: ExactMatrix) -> None:
     """m's parts and its positive denominator share no factor."""
     assert m.den > 0 and gcd(m.den, *chain.from_iterable(m.ints)) == 1, str(m)
@@ -497,9 +568,17 @@ def test_invert_reads_off_the_rows(monkeypatch, rng, random_matrix, reference_hs
 
 def test_representation_is_unique_immutable_and_copies(rng, random_matrix, random_scalar):
     cases = _elimination_cases(rng, random_matrix)
-    cases += [random_matrix(0, 2), ExactMatrix.identity(3), rref(cases[3]).matrix]
+    cases += [random_matrix(0, 2), random_matrix(2, 0), ExactMatrix.identity(3),
+              rref(cases[3]).matrix, _sparse(rng, random_matrix(4, 5))]
     for m in cases:
         _assert_lowest(m)
+        # The cached terms are read before any comparison or copy, and
+        # change neither the repr nor the pickle.
+        text, pickled = repr(m), pickle.dumps(m)
+        terms = m.terms
+        assert terms == tuple(tuple((j, re, im) for j, (re, im) in enumerate(row) if re or im)
+                              for row in exactlin._int_rows(m))
+        assert m.terms is terms and repr(m) == text and pickle.dumps(m) == pickled
         # ints times a nonzero Gaussian integer g over den times g, through
         # the public gate, and ints times a positive k over den times k
         g = GaussianRational(rng.randint(-6, 6), rng.choice([-5, -1, 1, 2, 7]))
@@ -511,10 +590,11 @@ def test_representation_is_unique_immutable_and_copies(rng, random_matrix, rando
             assert same == m and hash(same) == hash(m)
             assert (same.ints, same.den) == (m.ints, m.den)
         assert ExactMatrix(m.rows, m.cols, m.entries) == m
-        for copied in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m), copy.copy(m)):
+        for copied in (pickle.loads(pickled), copy.deepcopy(m), copy.copy(m)):
+            assert copied._terms is None
             assert copied == m and hash(copied) == hash(m)
-            assert copied.entries == m.entries
-        for name in ("rows", "cols", "ints", "den", "entries", "other"):
+            assert copied.entries == m.entries and copied.terms == terms
+        for name in ("rows", "cols", "ints", "den", "entries", "terms", "other"):
             with pytest.raises(AttributeError):
                 setattr(m, name, None)
         with pytest.raises(AttributeError):
