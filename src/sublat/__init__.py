@@ -28,6 +28,7 @@ from .invariant import (
     algebra_span,
     common_invariant_sublattice,
     contextual_valuation_report,
+    invariant_indices,
     invariant_sublattice,
     is_irreducible,
     meet_defined,
@@ -60,6 +61,7 @@ __all__ = [
     "contextual_valuation_report",
     "format_scalar",
     "image",
+    "invariant_indices",
     "invariant_sublattice",
     "is_irreducible",
     "meet_defined",

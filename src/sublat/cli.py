@@ -336,11 +336,10 @@ def _yes(flag: bool) -> str:
 
 
 def _sublattice_line(
-    out: Reporter, label: str, kind: str, lat: FiniteLattice, **fields: object
+    out: Reporter, label: str, kind: str, spans: tuple[str, ...], **fields: object
 ) -> None:
-    spans = lat.spans()
-    out(f"{label} ({len(lat)} elements): {', '.join(spans)}",
-        kind, **fields, elements=len(lat), spans=spans)
+    out(f"{label} ({len(spans)} elements): {', '.join(spans)}",
+        kind, **fields, elements=len(spans), spans=spans)
 
 
 # --------------------------------------------------------------------------
@@ -487,11 +486,12 @@ def _cmd_invariant(doc: InputDocument, args: argparse.Namespace, out: Reporter) 
     universe = doc.lattice
     out(f"universe: {len(universe)} elements over C^{universe.ambient_dim}",
         "universe", elements=len(universe), ambient=universe.ambient_dim)
-    for name, op in zip(args.ops, ops):
+    kept = [inv.invariant_indices([op], universe) for op in ops]
+    for name, indices in zip(args.ops, kept):
         _sublattice_line(out, f"invariant sublattice of {name}", "invariant",
-                         inv.invariant_sublattice(op, universe), op=name)
+                         lt.sublattice(universe, indices).spans(), op=name)
     _sublattice_line(out, "common invariant sublattice", "common",
-                     inv.common_invariant_sublattice(ops, universe))
+                     lt.sublattice(universe, frozenset.intersection(*kept)).spans())
     return 0
 
 
@@ -524,14 +524,14 @@ def _cmd_contexts(doc: InputDocument, args: argparse.Namespace, out: Reporter) -
         raise InputError("no contexts declared")
     universe = doc.lattice
     contexts = {
-        name: inv.common_invariant_sublattice(_resolve_operators(doc, members), universe)
+        name: inv.invariant_indices(_resolve_operators(doc, members), universe)
         for name, members in sorted(doc.contexts.items())
     }
     # The report can reject the file, so it runs before the first line.
     report = inv.contextual_valuation_report(universe, contexts)
 
-    for name, lat in contexts.items():
-        _sublattice_line(out, f"context {name}", "context", lat, name=name)
+    for s in report.summaries:
+        _sublattice_line(out, f"context {s.name}", "context", s.element_spans, name=s.name)
     out("meet-defined matrix (within some registered lattice):")
     for span, bits in report.meet_defined_rows:
         out(f"  {span} {bits}", "meet_defined", element=span, bits=bits)

@@ -76,7 +76,7 @@ class ScalarParseError(ValueError):
     """Malformed scalar text. `position` is the 0-based offset of the fault."""
 
     def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
+        super().__init__(message)
         self.position = position
 
 

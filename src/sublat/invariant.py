@@ -1,11 +1,11 @@
 """Invariant-subspace lattices, generated operator algebras, and
 contextual valuation reports over sets of contexts.
 
-The invariant sublattice of an operator collects the universe elements it
-maps into themselves; families of operators share the intersection of
-their invariant sublattices. Invariant subspaces are closed under
-intersection and sum, so the sublattice these elements generate in the
-universe holds them and nothing more.
+An operator family's invariant indices are those of the universe elements
+every operator maps into themselves, and its invariant sublattice is the
+sublattice they generate. Invariant subspaces are closed under
+intersection and sum, so that sublattice holds those elements and nothing
+more.
 The generated unital algebra is spanned by closing {identity, generators}
 under left multiplication by the generators, one product at a time, and
 stopping at n^2 members. The walk starts at the generators, since g @ I = g
@@ -17,12 +17,13 @@ product becomes a matrix. Irreducibility is decided by its
 dimension: by Burnside's theorem it is the full matrix algebra, of
 dimension n^2, exactly when no nontrivial subspace is invariant.
 
-Contexts are named sublattices of one universe lattice whose pairwise
-overlaps are trivial; meets between elements of different contexts are
-then undefined, and the contextual report spells out what each
-per-context valuation can and cannot see. Their union lattice is the
-sublattice of the universe that the contexts' elements generate. The
-report reads every per-context fact off one owner map (see its docstring).
+A context is named universe indices and stands for the sublattice that
+they, the bottom and the top generate, as lattice.sublattice reads them.
+Contexts whose pairwise overlaps are trivial leave meets between elements
+of different contexts undefined, and the contextual report spells out
+what each per-context valuation can and cannot see. Their union lattice
+is the sublattice of the universe that the contexts' elements generate.
+The report reads every per-context fact off one owner map (see its docstring).
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ __all__ = [
     "ContextualValuationReport",
     "algebra_span",
     "is_irreducible",
+    "invariant_indices",
     "invariant_sublattice",
     "common_invariant_sublattice",
     "meet_defined",
@@ -138,6 +140,15 @@ def algebra_span(generators: Iterable[ExactMatrix]) -> AlgebraBasis:
     return AlgebraBasis(n, tuple(members))
 
 
+def invariant_indices(operators: Iterable[ExactMatrix], universe: FiniteLattice) -> frozenset[int]:
+    """Indices of the universe elements that every operator maps into
+    themselves, each operator tried at most once on each; every index for
+    an empty operator family."""
+    ops = list(operators)
+    return frozenset(i for i, s in enumerate(universe.elements)
+                     if all(sub.maps_into(op, s) for op in ops))
+
+
 def invariant_sublattice(operator: ExactMatrix, universe: FiniteLattice) -> FiniteLattice:
     """The universe elements the operator maps into themselves."""
     return common_invariant_sublattice([operator], universe)
@@ -146,17 +157,9 @@ def invariant_sublattice(operator: ExactMatrix, universe: FiniteLattice) -> Fini
 def common_invariant_sublattice(
     operators: Iterable[ExactMatrix], universe: FiniteLattice
 ) -> FiniteLattice:
-    """Intersection of the per-operator invariant sublattices.
-
-    An empty operator family constrains nothing and returns the universe
-    itself.
-    """
-    ops = list(operators)
-    kept = [
-        i for i, s in enumerate(universe.elements)
-        if all(sub.maps_into(op, s) for op in ops)
-    ]
-    return lt.sublattice(universe, kept)
+    """Intersection of the per-operator invariant sublattices; the universe
+    itself for an empty operator family."""
+    return lt.sublattice(universe, invariant_indices(operators, universe))
 
 
 def is_irreducible(generators: Iterable[ExactMatrix]) -> bool:
@@ -215,20 +218,19 @@ class ContextualValuationReport:
 
 
 def contextual_valuation_report(
-    universe: FiniteLattice, contexts: Mapping[str, FiniteLattice]
+    universe: FiniteLattice, contexts: Mapping[str, Iterable[int]]
 ) -> ContextualValuationReport:
     """Per-context valuations, the two union-level readings, the meet-defined rows.
 
-    The contexts are sublattices of universe, reported in sorted name
+    Each context is read as the module docstring states, so an index out
+    of range is refused there. The contexts are reported in sorted name
     order; their union lattice is the sublattice of universe that their
-    elements generate, read off its tables. Requires each context to be
-    the sublattice of universe that its own elements generate, so that it
-    holds the universe's bottom and top and its tables are the universe's;
-    every pair of contexts to intersect exactly in {bottom, top}; and every
-    context element to be the bottom, the top, or an atom of the union
-    lattice; a context that is just {bottom, top} is rejected. Raises
-    ValueError, before listing any, when more than CONSISTENT_CAP
-    assignments are consistent with every context separately.
+    elements generate, read off its tables. Requires every pair of contexts
+    to intersect exactly in {bottom, top} and every context element to be
+    the bottom, the top, or an atom of the union lattice; a context that is
+    just {bottom, top} is rejected. Raises ValueError, before listing any,
+    when more than CONSISTENT_CAP assignments are consistent with every
+    context separately.
 
     Past those checks, each context element but the bottom and the top is a
     union atom that one context alone holds, and every context has the
@@ -242,26 +244,15 @@ def contextual_valuation_report(
     """
     if not contexts:
         raise ValueError("the contexts mapping is empty")
-    items = [(name, contexts[name]) for name in sorted(contexts)]
+    items = [(name, lt.sublattice(universe, contexts[name])) for name in sorted(contexts)]
     held: dict[str, list[int]] = {}
     for name, lat in items:
-        stray = [s for s in lat.elements if s not in universe]
-        if stray:
-            raise ValueError(
-                f"context {name!r} element {stray[0].span_str()} is not an "
-                "element of the universe"
-            )
-        held[name] = [universe.index_of(s) for s in lat.elements]
-        if lt.sublattice(universe, held[name]) != lat:
-            raise ValueError(
-                f"context {name!r} is not the sublattice of the universe that "
-                "its elements generate"
-            )
         if len(lat) == 2:
             raise ValueError(
                 f"context {name!r} has no element besides {{0}} and "
                 f"C^{lat.ambient_dim}"
             )
+        held[name] = [universe.index_of(s) for s in lat.elements]
     # Each context element but the bottom and the top, by universe index, to
     # the first context in name order holding it. A later holder records a
     # pair; the least is the least overlapping pair, as the first holder

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from sublat import cli
+from sublat import cli, lattice, subspace
+from sublat import invariant as inv
 from sublat.cli import (
     MAX_AMBIENT_DIM,
     InputSyntaxError,
@@ -102,11 +103,12 @@ _PARSE_ERRORS = [
     # numerals are ASCII digits, at most MAX_LITERAL_DIGITS of them
     pytest.param("dim \u00b2", "dim takes a positive integer", 1, 5, id="dim superscript two"),
     pytest.param("dim \uff13", "dim takes a positive integer", 1, 5, id="dim fullwidth three"),
-    pytest.param("dim 2\nray v = [1/\u00b2, 0]", "expected a digit (at position 2)", 2, 12,
-                 id="expected a digit (at position 2)"),
+    # a scalar's fault is placed once, by its line and column
+    pytest.param("dim 2\nray v = [1/\u00b2, 0]", "expected a digit", 2, 12,
+                 id="expected a digit"),
     pytest.param("dim 2\nray v = [0, " + "9" * 4301 + "]",
-                 "more than 4300 digits (at position 0)", 2, 13,
-                 id="more than 4300 digits (at position 0)"),
+                 "more than 4300 digits", 2, 13,
+                 id="more than 4300 digits"),
     pytest.param("dim 2\nproj p = [[1, 0] x, [0, 0]]", "expected ']'", 2, 18,
                  id="row without ']'"),
     pytest.param("dim 2\n" + _PROJ_P + "context c = p, 1x", "expected a projector name", 3, 16,
@@ -407,6 +409,75 @@ def test_invariant_command(capsys):
     )
     assert "common invariant sublattice (2 elements): {0}, C^2" in out
     assert main(["invariant", str(DATA), "--ops", "nope"]) == 1
+
+
+_QUBIT_OPS = ("x1", "x2", "y1", "y2", "z1", "z2")
+
+# The coordinate axes of C^3, the plane of the first two and the ray
+# [1, 1, 0]: families of three or more keep more than the bounds.
+_C3_OPS = """\
+dim 3
+proj a = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
+proj b = [[0, 0, 0], [0, 1, 0], [0, 0, 0]]
+proj c = [[0, 0, 0], [0, 0, 0], [0, 0, 1]]
+proj p = [[1, 0, 0], [0, 1, 0], [0, 0, 0]]
+proj x = [[1/2, 1/2, 0], [1/2, 1/2, 0], [0, 0, 0]]
+"""
+
+
+def test_invariant_intersects_every_operator(tmp_path, capsys, rng):
+    # Each line is the library's invariant sublattice. The fixed families
+    # lead with two operators that keep more together than the whole family
+    # does, so an intersection of fewer than all the sets shows.
+    c3 = tmp_path / "c3.sublat"
+    c3.write_text(_C3_OPS, encoding="utf-8")
+    cases = [(DATA, ["x1", "x2", "y1"]), (DATA, ["z2", "z1", "z2", "x1"]),
+             (c3, ["a", "c", "x"]), (c3, ["p", "c", "x", "b"])]
+    for path, names in ((DATA, _QUBIT_OPS), (c3, "abcpx")):
+        cases += [(path, rng.sample(names, rng.randint(3, len(names)))) for _ in range(4)]
+    for path, ops in cases:
+        assert main(["invariant", str(path), "--ops", *ops, "--format", "records"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        doc = parse_input(path.read_text(encoding="utf-8"))
+        matrices = [doc.projectors[name] for name in ops]
+        expected = [inv.invariant_sublattice(m, doc.lattice) for m in matrices]
+        expected.append(inv.common_invariant_sublattice(matrices, doc.lattice))
+        kinds = [f"invariant op={name}" for name in ops] + ["common"]
+        assert lines[1:] == [f"{kind} elements={len(lat)} spans={','.join(lat.spans())}"
+                             for kind, lat in zip(kinds, expected)]
+
+
+@pytest.mark.parametrize("ops, calls", [(("x1", "y1"), 16), (_QUBIT_OPS, 48)],
+                         ids=["x1-y1", "all-six"])
+def test_invariant_tries_each_operator_on_each_element_once(monkeypatch, capsys, ops, calls):
+    # len(ops) x len(universe), the qubit universe having 8 elements: the
+    # common line reads the per-operator sets instead of trying again.
+    tried = []
+    maps_into = subspace.maps_into
+
+    def counted(op, s):
+        tried.append((op, s))
+        return maps_into(op, s)
+
+    monkeypatch.setattr(subspace, "maps_into", counted)
+    assert main(["invariant", str(DATA), "--ops", *ops]) == 0
+    assert len(tried) == calls
+
+
+@pytest.mark.parametrize("path, calls", [(DATA, 4), (DATA.parent / "contexts_mixed.sublat", 3)],
+                         ids=["qubit", "contexts-mixed"])
+def test_contexts_builds_each_context_once(monkeypatch, capsys, path, calls):
+    # One sublattice per context and one for their union.
+    built = []
+    sublattice = lattice.sublattice
+
+    def counted(lat, indices):
+        built.append(lat)
+        return sublattice(lat, indices)
+
+    monkeypatch.setattr(lattice, "sublattice", counted)
+    assert main(["contexts", str(path), "--format", "records"]) == 0
+    assert len(built) == calls
 
 
 def test_burnside_command(capsys):

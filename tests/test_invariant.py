@@ -19,6 +19,7 @@ from sublat.invariant import (
     algebra_span,
     common_invariant_sublattice,
     contextual_valuation_report,
+    invariant_indices,
     invariant_sublattice,
     is_irreducible,
     meet_defined,
@@ -37,10 +38,7 @@ def universe():
 
 @pytest.fixture(scope="module")
 def contexts(universe):
-    return {
-        f"L{w}": common_invariant_sublattice(context(w), universe)
-        for w in (1, 2, 3)
-    }
+    return {f"L{w}": invariant_indices(context(w), universe) for w in (1, 2, 3)}
 
 
 EXPECTED_CONTEXT_SPANS = {
@@ -132,7 +130,8 @@ def test_is_irreducible():
         is_irreducible([])
 
 
-def test_meet_defined(contexts):
+def test_meet_defined(universe, contexts):
+    contexts = {name: sublattice(universe, indices) for name, indices in contexts.items()}
     k = span([[1, 1]])
     m = span([[1, -1]])
     o = span([[1, 0]])
@@ -146,15 +145,13 @@ def test_meet_defined(contexts):
     assert meet_defined(k, m, contexts) == meet_defined(m, k, contexts)
 
 
-def test_contextual_report_rejects_elements_outside_universe(universe):
-    lat = common_invariant_sublattice(context(1), universe)
-    stray = close_and_build([span([[1, 2]])])
-    with pytest.raises(ValueError) as err:
-        contextual_valuation_report(universe, {"a": lat, "b": stray})
-    assert str(err.value) == (
-        "context 'b' element span{[1,2]} is not an element of the universe")
-    with pytest.raises(ValueError, match="not an element of the universe"):
-        contextual_valuation_report(universe, {"a": close_and_build([], ambient_dim=3)})
+def test_contextual_report_rejects_elements_outside_universe(universe, contexts):
+    # An element outside the universe is an index out of its range, which
+    # lattice.sublattice refuses: the least index first, then the greatest.
+    for stray, named in (([8], 8), ([-1], -1), ([0, 3, 99], 99), ([-2, 99], -2)):
+        with pytest.raises(ValueError) as err:
+            contextual_valuation_report(universe, {**contexts, "b": stray})
+        assert str(err.value) == f"element index {named} out of range"
 
 
 def test_contextual_report_counts(universe, contexts):
@@ -195,7 +192,7 @@ def test_contextual_report_per_lattice_valuations(universe, contexts):
 
 
 def test_contextual_report_single_lattice(universe):
-    only = common_invariant_sublattice(context(1), universe)
+    only = invariant_indices(context(1), universe)
     report = contextual_valuation_report(universe, {"only": only})
     assert len(report.per_lattice_consistent) == 2
     assert len(report.global_valuations) == 2
@@ -204,8 +201,8 @@ def test_contextual_report_single_lattice(universe):
 
 def test_contextual_report_rejects_overlapping_lattices(universe):
     contexts = {
-        "a": common_invariant_sublattice(context(1), universe),
-        "b": close_and_build([span([[1, 1]]), span([[1, 0]])]),
+        "a": invariant_indices(context(1), universe),
+        "b": [universe.index_of(span([r])) for r in ([1, 1], [1, 0])],
     }
     with pytest.raises(ValueError, match="intersect"):
         contextual_valuation_report(universe, contexts)
@@ -213,46 +210,43 @@ def test_contextual_report_rejects_overlapping_lattices(universe):
 
 def test_contextual_report_rejects_trivial_context(universe, contexts):
     # x1 and z1 share no invariant subspace besides {0} and C^2
-    bad = common_invariant_sublattice(
-        [projector(1, 1), projector(3, 1)], universe
-    )
-    assert len(bad) == 2
+    bad = invariant_indices([projector(1, 1), projector(3, 1)], universe)
+    assert bad == {universe.bottom, universe.top}
     with pytest.raises(ValueError) as err:
         contextual_valuation_report(universe, {**contexts, "bad": bad})
     assert str(err.value) == "context 'bad' has no element besides {0} and C^2"
 
 
 def test_contextual_report_requires_the_sublattice_each_context_generates():
-    # Each context must equal the sublattice of the universe its elements
-    # generate, so it holds the universe's bottom and top and reads the
-    # universe's tables. {0, span{[0,1]}} lacks the top, span{[0,1]} alone
-    # lacks both, and in C^3 a context whose join table puts e1 v e2 at C^3
-    # misses the plane that e1 v e2 is in the universe. {0, C^2} is a
-    # sublattice and keeps its own message.
-    message = "context 'c' is not the sublattice of the universe that its elements generate"
+    # A context is the sublattice of the universe that its indices, the
+    # bottom and the top generate. So span{[0,1]} with or without {0} is the
+    # chain {0} < span{[0,1]} < C^2, and in C^3 the lines e1 and e2 bring
+    # their plane, which is no atom of the union. {0, C^2} keeps its own
+    # message.
     u = close_and_build([span([r]) for r in ([1, 0], [0, 1], [1, 1], [1, -1])])
-    zero, ray = Subspace.zero(2), span([[0, 1]])
-    no_top = FiniteLattice((zero, ray), ((0, 0), (0, 1)), ((0, 1), (1, 1)))
-    alone = FiniteLattice((ray,), ((0,),), ((0,),))
+    ray = u.index_of(span([[0, 1]]))
+    for indices in ([u.bottom, ray], [ray], [ray, ray, u.top]):
+        report = contextual_valuation_report(u, {"c": indices})
+        assert report.summaries[0].element_spans == ("{0}", "span{[0,1]}", "C^2")
     e1, e2, e3 = (span([r]) for r in ([1, 0, 0], [0, 1, 0], [0, 0, 1]))
     frame = close_and_build([e1, e2, e3])
-    meets = ((0, 0, 0, 0), (0, 1, 0, 1), (0, 0, 2, 2), (0, 1, 2, 3))
-    joins = ((0, 1, 2, 3), (1, 1, 3, 3), (2, 3, 2, 3), (3, 3, 3, 3))
-    wide = FiniteLattice((Subspace.zero(3), e2, e1, Subspace.full(3)), meets, joins)
-    assert [frame.index_of(s) for s in wide.elements] == sorted(map(frame.index_of, wide.elements))
-    for universe, bad in ((u, no_top), (u, alone), (frame, wide)):
-        with pytest.raises(ValueError) as err:
-            contextual_valuation_report(universe, {"c": bad})
-        assert str(err.value) == message
+    wide = [frame.bottom, frame.index_of(e2), frame.index_of(e1), frame.top]
     with pytest.raises(ValueError) as err:
-        contextual_valuation_report(u, {"c": close_and_build([], ambient_dim=2)})
-    assert str(err.value) == "context 'c' has no element besides {0} and C^2"
+        contextual_valuation_report(frame, {"c": wide})
+    assert str(err.value) == (
+        "lattice 'c' element span{[1,0,0],[0,1,0]} is neither trivial nor an "
+        "atom of the union lattice"
+    )
+    for trivial in ([], [u.bottom, u.top]):
+        with pytest.raises(ValueError) as err:
+            contextual_valuation_report(u, {"c": trivial})
+        assert str(err.value) == "context 'c' has no element besides {0} and C^2"
 
 
 def test_contextual_report_rejects_mid_rank_elements():
     deep = close_and_build([span([[1, 0, 0]]), span([[1, 0, 0], [0, 1, 0]])])
     with pytest.raises(ValueError, match="atom"):
-        contextual_valuation_report(deep, {"deep": deep})
+        contextual_valuation_report(deep, {"deep": range(len(deep))})
 
 
 def test_contextual_report_names_the_least_overlapping_pair():
@@ -262,7 +256,7 @@ def test_contextual_report_names_the_least_overlapping_pair():
     u = close_and_build([span([r]) for r in rays])
 
     def ctx(*picks):
-        return sublattice(u, [u.index_of(span([r])) for r in picks])
+        return [u.index_of(span([r])) for r in picks]
 
     contexts = {"A": ctx([1, 0], [0, 1]), "B": ctx([1, 1], [1, -1]),
                 "C": ctx([1, -1], [1, 2]), "D": ctx([0, 1], [2, -1])}
@@ -278,7 +272,7 @@ def test_contextual_report_checks_shared_elements_before_atoms():
     u = close_and_build([e1, e2, e3])
 
     def ctx(*picks):
-        return sublattice(u, [u.index_of(s) for s in picks])
+        return [u.index_of(s) for s in picks]
 
     # a holds the plane span{e1, e2}, no atom of the union; b and c share e2
     contexts = {"a": ctx(e1, span([[1, 0, 0], [0, 1, 0]])), "b": ctx(e2), "c": ctx(e2, e3)}
@@ -329,7 +323,7 @@ def test_contextual_report_leaves_a_free_atom_free():
     universe, names = _two_tents()
     assert universe.meet(names.index("c"), names.index("d")) == names.index("x")
     assert check_modular(universe).total_violations == 8
-    contexts = {name: sublattice(universe, [names.index(name)]) for name in "abef"}
+    contexts = {name: [names.index(name)] for name in "abef"}
     report = contextual_valuation_report(universe, contexts)
     assert len(report.union_spans) == 9
     assert report.union_atom_spans == tuple(
@@ -391,30 +385,27 @@ _PAIRS = [
 
 def _qubit_case(ws):
     universe = close_and_build([image(p) for p in nontrivial_projectors()])
-    return universe, {
-        f"L{w}": common_invariant_sublattice(context(w), universe)
-        for w in ws
-    }
+    return universe, {f"L{w}": invariant_indices(context(w), universe) for w in ws}
 
 
 def _pairs_case(count):
     pairs = [(span([a]), span([b])) for a, b in _PAIRS[:count]]
     universe = close_and_build([s for pair in pairs for s in pair])
-    return universe, {f"P{k}": close_and_build(pair) for k, pair in enumerate(pairs)}
+    return universe, {f"P{k}": [universe.index_of(s) for s in pair]
+                      for k, pair in enumerate(pairs)}
 
 
 def _lines_case():
     lines = [span([[int(k == i) for k in range(3)]]) for i in range(3)]
     universe = close_and_build(lines)
-    return universe, {f"e{i + 1}": close_and_build([s], ambient_dim=3)
-                      for i, s in enumerate(lines)}
+    return universe, {f"e{i + 1}": [universe.index_of(s)] for i, s in enumerate(lines)}
 
 
 def _c2_case(*contexts):
-    """One context per list of rays of C^2: the sublattice those lines
-    generate in the universe that every listed line generates."""
+    """One context per list of rays of C^2, as those lines' indices in the
+    universe that every listed line generates."""
     u = close_and_build([span([r]) for rays in contexts for r in rays])
-    return u, {f"C{k}": sublattice(u, [u.index_of(span([r])) for r in rays])
+    return u, {f"C{k}": [u.index_of(span([r])) for r in rays]
                for k, rays in enumerate(contexts)}
 
 
@@ -444,7 +435,8 @@ def test_contextual_report_matches_enumeration_reference(
 ):
     universe, contexts = case()
     report = contextual_valuation_report(universe, contexts)
-    union_spans, excluded, expected, global_vals, rows = _reference_report(contexts)
+    union_spans, excluded, expected, global_vals, rows = _reference_report(
+        {name: sublattice(universe, indices) for name, indices in contexts.items()})
     assert report.union_spans == union_spans
     assert report.meet_defined_rows == rows
     assert tuple(s.excluded_atom_spans for s in report.summaries) == excluded
@@ -452,6 +444,70 @@ def test_contextual_report_matches_enumeration_reference(
     assert report.global_valuations == global_vals
     assert (len(union_spans), len(expected), len(global_vals)) == (
         union_size, consistent, global_count)
+
+
+def _report_or_refusal(universe, contexts):
+    try:
+        return contextual_valuation_report(universe, contexts)
+    except ValueError as err:
+        return str(err)
+
+
+def test_contextual_report_reads_generators_as_their_closure(universe, rng):
+    # A context is the sublattice its indices generate, so random generating
+    # subsets give the report that their closures give, or the same
+    # refusal. The subsets are one-atom contexts on all atoms but one, which
+    # on _two_tents leave x free once x is the one, then disjoint runs of
+    # atoms, now and then with a stray index added.
+    cases = [universe, _pairs_case(4)[0], _c2_case(_MO3, _PAIR, _LINE)[0],
+             _lines_case()[0], _two_tents()[0]]
+    reports = refusals = free = 0
+    for u in cases:
+        shuffled = list(atoms(u))
+        draws = []
+        for left_out in atoms(u):
+            rng.shuffle(shuffled)
+            draws.append([[a] for a in shuffled if a != left_out])
+        for _ in range(40):
+            rng.shuffle(shuffled)
+            cuts = sorted(rng.sample(range(1, len(shuffled)), rng.randint(0, len(shuffled) - 1)))
+            runs = [shuffled[i:j] for i, j in zip([0, *cuts], [*cuts, len(shuffled)])]
+            runs = runs[:rng.randint(1, len(runs))]
+            if rng.random() < 0.3:
+                rng.choice(runs).append(rng.randrange(len(u)))
+            draws.append(runs)
+        for runs in draws:
+            gens = {f"K{k}": run for k, run in enumerate(runs)}
+            closure = {name: [u.index_of(s) for s in sublattice(u, g).elements]
+                       for name, g in gens.items()}
+            outcome = _report_or_refusal(u, gens)
+            assert outcome == _report_or_refusal(u, closure)
+            if isinstance(outcome, str):
+                refusals += 1
+                continue
+            reports += 1
+            owned = sum(len(summary.atom_spans) for summary in outcome.summaries)
+            free += u is cases[-1] and len(outcome.union_atom_spans) > owned
+    assert reports and refusals and free
+
+
+def test_common_sublattice_is_the_intersection_of_per_operator_indices(universe, rng):
+    # Families of three or more: the sublattice of what every operator
+    # keeps, read off one index set per operator, is the common one.
+    pool = list(nontrivial_projectors()) + [ExactMatrix.identity(2), ExactMatrix.zeros(2, 2)]
+    cases = [(rng.sample(pool, rng.randint(3, len(pool))), universe) for _ in range(8)]
+    for m in (1, 2, 1, 2):
+        gens, _ = _block_family(rng, m)
+        lat = _generated_universe(gens)
+        cases += [(rng.sample(gens, rng.randint(3, len(gens))), lat) for _ in range(2)]
+    proper = 0
+    for ops, lat in cases:
+        kept = frozenset.intersection(*(invariant_indices([op], lat) for op in ops))
+        assert kept == invariant_indices(ops, lat)
+        common = common_invariant_sublattice(ops, lat)
+        assert sublattice(lat, kept) == common
+        proper += 2 < len(common) < len(lat)
+    assert proper > 0
 
 
 def test_contextual_report_cap_is_inclusive(monkeypatch):
